@@ -199,6 +199,33 @@ class _RowSpanPricing:
         out[1:] = cumulative[1:] - cumulative[:-1]
         return out
 
+    @cached_property
+    def _primed_grids(self) -> "dict[tuple[int, int], np.ndarray]":
+        """Memoised :meth:`primed_grid` vectors, keyed ``(quantum, phase)``."""
+        return {}
+
+    def primed_grid(self, quantum: int, phase: int) -> np.ndarray:
+        """Primed cycles of every ``quantum``-row span aligned at ``phase``.
+
+        Entry ``k`` is ``span_cycles(lo, hi, primed=True)`` with
+        ``lo = phase + k * quantum`` and ``hi = min(lo + quantum, total_rows)``
+        — the price of each iteration of a resident streaming ``quantum``
+        rows at a time from any ``rows_done`` with
+        ``rows_done % quantum == phase`` (its iteration ``j`` is entry
+        ``rows_done // quantum + j``).  The pricing is a fixed function of
+        the row position, so the vector is built once per
+        ``(quantum, phase)`` with :meth:`span_cycles_batch`, memoised on the
+        plan and returned read-only.
+        """
+        key = (quantum, phase)
+        grid = self._primed_grids.get(key)
+        if grid is None:
+            bounds = np.append(np.arange(phase, self.total_rows, quantum), self.total_rows)
+            grid = self.span_cycles_batch(bounds, primed=True)
+            grid.flags.writeable = False
+            self._primed_grids[key] = grid
+        return grid
+
 
 @dataclass(frozen=True, eq=False)
 class ModelPlan(_RowSpanPricing):

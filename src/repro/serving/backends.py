@@ -182,14 +182,21 @@ class StepCost:
 class StepBurst:
     """Prices of a *burst* of consecutive iterations over fixed residents.
 
-    Between two scheduling events (an admission, a retirement, another shard
-    activating) the resident set of a shard is constant, so every iteration
-    of the burst advances the same slices — the whole burst is a closed-form
-    function of the residents' remaining rows.
-    :meth:`AttentionBackend.step_burst` prices all of them in one call; the
-    arrays hold one entry per iteration, in order, each entry bit-identical
-    to what the corresponding :meth:`~AttentionBackend.step` call would have
-    returned.
+    Between an admission and the next retirement the resident set of a shard
+    is constant, so every iteration of the burst advances the same slices —
+    the whole burst is a closed-form function of the residents' remaining
+    rows.  :meth:`AttentionBackend.step_burst` prices all of them in one
+    call; the arrays hold one entry per iteration, in order, each entry
+    bit-identical to what the corresponding :meth:`~AttentionBackend.step`
+    call would have returned.
+
+    A burst may be consumed across several activations of its shard: when
+    an arrival or another shard's activation cuts it short, the scheduler
+    keeps the unconsumed :meth:`tail` and continues from it at the shard's
+    next activation unless that activation admits.  Every entry after the
+    first is priced primed at the row offsets a fresh call would use, so the
+    tail holds the same bits a fresh :meth:`~AttentionBackend.step_burst`
+    call would return.
 
     Attributes
     ----------
@@ -202,8 +209,7 @@ class StepBurst:
         Per-iteration rows of the gating slice (``int64`` array).
     iterations:
         Burst length: iterations until the resident with the fewest
-        remaining rows retires.  The scheduler may consume a prefix when an
-        admission or another shard's activation cuts the burst short.
+        remaining rows retires.
     """
 
     seconds: "np.ndarray"
@@ -211,6 +217,18 @@ class StepBurst:
     energy_joules: "np.ndarray"
     gate_rows: "np.ndarray"
     iterations: int
+
+    def tail(self, offset: int) -> "StepBurst":
+        """The burst after its first ``offset`` iterations (array views)."""
+        if not 0 < offset < self.iterations:
+            raise ValueError(f"tail offset must be in (0, {self.iterations}), got {offset}")
+        return StepBurst(
+            seconds=self.seconds[offset:],
+            cycles=None if self.cycles is None else self.cycles[offset:],
+            energy_joules=self.energy_joules[offset:],
+            gate_rows=self.gate_rows[offset:],
+            iterations=self.iterations - offset,
+        )
 
 
 class AttentionBackend(ABC):
@@ -765,12 +783,15 @@ class _SWATBackendBase(AttentionBackend):
         burst is ``[fill-or-primed first, (K - 2) primed full slices, one
         primed remainder]`` — a handful of array ops instead of ``K``
         Python-loop ``step`` calls, bit-identical entry for entry.  Forward
-        and decode slices are priced positionally, and their closed form is
-        :meth:`~repro.model.plan._RowSpanPricing.span_cycles_batch`: one
-        cycle row per resident (cumulative-cost differences off the plan's
-        prefix sums), with ``np.argmax`` down the slice axis reproducing the
-        reference loop's first-strict-max gating — no looped-``step``
-        fallback on any slice kind.
+        and decode slices are priced positionally: each resident's cycle
+        row is a slice of its plan's memoised
+        :meth:`~repro.model.plan._RowSpanPricing.primed_grid` for
+        ``(iteration_rows, rows_done % iteration_rows)``, with only a cold
+        first span (or a final span stopping short of the plan's end) priced
+        by the scalar :meth:`~repro.model.plan._RowSpanPricing.span_cycles`.
+        ``np.argmax`` down the slice axis reproduces the reference loop's
+        first-strict-max gating — no looped-``step`` fallback on any slice
+        kind.
         """
         if not slices:
             raise ValueError("a burst needs at least one resident slice")
@@ -813,10 +834,19 @@ class _SWATBackendBase(AttentionBackend):
                         min(iteration_rows, rows_left)
                     )
             else:
-                boundaries = rows_done + np.minimum(
-                    np.arange(iterations + 1, dtype=np.int64) * iteration_rows, rows_left
-                )
-                cycle_rows[index] = plan.span_cycles_batch(boundaries, primed)
+                row = cycle_rows[index]
+                first = rows_done // iteration_rows
+                grid = plan.primed_grid(iteration_rows, rows_done % iteration_rows)
+                row[:] = grid[first : first + iterations]
+                last_lo = rows_done + streamed
+                last_hi = last_lo + int(last_slice_rows[index])
+                if last_hi < min(last_lo + iteration_rows, plan.total_rows):
+                    # The slice stops before its grid span's end.
+                    row[-1] = plan.span_cycles(last_lo, last_hi, True)
+                if not primed:
+                    row[0] = plan.span_cycles(
+                        rows_done, rows_done + min(iteration_rows, rows_left), False
+                    )
         gate_index = np.argmax(cycle_rows, axis=0)
         cycles = cycle_rows[gate_index, np.arange(iterations)]
         gate_rows = np.full(iterations, iteration_rows, dtype=np.int64)

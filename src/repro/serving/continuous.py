@@ -35,15 +35,16 @@ Two scheduler implementations produce bit-identical results
 
 ``"event"`` (default)
     Event-driven and vectorized.  A heap over per-shard activation times
-    replaces the linear scan, and between two scheduling events (an
-    admission becoming possible, a retirement, another shard activating
-    first) the resident set is fixed — the backend prices that whole *burst*
-    of iterations in one closed-form
+    replaces the linear scan, and between an admission and the next
+    retirement the resident set is fixed — the backend prices that whole
+    *burst* of iterations in one closed-form
     :meth:`~repro.serving.backends.AttentionBackend.step_burst` call, and
     the loop folds it into the accounting with sequential ``cumsum``\\ s that
-    reproduce the per-iteration float additions bit for bit.  Cost scales
-    with scheduling *events*, not iterations: a 100k-request diurnal trace
-    replays in seconds.
+    reproduce the per-iteration float additions bit for bit.  A burst cut
+    short by an arrival or by another shard's activation is resumed, not
+    repriced, at the shard's next activation unless that activation admits.
+    Pricing cost scales with *resident-set changes*, not iterations or
+    activations: a 100k-request diurnal trace replays in seconds.
 
 ``"reference"``
     The retained quantum-stepped loop: one Python iteration per priced
@@ -81,7 +82,7 @@ import numpy as np
 
 from repro.core.config import SWATConfig
 from repro.core.pipeline import SWATPipelineModel
-from repro.serving.backends import REGISTRY, batch_head_rows, create_backend
+from repro.serving.backends import REGISTRY, StepBurst, batch_head_rows, create_backend
 from repro.serving.cache import KVResidency, PlanCache
 from repro.serving.engine import ServingResult
 from repro.serving.request import (
@@ -778,14 +779,19 @@ def _event_loop(state: _RunState) -> None:
     the old head's arrival.
 
     After admitting at the popped shard the resident set is fixed until the
-    next scheduling event, so the backend prices the whole run of iterations
-    to the next retirement in one vectorized
+    next retirement, so the backend prices the whole run of iterations to
+    that retirement in one vectorized
     :meth:`~repro.serving.backends.AttentionBackend.step_burst` call; the
     burst is then cut short at the first iteration whose start would admit a
-    newly arrived request, or at another shard's activation.  All float
-    accounting (clock, busy time, energy, per-resident device seconds) folds
-    through sequential ``cumsum``\\ s over the same values the reference loop
-    adds one at a time, keeping every accumulator bit-identical.
+    newly arrived request, or at another shard's activation.  A cut burst
+    keeps its unconsumed :meth:`~repro.serving.backends.StepBurst.tail`, and
+    the shard's next activation continues from it unless it admits — only a
+    retirement ends a burst, so the residents are the ones it was priced
+    for, and its primed entries are the bits a fresh call would return.
+    All float accounting (clock, busy time, energy, per-resident device
+    seconds) folds through sequential ``cumsum``\\ s over the same values the
+    reference loop adds one at a time, keeping every accumulator
+    bit-identical.
     """
     batcher = state.batcher
     clocks = state.clocks
@@ -793,8 +799,11 @@ def _event_loop(state: _RunState) -> None:
     quantum = state.iteration_rows
     version = [0] * num_shards
     heap: "list[tuple[float, int, int]]" = []
-    # Hot-loop locals: the while body below runs once per burst, up to
-    # hundreds of thousands of times per serve.
+    # Per shard: its last burst and the iterations consumed of it, or None
+    # once a retirement ended it.
+    pending: "list[tuple[StepBurst, int] | None]" = [None] * num_shards
+    # Hot-loop locals: the while body below runs once per shard activation,
+    # up to hundreds of thousands of times per serve.
     shards = state.shards
     primed = state.primed
     rows_of = state.rows_of
@@ -852,7 +861,11 @@ def _event_loop(state: _RunState) -> None:
             (inflight.request, inflight.rows_done, inflight.remaining_rows)
             for inflight in residents
         ]
-        burst = shards[shard].step_burst(burst_slices, primed[shard], quantum)
+        if admitted or pending[shard] is None:
+            burst = shards[shard].step_burst(burst_slices, primed[shard], quantum)
+        else:
+            cut, consumed = pending[shard]
+            burst = cut.tail(consumed)
         length = burst.iterations
         # times[j] is the start of iteration j + 1; times[length] the end.
         # Built as [now, s0, s1, ...] then cumsummed in place: numpy's cumsum
@@ -880,6 +893,7 @@ def _event_loop(state: _RunState) -> None:
                 1 + int(np.searchsorted(times[1:length], other_activation, side=side)),
             )
         retiring = length == burst.iterations
+        pending[shard] = None if retiring else (burst, length)
         if length == 1:
             seconds0 = float(burst.seconds[0])
             clock.now += seconds0

@@ -7,8 +7,9 @@ accumulates every suite's numbers into ``BENCH_serving.json`` /
 trajectory ROADMAP item 5 asked for.  Writes are atomic (tmp + rename) so a
 crashed benchmark never leaves a half-written artifact behind.
 
-The output directory defaults to the current working directory and is
-overridden by the :data:`BENCH_ARTIFACT_ENV` environment variable.
+Artifacts are written only into the directory named by the
+:data:`BENCH_ARTIFACT_ENV` environment variable; with it unset nothing is
+written, so a plain test run never rewrites a tracked file.
 """
 
 from __future__ import annotations
@@ -23,22 +24,30 @@ __all__ = ["BENCH_ARTIFACT_ENV", "artifact_path", "record_bench"]
 BENCH_ARTIFACT_ENV = "BENCH_ARTIFACT_DIR"
 
 
-def artifact_path(name: str) -> Path:
-    """Resolve an artifact file name against the configured directory."""
+def artifact_path(name: str) -> "Path | None":
+    """Resolve an artifact file name against the configured directory.
+
+    Returns ``None`` when :data:`BENCH_ARTIFACT_ENV` is unset or empty.
+    """
     base = os.environ.get(BENCH_ARTIFACT_ENV, "")
-    directory = Path(base) if base else Path.cwd()
+    if not base:
+        return None
+    directory = Path(base)
     directory.mkdir(parents=True, exist_ok=True)
     return directory / name
 
 
-def record_bench(artifact: str, entry: str, payload: "dict[str, object]") -> Path:
+def record_bench(artifact: str, entry: str, payload: "dict[str, object]") -> "Path | None":
     """Merge ``payload`` under ``entry`` into the named JSON artifact.
 
-    Returns the path written.  Existing entries of other names are
-    preserved (merge-on-write), so independent benchmark modules can
-    contribute to one artifact file in any order.
+    Returns the path written, or ``None`` (writing nothing) when no artifact
+    directory is configured.  Existing entries of other names are preserved
+    (merge-on-write), so independent benchmark modules can contribute to one
+    artifact file in any order.
     """
     path = artifact_path(artifact)
+    if path is None:
+        return None
     document: "dict[str, object]" = {}
     if path.exists():
         try:

@@ -156,12 +156,40 @@ class TestFigure9:
 
 
 class TestHeadline:
-    def test_measured_claims_close_to_paper(self):
-        table, measured = headline.run()
-        assert measured["speedup vs BTF-1 @4096"] == pytest.approx(6.7, rel=0.25)
-        assert measured["energy efficiency vs GPU @16384 (FP32)"] == pytest.approx(8.4, rel=0.35)
-        assert len(table.rows) == len(headline.PAPER_CLAIMS)
+    #: Model value of every ``headline.PAPER_CLAIMS`` entry, to two decimals:
+    #: a regression pin, so a refactor cannot drift the reproduction.
+    PINNED = {
+        "speedup vs BTF-1 @4096": 6.7,
+        "speedup vs BTF-2 @4096": 12.2,
+        "speedup vs Butterfly @16384 (best case)": 23.83,
+        "energy efficiency vs BTF-1 @16384": 11.38,
+        "energy efficiency vs BTF-2 @16384": 21.59,
+        # The abstract quotes 5.7x over Butterfly; the model reads this claim
+        # off the BTF-1 series at 16384 tokens and gives 11.38x, twice the
+        # paper's figure.  The gap is not explained yet, so this claim is
+        # pinned but not banded.
+        "energy efficiency vs Butterfly @16384 (abstract)": 11.38,
+        "energy efficiency vs GPU @16384 (FP16)": 16.16,
+        "energy efficiency vs GPU @16384 (FP32)": 8.25,
+        "energy efficiency vs GPU @4096 (FP16)": 6.24,
+    }
+    UNBANDED = ("energy efficiency vs Butterfly @16384 (abstract)",)
 
-    def test_every_headline_claim_direction_holds(self):
-        _, measured = headline.run()
+    @pytest.fixture(scope="class")
+    def measured(self):
+        table, measured = headline.run()
+        assert len(table.rows) == len(headline.PAPER_CLAIMS)
+        return measured
+
+    def test_every_claim_pinned_to_two_decimals(self, measured):
+        assert set(self.PINNED) == set(headline.PAPER_CLAIMS)
+        for claim, pinned in self.PINNED.items():
+            assert round(measured[claim], 2) == pinned, claim
+
+    def test_measured_claims_close_to_paper(self, measured):
+        for claim, paper in headline.PAPER_CLAIMS.items():
+            if claim not in self.UNBANDED:
+                assert measured[claim] == pytest.approx(paper, rel=0.1), claim
+
+    def test_every_headline_claim_direction_holds(self, measured):
         assert all(value > 1.0 for value in measured.values())

@@ -11,6 +11,8 @@ The load-bearing contracts:
 * **Consistency** — a uniform-geometry model's total cycles equal
   ``batch_attention_cycles`` of its layers streamed as one batch (one fill
   for the whole forward).
+* **Grid** — every entry of a plan's memoised ``primed_grid`` equals the
+  scalar primed ``span_cycles`` of its quantum-aligned span.
 """
 
 import numpy as np
@@ -20,8 +22,9 @@ from hypothesis import strategies as st
 
 from repro.core.config import SWATConfig
 from repro.core.pipeline import SWATPipelineModel
-from repro.model import LayerGeometry, ModelPlanCompiler, ModelSpec
+from repro.model import LayerGeometry, ModelPlanCompiler, ModelSpec, compile_decode_plan
 from repro.serving.cache import PlanCache
+from repro.serving.request import decode_block_schedule
 
 HEAD_DIM = 8
 
@@ -199,3 +202,35 @@ class TestModelPlanCompilation:
             plan.span_cycles(0, 0, primed=False)
         with pytest.raises(ValueError):
             plan.span_cycles(0, plan.total_rows + 1, primed=False)
+
+
+class TestPrimedGrid:
+    """Every grid entry is the primed price of its quantum-aligned span."""
+
+    @settings(deadline=None, max_examples=15)
+    @given(
+        seq_len=st.sampled_from([5, 16, 33]),
+        num_layers=st.integers(1, 4),
+        num_heads=st.integers(1, 3),
+        alternating=st.booleans(),
+        new_tokens=st.integers(1, 6),
+        block_size=st.integers(1, 4),
+        adaptive=st.booleans(),
+    )
+    @pytest.mark.parametrize("quantum", [1, 7, 16, 1000])
+    def test_entries_equal_primed_span_cycles(
+        self, quantum, seq_len, num_layers, num_heads, alternating, new_tokens, block_size, adaptive
+    ):
+        layers = tuple(GEOMETRIES[layer % 2 if alternating else 0] for layer in range(num_layers))
+        spec = ModelSpec(seq_len=seq_len, layers=layers, num_heads=num_heads, head_dim=HEAD_DIM)
+        model = ModelPlanCompiler(base_config=_config()).compile(spec)
+        blocks = decode_block_schedule(new_tokens, block_size, adaptive)
+        for plan in (model, compile_decode_plan(model, blocks)):
+            total = plan.total_rows
+            for phase in range(min(quantum, total)):
+                grid = plan.primed_grid(quantum, phase)
+                lows = range(phase, total, quantum)
+                expected = [plan.span_cycles(lo, min(lo + quantum, total), True) for lo in lows]
+                assert grid.tolist() == expected
+                assert plan.primed_grid(quantum, phase) is grid
+                assert not grid.flags.writeable

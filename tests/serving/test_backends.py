@@ -253,12 +253,32 @@ class TestStepBurst:
     def test_mixed_kind_burst_matches_looped_default(self, name, primed, iteration_rows):
         """Forward and decode slices are priced closed-form, bit-exactly.
 
-        PR 7 left these slices falling back to the looped ``step`` default;
-        the burst path now covers every request kind with no fallback.
+        Every request kind is covered with no looped-``step`` fallback.  The
+        second ``rows_done`` case starts the positional residents off their
+        plans' quantum alignment, so their rows are read off a grid phase
+        other than zero.
         """
         config = _config()
         backend = create_backend(name, config=config, plan_cache=PlanCache())
-        slices = self._mixed_slices(backend, config)
+        for rows_done in ((0, 16, 5, 0), (3, 16, 5, 2)):
+            slices = self._mixed_slices(backend, config, rows_done)
+            vectorized = backend.step_burst(slices, primed, iteration_rows)
+            looped = AttentionBackend.step_burst(backend, slices, primed, iteration_rows)
+            self._assert_bursts_equal(vectorized, looped)
+
+    @pytest.mark.parametrize("name", CONTINUOUS_BACKENDS)
+    @pytest.mark.parametrize("primed", [False, True])
+    @pytest.mark.parametrize("iteration_rows", [1, 7, 16, 1000])
+    def test_burst_stopping_short_of_plan_end_matches_looped_default(
+        self, name, primed, iteration_rows
+    ):
+        """Slices whose remaining rows end before their plan's last row."""
+        config = _config()
+        backend = create_backend(name, config=config, plan_cache=PlanCache())
+        slices = [
+            (request, rows_done, rows_left - 3)
+            for request, rows_done, rows_left in self._mixed_slices(backend, config, (3, 16, 5, 2))
+        ]
         vectorized = backend.step_burst(slices, primed, iteration_rows)
         looped = AttentionBackend.step_burst(backend, slices, primed, iteration_rows)
         self._assert_bursts_equal(vectorized, looped)

@@ -6,28 +6,32 @@ accounting on :class:`DecodeRequest`, positional pricing through
 equality), the :class:`~repro.serving.cache.KVResidency` counters, per-token
 latency stats, and the tentpole invariant: a mixed prefill+decode trace runs
 bit-identically through the ``"event"`` and ``"reference"`` continuous
-schedulers, stats and telemetry alike.
+schedulers, stats and telemetry alike — including when the event scheduler
+resumes a cut burst instead of pricing its resident set again.
 """
 
 from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import SWATConfig
 from repro.model import ModelSpec
 from repro.model.plan import ModelPlanCompiler, compile_decode_plan
 from repro.serving.backends import create_backend
 from repro.serving.cache import KVResidency, PlanCache
-from repro.serving.continuous import poisson_arrivals, serve_continuous
+from repro.serving.continuous import ContinuousBatcher, poisson_arrivals, serve_continuous
 from repro.serving.request import (
     decode_block_schedule,
     make_decode_request,
     make_forward_request,
     make_requests,
 )
-from repro.serving.stats import decode_token_intervals
+from repro.serving.stats import ServingStats, decode_token_intervals
 from repro.telemetry.bus import EventBus
+from repro.telemetry.events import to_record
 
 CONTINUOUS_BACKENDS = ["simulator", "analytical", "gpu-dense", "gpu-chunked", "dense-fpga"]
 
@@ -251,6 +255,129 @@ class TestMixedTraceSchedulerEquivalence:
         assert stats.kv_hit_rate == pytest.approx(stats.kv_hits / blocks)
         rendered = stats.render()
         assert "tokens/sec" in rendered and "TTFT" in rendered
+
+
+REQUEST_KINDS = ("attention", "forward", "decode", "adaptive")
+
+#: Request kinds in arrival order, arrival seed and rate, shards, quantum.
+carry_over_strategy = st.tuples(
+    st.lists(st.sampled_from(REQUEST_KINDS), min_size=1, max_size=8),
+    st.integers(0, 2**16),
+    st.sampled_from([3e4, 3e5, 3e6]),
+    st.integers(1, 3),
+    st.sampled_from([1, 7, 32]),
+)
+
+
+def _kind_trace(kinds, seed, rate):
+    """One request per kind entry, on a seeded Poisson arrival trace."""
+    arrivals = poisson_arrivals(len(kinds), rate=rate, seed=seed)
+    spec = _spec(seq_len=16)
+    requests = []
+    for kind, arrival in zip(kinds, arrivals):
+        if kind == "attention":
+            requests.append(make_requests([24], 16, functional=False, arrival_times=[arrival])[0])
+        elif kind == "forward":
+            requests.append(make_forward_request(spec, functional=False, arrival_time=arrival))
+        else:
+            requests.append(
+                make_decode_request(
+                    spec,
+                    new_tokens=6,
+                    block_size=4,
+                    adaptive=kind == "adaptive",
+                    arrival_time=arrival,
+                )
+            )
+    return requests
+
+
+class _PricingSpy:
+    """A backend's ``step_burst``, counting its calls."""
+
+    def __init__(self, price):
+        self.price = price
+        self.calls = 0
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        return self.price(*args, **kwargs)
+
+
+def _serve_spied(requests, scheduler, num_shards, quantum):
+    """Serve on the bus with every ``step_burst`` call counted.
+
+    Returns ``(result, telemetry records, pricing calls)``.
+    """
+    cache = PlanCache()
+    backends = []
+    for _ in range(num_shards):
+        backend = create_backend("analytical", config=_config(), plan_cache=cache)
+        backend.step_burst = _PricingSpy(backend.step_burst)
+        backends.append(backend)
+    bus = EventBus()
+    events = []
+    bus.subscribe(events.append)
+    result = serve_continuous(
+        requests,
+        config=_config(),
+        backend="analytical",
+        num_shards=num_shards,
+        max_batch_size=4,
+        iteration_rows=quantum,
+        scheduler=scheduler,
+        backends=backends,
+        bus=bus,
+    )
+    records = [to_record(event) for event in events if event.kind != "run_finished"]
+    return result, records, sum(backend.step_burst.calls for backend in backends)
+
+
+def _assert_schedulers_agree(requests, num_shards, quantum):
+    """Event and reference serves agree bit for bit.
+
+    Returns the event serve's result and its pricing calls.
+    """
+    event, event_log, calls = _serve_spied(requests, "event", num_shards, quantum)
+    reference, reference_log, _ = _serve_spied(requests, "reference", num_shards, quantum)
+    for spec in fields(ServingStats):
+        if spec.name == "wall_seconds":
+            continue
+        event_value = getattr(event.stats, spec.name)
+        assert event_value == getattr(reference.stats, spec.name), spec.name
+    assert event.iterations == reference.iterations
+    assert event_log == reference_log
+    return event, calls
+
+
+class TestBurstCarryOver:
+    """A cut burst is resumed, not repriced, with every bit unchanged."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(trace=carry_over_strategy)
+    def test_resumed_bursts_match_reference(self, trace):
+        kinds, seed, rate, num_shards, quantum = trace
+        requests = _kind_trace(kinds, seed, rate)
+        result, calls = _assert_schedulers_agree(requests, num_shards, quantum)
+        # A resident set is priced only after it changed: each pricing call
+        # follows an admission or a retirement on its shard.
+        changes = sum(len(record.admitted) + len(record.retired) for record in result.iterations)
+        assert calls <= changes
+
+    def test_two_shard_trace_prices_fewer_times_than_it_activates(self, monkeypatch):
+        requests = _kind_trace(REQUEST_KINDS * 2, seed=0, rate=3e5)
+        _assert_schedulers_agree(requests, num_shards=2, quantum=7)
+        activations = [0]
+        admit = ContinuousBatcher.admit
+
+        def counted_admit(self, *args, **kwargs):
+            # The event loop calls admit once per shard activation.
+            activations[0] += 1
+            return admit(self, *args, **kwargs)
+
+        monkeypatch.setattr(ContinuousBatcher, "admit", counted_admit)
+        _, _, calls = _serve_spied(requests, "event", num_shards=2, quantum=7)
+        assert calls < activations[0]
 
 
 class TestDecodeReplay:

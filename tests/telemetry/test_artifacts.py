@@ -30,10 +30,12 @@ def test_corrupt_existing_artifact_is_replaced(tmp_path, monkeypatch):
     assert json.loads((tmp_path / "BENCH_test.json").read_text()) == {"alpha": {"x": 1}}
 
 
-def test_artifact_path_defaults_to_cwd(tmp_path, monkeypatch):
+def test_nothing_written_without_artifact_dir(tmp_path, monkeypatch):
     monkeypatch.delenv(BENCH_ARTIFACT_ENV, raising=False)
     monkeypatch.chdir(tmp_path)
-    assert artifact_path("BENCH_test.json") == tmp_path / "BENCH_test.json"
+    assert artifact_path("BENCH_test.json") is None
+    assert record_bench("BENCH_test.json", "alpha", {"x": 1}) is None
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_artifact_dir_is_created(tmp_path, monkeypatch):
