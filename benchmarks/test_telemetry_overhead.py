@@ -1,13 +1,14 @@
 """Benchmark: telemetry instrumentation must be free when nobody listens.
 
-The hot paths (continuous iteration loop, drain dispatch, plan-cache lookup)
-are instrumented behind ``if bus.active`` guards, so a run with zero event
-subscribers pays one branch per would-be event and never constructs the
-event object.  This suite holds that property to a number: modelled
-throughput of an instrumented-but-unsubscribed continuous run must stay
-within ``TELEMETRY_OVERHEAD_TOLERANCE`` (default 2%) of the uninstrumented
-baseline, measured as interleaved best-of wall times so scheduler noise
-cancels instead of accumulating on one side.
+The hot paths (the iteration loop and the plan-cache lookup) are instrumented
+behind ``if bus.active`` guards, so a run with zero event subscribers pays one
+branch per would-be event and never constructs the event object.  This suite
+holds that property structurally: every event class the engine and the plan
+cache construct is swapped for a counting subclass, and an
+instrumented-but-unsubscribed serve must construct none of them while
+producing the uninstrumented run's modelled numbers.  The interleaved
+best-of wall-time ratio of the two runs is recorded as a headline number, not
+gated: wall clocks on shared runners are too noisy to gate on.
 
 ``TELEMETRY_OVERHEAD_REQUESTS`` caps the trace length (CI smoke mode).  The
 measured ratio lands in ``BENCH_serving.json`` next to the throughput
@@ -16,16 +17,17 @@ numbers.
 
 import os
 import time
+from collections import Counter
 
+import repro.serving.cache as serving_cache
+import repro.serving.continuous as serving_continuous
 from repro.core.config import SWATConfig
 from repro.serving.cache import PlanCache
 from repro.serving.continuous import poisson_arrivals, serve_continuous, swat_request_rate
 from repro.serving.request import make_requests
 from repro.telemetry import EventBus
 from repro.telemetry.artifacts import record_bench
-
-#: Zero-subscriber instrumentation may cost at most this wall-time ratio.
-OVERHEAD_TOLERANCE = float(os.environ.get("TELEMETRY_OVERHEAD_TOLERANCE", "1.02"))
+from repro.telemetry.events import Event
 
 
 def _trace(config, count):
@@ -39,8 +41,26 @@ def _trace(config, count):
     )
 
 
-def test_zero_subscriber_instrumentation_is_free(benchmark):
-    """Instrumented continuous serving with no sinks stays within tolerance."""
+def _count_event_constructions(monkeypatch) -> Counter:
+    """Swap every event class the engine and plan cache emit for a counting subclass.
+
+    Returns the live ``kind -> constructions`` counter.
+    """
+    constructed: Counter = Counter()
+    for module in (serving_continuous, serving_cache):
+        for name, cls in list(vars(module).items()):
+            if isinstance(cls, type) and issubclass(cls, Event) and cls is not Event:
+
+                def __init__(self, *args, _base=cls, **kwargs):
+                    constructed[_base.kind] += 1
+                    _base.__init__(self, *args, **kwargs)
+
+                monkeypatch.setattr(module, name, type(name, (cls,), {"__init__": __init__}))
+    return constructed
+
+
+def test_zero_subscriber_instrumentation_is_free(benchmark, monkeypatch):
+    """Instrumented serving with no sinks constructs no event object."""
     config = SWATConfig.longformer(window_tokens=128)
     count = max(16, int(os.environ.get("TELEMETRY_OVERHEAD_REQUESTS", "256")) // 4 * 4)
     requests = _trace(config, count)
@@ -58,10 +78,11 @@ def test_zero_subscriber_instrumentation_is_free(benchmark):
             bus=bus,
         )
 
-    # Warm both paths (imports, caches), then interleave the timed rounds so
-    # drift (CPU frequency, page cache) hits both variants equally.
+    constructed = _count_event_constructions(monkeypatch)
     baseline_result = serve(None)
     instrumented_result = serve(idle_bus)
+    # Acceptance property: no subscribers -> not one event object built.
+    assert constructed == Counter()
 
     def modelled(stats):
         record = stats.to_dict()
@@ -70,6 +91,15 @@ def test_zero_subscriber_instrumentation_is_free(benchmark):
 
     assert modelled(instrumented_result.stats) == modelled(baseline_result.stats)
 
+    # The counting classes are the ones the emit sites build: a subscribed
+    # bus constructs them.
+    listening = EventBus()
+    listening.subscribe(lambda event: None)
+    serve(listening)
+    assert constructed["iteration_advanced"] > 0 and constructed["run_finished"] == 1
+
+    # Interleave the timed rounds so drift (CPU frequency, page cache) hits
+    # both variants equally; the ratio is recorded, not asserted.
     rounds = 5
     baseline_best = instrumented_best = float("inf")
     for _ in range(rounds):
@@ -84,8 +114,7 @@ def test_zero_subscriber_instrumentation_is_free(benchmark):
     ratio = instrumented_best / baseline_best
     print(
         f"\nzero-subscriber telemetry: instrumented {instrumented_best * 1e3:.1f} ms "
-        f"vs baseline {baseline_best * 1e3:.1f} ms ({ratio:.4f}x, "
-        f"tolerance {OVERHEAD_TOLERANCE:.2f}x, {count} requests)"
+        f"vs baseline {baseline_best * 1e3:.1f} ms ({ratio:.4f}x, {count} requests)"
     )
     record_bench(
         "BENCH_serving.json",
@@ -95,11 +124,8 @@ def test_zero_subscriber_instrumentation_is_free(benchmark):
             "baseline_ms": round(baseline_best * 1e3, 3),
             "instrumented_ms": round(instrumented_best * 1e3, 3),
             "ratio": round(ratio, 4),
-            "tolerance": OVERHEAD_TOLERANCE,
         },
     )
-    # Acceptance property: no subscribers -> no measurable cost.
-    assert ratio <= OVERHEAD_TOLERANCE
 
 
 def test_subscribed_bus_actually_collects(benchmark):

@@ -9,8 +9,8 @@ Walks the ``repro.model`` subsystem end to end:
 3. run the stacked :class:`~repro.model.executor.ModelExecutor` forward and
    check it against the layer-by-layer :mod:`repro.nn` reference, bit for
    bit;
-4. serve a batch of forward requests through the serving engine in both
-   drain and continuous modes.
+4. serve a batch of forward requests through the serving engine under both
+   drain and continuous admission.
 
 Run with ``PYTHONPATH=src python examples/model_forward.py``.
 """
@@ -66,7 +66,7 @@ def main() -> None:
     )
     result = engine.serve(requests)
     print()
-    print(result.stats.to_table("Whole-model forwards, drain engine").render())
+    print(result.stats.to_table("Whole-model forwards, drain admission").render())
 
     continuous = serve_continuous(
         requests,

@@ -27,9 +27,9 @@ model
     cycle/traffic prefix sums) and the stacked ``ModelExecutor`` forward,
     bit-identical to the layer-by-layer ``repro.nn`` reference.
 serving
-    Async multi-accelerator serving layer: pluggable backend registry,
-    dynamic batching across a shard pool, whole-model forward requests,
-    continuous batching on a simulated clock, plan/schedule caching and
+    Multi-accelerator serving layer: pluggable backend registry, one
+    simulated-clock engine with drain or continuous admission across a shard
+    pool, whole-model forward and decode requests, plan/schedule caching and
     serving-level throughput accounting (``repro-serve`` CLI).
 workload
     Transformer workload specifications and FLOPs/MOPs accounting.

@@ -17,8 +17,8 @@ forward per request.  This package closes that gap:
   :class:`~repro.model.executor.ReferenceEncoder`, and prices it end to end.
 
 The serving layer's ``ForwardRequest`` (:mod:`repro.serving.request`) carries
-a spec through the backend registry, the drain engine and the continuous
-iteration clock, so one serve call handles an entire forward pass.
+a spec through the backend registry and the simulated-clock engine under
+either admission policy, so one serve call handles an entire forward pass.
 """
 
 from repro.model.executor import (

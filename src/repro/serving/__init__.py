@@ -1,8 +1,9 @@
-"""Async multi-accelerator serving layer over the SWAT execution paths.
+"""Multi-accelerator serving layer over the SWAT execution paths.
 
 Turns the one-shot :class:`~repro.core.simulator.SWATSimulator` into a served
-system: a pluggable backend registry (:mod:`repro.serving.backends`), an async
-request queue with dynamic batching (:mod:`repro.serving.batcher`,
+system: a pluggable backend registry (:mod:`repro.serving.backends`), one
+simulated-clock engine with drain or continuous admission
+(:mod:`repro.serving.continuous`, fronted by the configured shard pool of
 :mod:`repro.serving.engine`), a per-shape plan/schedule cache
 (:mod:`repro.serving.cache`) and serving-level accounting
 (:mod:`repro.serving.stats`).  The ``repro-serve`` console script
@@ -11,13 +12,11 @@ request queue with dynamic batching (:mod:`repro.serving.batcher`,
 
 from repro.serving.backends import (
     AttentionBackend,
-    BackendResult,
     StepCost,
     available_backends,
     create_backend,
     register_backend,
 )
-from repro.serving.batcher import DynamicBatcher, seq_len_bucket
 from repro.serving.cache import CachedPlan, KVResidency, PlanCache, config_fingerprint
 from repro.serving.continuous import (
     QUEUE_POLICIES,
@@ -26,6 +25,7 @@ from repro.serving.continuous import (
     IterationRecord,
     ScenarioComparison,
     ServingClock,
+    ServingResult,
     bursty_arrivals,
     compare_modes,
     diurnal_arrivals,
@@ -33,7 +33,7 @@ from repro.serving.continuous import (
     serve_continuous,
     swat_request_rate,
 )
-from repro.serving.engine import ServingEngine, ServingResult
+from repro.serving.engine import ServingEngine
 from repro.serving.request import (
     AttentionRequest,
     CompletedRequest,
@@ -45,17 +45,14 @@ from repro.serving.request import (
     make_request,
     make_requests,
 )
-from repro.serving.stats import BatchRecord, ServingStats, decode_token_intervals, percentile
+from repro.serving.stats import ServingStats, decode_token_intervals, percentile
 
 __all__ = [
     "AttentionBackend",
-    "BackendResult",
     "StepCost",
     "available_backends",
     "create_backend",
     "register_backend",
-    "DynamicBatcher",
-    "seq_len_bucket",
     "CachedPlan",
     "KVResidency",
     "PlanCache",
@@ -83,7 +80,6 @@ __all__ = [
     "make_requests",
     "make_decode_request",
     "make_forward_request",
-    "BatchRecord",
     "ServingStats",
     "decode_token_intervals",
     "percentile",

@@ -1,50 +1,39 @@
-"""Pluggable execution backends behind a common batch protocol.
+"""Pluggable pricing backends behind one iteration-level protocol.
 
-Every way this repository can execute (or price) an attention computation is
-wrapped as an :class:`AttentionBackend` and registered by name, so the serving
-engine, the demo CLI and the benchmarks select execution paths with a string:
+Every way this repository can price (and, for the simulator, execute) an
+attention computation is wrapped as an :class:`AttentionBackend` and
+registered by name, so the serving engine, the demo CLI and the benchmarks
+select execution paths with a string:
 
 ``simulator``
     The cycle-accurate, functionally-exact :class:`~repro.core.simulator.SWATSimulator`.
 ``analytical``
     SWAT's analytical timing model only (no functional output) — the
     high-throughput capacity-planning path.
-``fused``
-    The software fused row-wise kernel of :mod:`repro.attention.fused`,
-    scheduled by the same row plans as the hardware (host execution, measured
-    wall time instead of modelled cycles).
 ``gpu-dense`` / ``gpu-chunked``
     The analytical GPU models of :mod:`repro.gpu` (dense and sliding-chunks).
 ``dense-fpga``
     The dense-attention FPGA baseline of :mod:`repro.baselines.dense_fpga`.
 
-Execution is batched along two axes.  Timing-wise, SWAT backends amortise the
-pipeline fill across a batch: rows of consecutive same-config requests stream
-back to back, so a batch of ``n`` requests costs ``fill + (total_rows - 1) *
-II`` cycles instead of ``n`` separate fills.  Functionally, the batch is
-partitioned into ``(config, seq_len)`` groups and every group executes as ONE
-stacked tensor program (:class:`repro.core.plan.PlanBatch`) — the slab GEMMs
-and extras gathers vectorize over all ``B x H`` stacked heads instead of
-looping the executor per request, with per-head results bit-identical to the
-per-request dispatch they replace.  The GPU backends batch the same way on
-the pricing side: one :meth:`run_batch` report per distinct ``seq_len``,
-with the launch-amortisation knob of :mod:`repro.gpu` deciding how much of
-the per-kernel launch cost the batch hides.
+Every backend prices on a *modelled* clock for the simulated-clock engine of
+:mod:`repro.serving.continuous`.  :meth:`AttentionBackend.step` prices one
+iteration of ``(request, rows_done, rows)`` slices: the pipeline fill is
+charged only when the pipeline was idle before the iteration, so the
+per-iteration cycles of a busy period sum exactly to what
+:meth:`~repro.core.pipeline.SWATPipelineModel.batch_attention_cycles` would
+charge for the same rows streamed as one batch.
+:meth:`AttentionBackend.step_burst` prices every iteration over a fixed
+resident set in one closed-form call.  The GPU backends price off one
+memoised ``run_batch`` report per distinct ``(seq_len, items)`` shape, with
+the launch-amortisation knob of :mod:`repro.gpu` deciding how much of the
+per-kernel launch cost the batch hides.
 
-Every :class:`BackendResult` carries ``head_rows`` — the accounted
-``num_heads * seq_len`` units of the batch — so per-head accounting is
-comparable across all backends regardless of their clock domain.
-
-Beside the drain-style ``execute_batch`` protocol, backends with a *modelled*
-clock expose iteration-level pricing for the continuous-batching engine
-(:mod:`repro.serving.continuous`): :meth:`AttentionBackend.step` prices one
-iteration of ``(request, rows_done, rows)`` slices so a batch's cost can be
-split across admissions — the pipeline fill is charged only when the pipeline
-was idle before the iteration (fill amortisation recomputed per iteration,
-never per drain), and the per-iteration cycles of a busy period sum exactly
-to what :meth:`~repro.core.pipeline.SWATPipelineModel.batch_attention_cycles`
-would charge for the same rows streamed as one batch.  Backends whose clock
-is measured host time (``fused``) set ``supports_continuous = False``.
+Functional outputs are separate from pricing: at retirement the engine asks
+the backend for :meth:`AttentionBackend.compute_outputs`.  The ``simulator``
+partitions the retirees into ``(config, seq_len)`` groups and runs every
+group as ONE stacked tensor program (:class:`repro.core.plan.PlanBatch`) —
+the slab GEMMs and extras gathers vectorize over all ``B x H`` stacked heads,
+with per-head results bit-identical to per-request execution.
 
 Whole-model forwards
 --------------------
@@ -54,9 +43,9 @@ attention's Q/K/V.  Backends memoise one compiled
 :class:`~repro.model.plan.ModelPlan` per spec (pricing: per-layer + total
 cycles/bytes/energy off the plan's model-wide prefix sums) and one
 :class:`~repro.model.executor.ModelExecutor` per ``(spec, weight_seed)``
-(functional execution: same-spec forwards of a dispatch stack into one
+(functional execution: same-spec forwards of a retirement stack into one
 ``(B, H, seq, head_dim)`` pass per layer) — the serving layer's model
-registry.  On the continuous clock a forward advances through its model-wide
+registry.  On the simulated clock a forward advances through its model-wide
 row axis; its slices are priced positionally
 (:meth:`~repro.model.plan.ModelPlan.span_cycles`), so layer-geometry switches
 pay their refill exactly once wherever the iteration boundaries fall.
@@ -78,7 +67,6 @@ fallback anywhere on the continuous path.
 
 from __future__ import annotations
 
-import time
 from abc import ABC, abstractmethod
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -89,7 +77,6 @@ import numpy as np
 from repro.baselines.dense_fpga import DenseFPGABaseline
 from repro.core.config import SWATConfig
 from repro.core.plan import PlanBatch
-from repro.core.pipeline import SWATPipelineModel
 from repro.core.power import PowerModel
 from repro.core.simulator import SWATSimulator
 from repro.gpu.chunked_runner import SlidingChunksAttentionGPU
@@ -100,7 +87,6 @@ from repro.serving.cache import PlanCache
 from repro.serving.request import AttentionRequest, DecodeRequest, ForwardRequest
 
 __all__ = [
-    "BackendResult",
     "StepCost",
     "StepBurst",
     "AttentionBackend",
@@ -109,47 +95,10 @@ __all__ = [
     "register_backend",
     "create_backend",
     "available_backends",
-    "swat_batch_cycles",
     "batch_head_rows",
-    "seq_len_groups",
     "indexed_seq_len_groups",
     "split_batch",
 ]
-
-
-@dataclass(frozen=True)
-class BackendResult:
-    """What one backend dispatch of a batch produced.
-
-    Attributes
-    ----------
-    outputs:
-        Per-request attention outputs, aligned with the batch order; ``None``
-        entries for analytical requests or non-functional backends.
-    device_seconds:
-        Accelerator busy time for the whole batch (modelled for hardware
-        backends, measured host time for the software kernel).
-    cycles:
-        Modelled cycle count when the backend has a cycle-accurate clock
-        domain, else ``None``.
-    energy_joules:
-        Modelled energy of the batch (0 for host-software execution).
-    kv_bytes_moved:
-        Off-chip K/V/Q/output bytes of the batch, read off the execution
-        plans' prefix sums (SWAT backends only; 0 when the backend has no
-        plan-level traffic model).
-    head_rows:
-        Accounted ``num_heads * seq_len`` units summed over the batch — the
-        backend-independent work measure every backend must agree on for the
-        same batch (per-head accounting consistency).
-    """
-
-    outputs: "tuple[np.ndarray | None, ...]"
-    device_seconds: float
-    cycles: "int | None"
-    energy_joules: float
-    kv_bytes_moved: int = 0
-    head_rows: int = 0
 
 
 @dataclass(frozen=True)
@@ -232,19 +181,17 @@ class StepBurst:
 
 
 class AttentionBackend(ABC):
-    """Common protocol of every execution path: execute one batch at a time.
+    """Common protocol of every pricing path: one modelled iteration clock.
 
-    Subclasses declare ``name`` (the registry key), ``functional`` (whether
-    functional requests get an output array back) and ``supports_continuous``
-    (whether the backend has a modelled clock the iteration-level scheduler of
-    :mod:`repro.serving.continuous` can advance deterministically).
+    Subclasses declare ``name`` (the registry key) and ``functional``
+    (whether functional requests get an output array back from
+    :meth:`compute_outputs`), and implement :meth:`step`, the iteration
+    price the simulated-clock engine of :mod:`repro.serving.continuous`
+    advances deterministically.
     """
 
     name: str = ""
     functional: bool = False
-    #: Whether :meth:`step` prices iterations on a modelled (deterministic)
-    #: clock.  ``False`` for backends whose clock is measured host time.
-    supports_continuous: bool = False
 
     def __init__(self, config: "SWATConfig | None" = None, plan_cache: "PlanCache | None" = None):
         self.config = config if config is not None else SWATConfig()
@@ -254,14 +201,6 @@ class AttentionBackend(ABC):
         self._model_plans: "dict[tuple, ModelPlan]" = {}
         self._model_executors: "dict[tuple, ModelExecutor]" = {}
         self._decode_plans: "dict[tuple, DecodePlan]" = {}
-
-    @abstractmethod
-    def execute_batch(self, batch: "list[AttentionRequest]") -> BackendResult:
-        """Execute (or price) every request of ``batch`` and return the result."""
-
-    def execute(self, request: AttentionRequest) -> BackendResult:
-        """Convenience: execute a single request as a batch of one."""
-        return self.execute_batch([request])
 
     # ------------------------------------------------------------------ #
     # Whole-model registry (ForwardRequest support)
@@ -318,14 +257,12 @@ class AttentionBackend(ABC):
         forwards: "list[tuple[int, ForwardRequest]]",
         outputs: "list[np.ndarray | None]",
     ) -> None:
-        """Execute the functional forwards of a dispatch, scattering outputs.
+        """Execute the functional forwards of a retirement, scattering outputs.
 
         Forwards group by ``(spec, weight_seed)`` — each group is one served
         model — and every group runs as one stacked
         :meth:`~repro.model.executor.ModelExecutor.forward_batch` pass, so
-        all ``B x H`` heads of each layer execute together.  The one
-        functional-forward path shared by every functional backend: outputs
-        stay bit-identical across them by construction.
+        all ``B x H`` heads of each layer execute together.
         """
         groups: "OrderedDict[tuple, list[tuple[int, ForwardRequest]]]" = OrderedDict()
         for index, request in forwards:
@@ -366,6 +303,7 @@ class AttentionBackend(ABC):
         """
         return self.request_rows(request)
 
+    @abstractmethod
     def step(
         self, slices: "list[tuple[AttentionRequest, int, int]]", primed: bool
     ) -> StepCost:
@@ -382,10 +320,6 @@ class AttentionBackend(ABC):
         refill, which is how a batch's fill cost is amortised across
         admissions instead of being re-charged per dispatch.
         """
-        raise NotImplementedError(
-            f"backend {self.name!r} has no modelled per-iteration clock "
-            f"(supports_continuous={self.supports_continuous})"
-        )
 
     def step_burst(
         self,
@@ -446,8 +380,8 @@ class AttentionBackend(ABC):
     def compute_outputs(self, batch: "list[AttentionRequest]") -> "tuple[np.ndarray | None, ...]":
         """Functional outputs of ``batch`` without touching the timing model.
 
-        The continuous engine prices execution through :meth:`step` and asks
-        for outputs separately at retirement; non-functional backends return
+        The engine prices execution through :meth:`step_burst` and asks for
+        outputs separately at retirement; non-functional backends return
         ``None`` per request.
         """
         return (None,) * len(batch)
@@ -518,29 +452,13 @@ def available_backends() -> "tuple[str, ...]":
     return REGISTRY.names()
 
 
-def swat_batch_cycles(pipeline: SWATPipelineModel, batch: "list[AttentionRequest]") -> int:
-    """Cycles for a batch of attentions streamed back to back on one SWAT.
-
-    Thin request-level wrapper of
-    :meth:`~repro.core.pipeline.SWATPipelineModel.batch_attention_cycles`:
-    the fill is paid once per dispatch rather than once per request
-    (``fill + (total_rows - 1) * II``), with each request's heads distributed
-    across the replicated pipelines.  Attention requests only — whole-model
-    forwards price through their compiled
-    :class:`~repro.model.plan.ModelPlan`, whose per-layer pipelines may
-    differ from the batch's.
-    """
-    return pipeline.batch_attention_cycles(
-        [(request.seq_len, request.num_heads) for request in batch]
-    )
-
-
 def batch_head_rows(batch: "list[AttentionRequest]") -> int:
     """Accounted head-row units of a batch (``num_heads * seq_len`` per
     attention request, summed over layers for forwards).
 
-    The backend-independent work measure: every backend's
-    :class:`BackendResult` must report exactly this value for the same batch.
+    The backend-independent work measure behind
+    :attr:`~repro.serving.stats.ServingStats.total_head_rows`: the same trace
+    reports the same value on every backend.
     """
     return sum(request.head_rows for request in batch)
 
@@ -551,10 +469,10 @@ def split_batch(
     "tuple[list[tuple[int, AttentionRequest]], list[tuple[int, ForwardRequest]],"
     " list[tuple[int, DecodeRequest]]]"
 ):
-    """Partition a dispatch into attention, forward and decode items.
+    """Partition a batch into attention, forward and decode items.
 
     Returns ``(attentions, forwards, decodes)`` as ``(batch_index, request)``
-    pairs in batch order — the kinds price through different models, but the
+    pairs in batch order — the kinds execute through different paths, but the
     result tuple must line up with the original batch.
     """
     attentions: "list[tuple[int, AttentionRequest]]" = []
@@ -570,27 +488,15 @@ def split_batch(
     return attentions, forwards, decodes
 
 
-def seq_len_groups(
-    batch: "list[AttentionRequest]",
-) -> "OrderedDict[int, list[tuple[int, AttentionRequest]]]":
-    """Partition a dispatch batch into same-``seq_len`` groups.
-
-    Returns ``seq_len -> [(batch_index, request), ...]`` in first-seen order.
-    The dynamic batcher buckets by power-of-two, so one dispatch may mix
-    nearby sequence lengths — each exact shape shares one compiled plan and
-    executes as one stacked :class:`~repro.core.plan.PlanBatch` pass.
-    """
-    return indexed_seq_len_groups(enumerate(batch))
-
-
 def indexed_seq_len_groups(
     pairs,
 ) -> "OrderedDict[int, list[tuple[int, AttentionRequest]]]":
-    """:func:`seq_len_groups` over pre-indexed ``(batch_index, request)`` pairs.
+    """Partition ``(batch_index, request)`` pairs into same-``seq_len`` groups.
 
-    The mixed-batch entry point: callers that have already split a dispatch
-    into kinds (:func:`split_batch`) group the attention subset while keeping
-    original batch indices for output scatter.
+    Returns ``seq_len -> [(batch_index, request), ...]`` in first-seen order,
+    keeping original batch indices for output scatter.  One batch may mix
+    sequence lengths; each exact shape shares one compiled plan and executes
+    as one stacked :class:`~repro.core.plan.PlanBatch` pass.
     """
     groups: "OrderedDict[int, list[tuple[int, AttentionRequest]]]" = OrderedDict()
     for index, request in pairs:
@@ -599,14 +505,14 @@ def indexed_seq_len_groups(
 
 
 class _SWATBackendBase(AttentionBackend):
-    """Shared SWAT machinery: simulator, batch timing, traffic and energy."""
+    """Shared SWAT machinery: simulator, iteration timing and energy."""
 
     def __init__(self, config: "SWATConfig | None" = None, plan_cache: "PlanCache | None" = None):
         super().__init__(config=config, plan_cache=plan_cache)
         if self.plan_cache is None:
-            # Every batch resolves one plan per request for execution and
-            # traffic accounting; a private cache keeps repeated shapes from
-            # recompiling even when no pool-wide cache was supplied.
+            # Plans resolve per shape for pricing and execution; a private
+            # cache keeps repeated shapes from recompiling even when no
+            # pool-wide cache was supplied.
             self.plan_cache = PlanCache()
         self.simulator = SWATSimulator(self.config, plan_cache=self.plan_cache)
         # Hot-loop constants of the step clock, resolved once: the continuous
@@ -624,9 +530,8 @@ class _SWATBackendBase(AttentionBackend):
         replica: a cold stream pays the fill
         (:meth:`~repro.core.pipeline.SWATPipelineModel.cycles_for_rows`,
         ``depth + (rows - 1) * II``), a primed one runs at ``rows * II``.
-        Both the drain engine's whole-dispatch pricing and the continuous
-        engine's per-iteration :meth:`step` reduce to this function — one
-        device model, two schedulers.
+        Plain attention slices of :meth:`step` price through this function,
+        whichever admission policy the engine runs.
         """
         if rows <= 0:
             return 0
@@ -634,69 +539,9 @@ class _SWATBackendBase(AttentionBackend):
             return rows * self._initiation_interval
         return self.simulator.pipeline.cycles_for_rows(rows)
 
-    def _batch_timing(self, batch: "list[AttentionRequest]") -> "tuple[int, float, float]":
-        """Cycles/seconds/energy of a drained dispatch, on the step clock.
-
-        A drained dispatch is one cold stream: its attention requests' rows
-        (heads spread across the replicated pipelines, exactly
-        :meth:`request_rows`) run back to back with a single fill —
-        ``_stream_cycles(total_rows, primed=False)``, bit-identical to the
-        ``batch_attention_cycles`` formula this path used to price through.
-        Each whole-model forward prices off its compiled
-        :class:`~repro.model.plan.ModelPlan` — per-layer pipelines, fills at
-        geometry switches, per-layer power hooks.  Each decode prices off its
-        :class:`~repro.model.plan.DecodePlan` — only the new rows stream, the
-        prompt's K/V stays resident.
-        """
-        attentions, forwards, decodes = split_batch(batch)
-        cycles = self._stream_cycles(
-            sum(self.request_rows(request) for _, request in attentions), primed=False
-        )
-        seconds = cycles * self._clock_period_s
-        energy = self._total_power_w * seconds
-        for _, request in forwards:
-            plan = self.model_plan(request)
-            cycles += plan.total_cycles
-            seconds += plan.total_seconds
-            energy += plan.total_energy_joules
-        for _, request in decodes:
-            plan = self.decode_plan(request)
-            cycles += plan.total_cycles
-            seconds += plan.total_seconds
-            energy += self._total_power_w * plan.total_seconds
-        return cycles, seconds, energy
-
-    @staticmethod
-    def _plan_traffic(plan, num_heads: int) -> int:
-        """Q/K/V/output bytes of ``num_heads`` heads, off the plan's prefix sums."""
-        traffic = plan.traffic_bytes()
-        return num_heads * (traffic["q"] + traffic["k"] + traffic["v"] + traffic["output"])
-
-    def _batch_traffic(self, batch: "list[AttentionRequest]") -> int:
-        """Batch traffic: one plan resolution per distinct shape, not per request.
-
-        Decodes count their KV residency traffic — one prompt-cache load plus
-        the new tokens' K/V writes — not a full-context restream.
-        """
-        attentions, forwards, decodes = split_batch(batch)
-        attention_requests = [request for _, request in attentions]
-        return (
-            sum(
-                self._plan_traffic(
-                    self.simulator.resolve_plan(seq_len),
-                    sum(request.num_heads for _, request in members),
-                )
-                for seq_len, members in seq_len_groups(attention_requests).items()
-            )
-            + sum(self.model_plan(request).total_kv_bytes for _, request in forwards)
-            + sum(request.kv_traffic_bytes for _, request in decodes)
-        )
-
     # ------------------------------------------------------------------ #
-    # Iteration-level pricing (continuous batching)
+    # Iteration-level pricing
     # ------------------------------------------------------------------ #
-
-    supports_continuous = True
 
     def request_rows(self, request: AttentionRequest) -> int:
         """Pipeline rows of the request, heads spread across the replicas.
@@ -705,10 +550,11 @@ class _SWATBackendBase(AttentionBackend):
         :meth:`~repro.core.pipeline.SWATPipelineModel.batch_attention_cycles`:
         ``ceil(num_heads / num_pipelines) * seq_len`` rows stream serially on
         the most-loaded replica, so a solo request's per-iteration cycles sum
-        bit-exactly to its batch-of-one drain dispatch (fill paid once, heads
-        streamed back to back).  A whole-model forward streams that many rows
-        per layer (:attr:`~repro.model.plan.ModelPlan.total_rows`); a decode
-        streams only its new rows, block-major
+        bit-exactly to ``batch_attention_cycles`` of a batch of one (fill
+        paid once, heads streamed back to back).  A whole-model forward
+        streams that many rows per layer
+        (:attr:`~repro.model.plan.ModelPlan.total_rows`); a decode streams
+        only its new rows, block-major
         (:attr:`~repro.model.plan.DecodePlan.total_rows`).
         """
         if isinstance(request, DecodeRequest):
@@ -739,12 +585,12 @@ class _SWATBackendBase(AttentionBackend):
         primed one streams at ``rows * II``.  Summed over a busy period the
         fill is therefore charged once — the same total
         :meth:`~repro.core.pipeline.SWATPipelineModel.batch_attention_cycles`
-        charges for the period's gating rows as one drained batch.  Forward
+        charges for the period's gating rows streamed as one batch.  Forward
         and decode slices are priced positionally along their plan's row axis
         (:meth:`~repro.model.plan._RowSpanPricing.span_cycles`): their
         segments' own initiation intervals, with geometry-switch refills
         charged exactly once wherever the iteration boundaries fall — a solo
-        forward's (or decode's) slices sum bit-exactly to its drained
+        forward's (or decode's) slices sum bit-exactly to its plan's
         ``total_cycles``.
         """
         if not slices:
@@ -863,40 +709,35 @@ class _SWATBackendBase(AttentionBackend):
 
 @register_backend
 class SimulatorBackend(_SWATBackendBase):
-    """Cycle-accurate SWAT: functional outputs plus batch-amortised timing.
+    """Cycle-accurate SWAT: functional outputs plus fill-amortised timing.
 
     Functional execution is batched per ``(config, seq_len)`` group: every
     functional request of a group stacks its data heads onto the group's
     compiled plan and one :meth:`~repro.core.plan.PlanBatch.execute` pass
     runs the whole stack, bit-identical per head to the per-request
     :meth:`~repro.core.simulator.SWATSimulator.run` loop it replaced.
-    Timing/traffic come from the batch-level accounting below (the whole
-    dispatch streams back to back, one pipeline fill across all groups), not
-    from per-group :meth:`~repro.core.simulator.SWATSimulator.run_batch`
-    reports.
     """
 
     name = "simulator"
     functional = True
 
-    def _outputs_and_traffic(
-        self, batch: "list[AttentionRequest]"
-    ) -> "tuple[tuple[np.ndarray | None, ...], int]":
-        """Stacked functional pass plus traffic, one plan resolution per group.
+    def compute_outputs(self, batch: "list[AttentionRequest]") -> "tuple[np.ndarray | None, ...]":
+        """Stacked functional pass — one ``PlanBatch`` per shape group.
 
-        Whole-model forwards group by ``(spec, weight_seed)`` and execute as
-        one stacked :meth:`~repro.model.executor.ModelExecutor.forward_batch`
-        per group — all ``B x H`` heads of each layer in one pass over the
-        layer's shared plan.
+        The engine prices iterations through :meth:`step_burst` and fetches
+        outputs here at retirement, so by the stacked executor's contract the
+        per-head bits equal running each request alone.  Whole-model forwards
+        group by ``(spec, weight_seed)`` and execute as one stacked
+        :meth:`~repro.model.executor.ModelExecutor.forward_batch` per group —
+        all ``B x H`` heads of each layer in one pass over the layer's shared
+        plan.  Decodes are analytical and return ``None``.
         """
         outputs: "list[np.ndarray | None]" = [None] * len(batch)
-        bytes_moved = 0
-        attentions, forwards, decodes = split_batch(batch)
+        attentions, forwards, _ = split_batch(batch)
         for seq_len, members in indexed_seq_len_groups(attentions).items():
+            # Resolved for analytical groups too: every group's lookup counts
+            # in the run's plan-cache stats.
             plan = self.simulator.resolve_plan(seq_len)
-            bytes_moved += self._plan_traffic(
-                plan, sum(request.num_heads for _, request in members)
-            )
             functional = [(index, request) for index, request in members if request.is_functional]
             if not functional:
                 continue
@@ -906,155 +747,34 @@ class SimulatorBackend(_SWATBackendBase):
             stacked = plan_batch.execute(scale=1.0 / np.sqrt(self.config.head_dim))
             for (index, _), output in zip(functional, plan_batch.split(stacked)):
                 outputs[index] = output
-        for _, request in forwards:
-            bytes_moved += self.model_plan(request).total_kv_bytes
-        for _, request in decodes:
-            # Analytical decode: one prompt-KV load plus the new tokens'
-            # K/V writes — no functional output is modelled.
-            bytes_moved += request.kv_traffic_bytes
         self._stacked_forward_outputs(forwards, outputs)
-        return tuple(outputs), bytes_moved
-
-    def compute_outputs(self, batch: "list[AttentionRequest]") -> "tuple[np.ndarray | None, ...]":
-        """Stacked functional pass only — one ``PlanBatch`` per shape group.
-
-        Exactly the execution path of :meth:`execute_batch`, minus the
-        timing/traffic accounting: the continuous engine prices iterations
-        through :meth:`step` and fetches outputs here at retirement, so the
-        per-head bits are identical to a drain dispatch (and, by the stacked
-        executor's contract, to running each request alone).
-        """
-        outputs, _ = self._outputs_and_traffic(batch)
-        return outputs
-
-    def execute_batch(self, batch: "list[AttentionRequest]") -> BackendResult:
-        outputs, bytes_moved = self._outputs_and_traffic(batch)
-        outputs = list(outputs)
-        cycles, seconds, energy = self._batch_timing(batch)
-        return BackendResult(
-            outputs=tuple(outputs),
-            device_seconds=seconds,
-            cycles=cycles,
-            energy_joules=energy,
-            kv_bytes_moved=bytes_moved,
-            head_rows=batch_head_rows(batch),
-        )
+        return tuple(outputs)
 
 
 @register_backend
 class AnalyticalBackend(_SWATBackendBase):
-    """SWAT timing model only — prices batches without touching the data."""
+    """SWAT timing model only — prices iterations without touching the data."""
 
     name = "analytical"
     functional = False
-
-    def execute_batch(self, batch: "list[AttentionRequest]") -> BackendResult:
-        cycles, seconds, energy = self._batch_timing(batch)
-        return BackendResult(
-            outputs=(None,) * len(batch),
-            device_seconds=seconds,
-            cycles=cycles,
-            energy_joules=energy,
-            kv_bytes_moved=self._batch_traffic(batch),
-            head_rows=batch_head_rows(batch),
-        )
-
-
-@register_backend
-class FusedSoftwareBackend(AttentionBackend):
-    """Host execution of the fused kernel over the hardware's execution plan.
-
-    Runs the same stacked plan executor
-    (:meth:`repro.core.plan.PlanBatch.execute`) over the same cached compiled
-    plan as the simulator — one batched pass per ``(config, seq_len)`` group
-    — so its outputs are bit-identical to the ``simulator`` backend's, at
-    software speed.  ``device_seconds`` is the measured host time (there is
-    no cycle model for the host CPU).
-
-    Per-head accounting: a request declaring ``num_heads`` with single-head
-    data has its head *executed* ``num_heads`` times in the stack (the heads
-    are identical, so one head's output is returned), which makes the
-    measured host time scale with the declared heads exactly as the modelled
-    backends' clock domains do — ``head_rows`` means the same work on every
-    backend.
-    """
-
-    name = "fused"
-    functional = True
-
-    def __init__(self, config: "SWATConfig | None" = None, plan_cache: "PlanCache | None" = None):
-        super().__init__(config=config, plan_cache=plan_cache)
-        if self.plan_cache is None:
-            self.plan_cache = PlanCache()
-
-    def compute_outputs(self, batch: "list[AttentionRequest]") -> "tuple[np.ndarray | None, ...]":
-        """Outputs via the measured execution path (the clock is discarded)."""
-        return self.execute_batch(batch).outputs
-
-    def execute_batch(self, batch: "list[AttentionRequest]") -> BackendResult:
-        start = time.perf_counter()
-        outputs: "list[np.ndarray | None]" = [None] * len(batch)
-        scale = 1.0 / np.sqrt(self.config.head_dim)
-        # Decodes carry no functional payload; they only contribute their
-        # accounted head_rows to the measured-host-time dispatch.
-        attentions, forwards, _decodes = split_batch(batch)
-        self._stacked_forward_outputs(forwards, outputs)
-        for seq_len, members in indexed_seq_len_groups(attentions).items():
-            functional = [(index, request) for index, request in members if request.is_functional]
-            if not functional:
-                continue
-            plan = self.plan_cache.plan(self.config, seq_len)
-            items = []
-            replicated = []
-            for _, request in functional:
-                if request.q.ndim == 2 and request.num_heads > 1:
-                    # Execute every accounted head: identical data, real work,
-                    # so the measured time covers num_heads heads.
-                    head_shape = (request.num_heads,) + request.q.shape
-                    items.append(
-                        (
-                            np.broadcast_to(request.q, head_shape),
-                            np.broadcast_to(request.k, head_shape),
-                            np.broadcast_to(request.v, head_shape),
-                        )
-                    )
-                    replicated.append(True)
-                else:
-                    items.append((request.q, request.k, request.v))
-                    replicated.append(False)
-            plan_batch = PlanBatch.from_items(plan, items)
-            stacked = plan_batch.execute(scale=scale, subtract_max=False)
-            for (index, _), output, was_replicated in zip(
-                functional, plan_batch.split(stacked), replicated
-            ):
-                outputs[index] = output[0] if was_replicated else output
-        elapsed = time.perf_counter() - start
-        return BackendResult(
-            outputs=tuple(outputs),
-            device_seconds=elapsed,
-            cycles=None,
-            energy_joules=0.0,
-            head_rows=batch_head_rows(batch),
-        )
 
 
 class _GPUBackendBase(AttentionBackend):
     """Shared GPU accounting: one batched report per distinct shape.
 
-    A batch is priced per distinct ``seq_len``: the group's ``B x H``
-    instances fold into one batched kernel stream
-    (:meth:`~repro.gpu.dense_runner.DenseAttentionGPU.run_batch`), so the
-    runner is invoked once per shape — the report is deterministic per shape,
-    never recomputed within a batch.  How much of the per-kernel launch cost
-    the batch hides is the runner's ``launch_amortisation`` knob:
-    at ``0.0`` this reprices exactly the looped per-request dispatch, the
-    contrast with the fill-once SWAT pipeline the serving benchmarks surface.
+    A request's ``B x H`` (or, for a forward, ``L x H``) instances fold into
+    one batched kernel stream
+    (:meth:`~repro.gpu.dense_runner.DenseAttentionGPU.run_batch`), memoised
+    per ``(seq_len, items)`` — the report is deterministic per shape, so the
+    runner is invoked once however many iterations price it.  How much of
+    the per-kernel launch cost the stream hides is the runner's
+    ``launch_amortisation`` knob: at ``0.0`` it reprices exactly the looped
+    per-head dispatch, the contrast with the fill-once SWAT pipeline the
+    serving benchmarks surface.
     """
 
     #: The runner's launch-amortisation knob (see :meth:`GPUKernelModel.batched`).
     launch_amortisation: float = 1.0
-
-    supports_continuous = True
 
     def __init__(
         self,
@@ -1192,34 +912,6 @@ class _GPUBackendBase(AttentionBackend):
             iterations=iterations,
         )
 
-    def execute_batch(self, batch: "list[AttentionRequest]") -> BackendResult:
-        seconds = 0.0
-        energy = 0.0
-        decodes = [request for request in batch if isinstance(request, DecodeRequest)]
-        others = [request for request in batch if not isinstance(request, DecodeRequest)]
-        for seq_len, members in seq_len_groups(others).items():
-            # B x H instances per attention request, L x H per whole-model
-            # forward — all layers of a forward fold into the shape's one
-            # batched kernel stream.
-            items = sum(request.head_rows // seq_len for _, request in members)
-            report = self._runner_run_batch(seq_len, items)
-            seconds += report.seconds
-            energy += report.energy_joules
-        for request in decodes:
-            # Same rate model as the continuous clock: the full-context
-            # report scaled to the generated rows' share.
-            report = self._shape_report(request.seq_len, self._report_items(request))
-            rate = self._rate_rows(request)
-            seconds += report.seconds * request.head_rows / rate
-            energy += report.energy_joules * request.head_rows / rate
-        return BackendResult(
-            outputs=(None,) * len(batch),
-            device_seconds=seconds,
-            cycles=None,
-            energy_joules=energy,
-            head_rows=batch_head_rows(batch),
-        )
-
 
 @register_backend
 class GPUDenseBackend(_GPUBackendBase):
@@ -1281,8 +973,6 @@ class DenseFPGABackend(AttentionBackend):
     name = "dense-fpga"
     functional = False
 
-    supports_continuous = True
-
     def __init__(self, config: "SWATConfig | None" = None, plan_cache: "PlanCache | None" = None):
         super().__init__(config=config, plan_cache=plan_cache)
         self.baseline = DenseFPGABaseline(self.config)
@@ -1298,7 +988,7 @@ class DenseFPGABackend(AttentionBackend):
         new tokens each attend the full context but compute only their own
         query row, so its cycles are the full-context forward's scaled to
         ``new_tokens / seq_len`` (rounded up to keep the clock integral) —
-        one total every pricing path (step, burst, drain) shares.
+        one total :meth:`step` and :meth:`step_burst` share.
         """
         key = (request.seq_len, request.num_heads)
         if key not in self._step_cycles:
@@ -1381,18 +1071,4 @@ class DenseFPGABackend(AttentionBackend):
             energy_joules=self.power_model.total_power_w * seconds,
             gate_rows=gate_rows,
             iterations=iterations,
-        )
-
-    def execute_batch(self, batch: "list[AttentionRequest]") -> BackendResult:
-        # The baseline report is deterministic per shape: price each distinct
-        # (seq_len, num_heads) once and weight by its request (and, for
-        # forwards, layer) count.
-        cycles = sum(self._request_cycles(request) for request in batch)
-        seconds = cycles * self.config.clock_period_s
-        return BackendResult(
-            outputs=(None,) * len(batch),
-            device_seconds=seconds,
-            cycles=cycles,
-            energy_joules=self.power_model.total_power_w * seconds,
-            head_rows=batch_head_rows(batch),
         )

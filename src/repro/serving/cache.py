@@ -5,7 +5,7 @@ the seeded random-table draws for BigBird-style configs).  A served system
 repeating the same shapes millions of times should pay it once:
 :class:`PlanCache` memoises ``(config fingerprint, seq_len) ->``
 :class:`CachedPlan` with an LRU bound, hit/miss/eviction counters and
-thread-safe lookup (shard workers may share one cache across threads).
+thread-safe lookup.
 
 Since the plan-IR refactor the cache stores the compact compiled
 :class:`~repro.core.plan.ExecutionPlan` arrays — a few dense numpy matrices
@@ -118,10 +118,10 @@ class PlanCache:
     def plan(self, config: SWATConfig, seq_len: int) -> ExecutionPlan:
         """Return the compiled :class:`ExecutionPlan` for ``(config, seq_len)``.
 
-        The batched dispatch path resolves exactly one plan per
-        ``(config, seq_len)`` group of a dispatch and stacks every head of
-        the group onto it (:class:`repro.core.plan.PlanBatch`); this helper
-        is that path's entry point — one lookup per group, not per request.
+        Shape-grouped callers resolve exactly one plan per
+        ``(config, seq_len)`` group and stack every head of the group onto
+        it (:class:`repro.core.plan.PlanBatch`); this helper is their entry
+        point — one lookup per group, not per request.
         """
         return self.lookup(config, seq_len).plan
 

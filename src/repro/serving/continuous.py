@@ -1,11 +1,14 @@
-"""Continuous batching: admit and retire requests between pipeline iterations.
+"""The serving engine: admit and retire requests between pipeline iterations.
 
-The drain path of :mod:`repro.serving.engine` dispatches a fixed
-:class:`~repro.serving.batcher.Batch` and holds the shard until every member
-finishes — under mixed-length traffic the whole dispatch is gated by its
-slowest request while finished members' slots sit idle (head-of-line
-blocking).  This module is the vLLM-style alternative: an *iteration-level*
-scheduler that re-forms the running batch between pipeline steps.
+This module is the one engine behind every serve (:class:`ServingEngine
+<repro.serving.engine.ServingEngine>` is a configured facade over
+:func:`serve_continuous`): an *iteration-level* scheduler on a simulated
+clock.  Two admission policies share it.  ``"continuous"`` (vLLM-style)
+re-forms the running batch between pipeline steps, so a freed slot takes
+the next arrived request mid-flight.  ``"drain"`` (static batching) refills
+a shard only once its whole batch has retired — under mixed-length traffic
+the batch is gated by its slowest request while finished members' slots sit
+idle (head-of-line blocking).
 
 Device model
 ------------
@@ -20,13 +23,11 @@ cold iteration pays the fill (``depth + (rows - 1) * II``) and a primed one
 streams at ``rows * II``, so the per-iteration cycles of a busy period sum
 bit-exactly to what
 :meth:`~repro.core.pipeline.SWATPipelineModel.batch_attention_cycles` charges
-for the same gating rows streamed as one drained batch — partial fills are
-charged to the timing model honestly, never once per drain.
+for the same gating rows streamed as one batch — the fill is charged once
+per busy period, never once per admission.
 
-Since the one-clock unification the drain engine prices its dispatches
-through the *same* primitive (a drained dispatch is one cold stream,
-``_stream_cycles(total_rows, primed=False)``), so drain-vs-continuous
-numbers compare scheduling policies on one device model.
+Both admission policies price through this same clock, so
+drain-vs-continuous numbers compare scheduling policies on one device model.
 
 Schedulers
 ----------
@@ -64,8 +65,8 @@ trace, iteration for iteration.
 
 Functional outputs are computed at retirement through the backend's stacked
 :meth:`~repro.serving.backends.AttentionBackend.compute_outputs` pass, so
-per-request bits are identical to a drain dispatch and to running each
-request alone (the stacked executor's contract).
+per-request bits are identical to running each request alone (the stacked
+executor's contract), whatever the admission policy.
 """
 
 from __future__ import annotations
@@ -82,9 +83,8 @@ import numpy as np
 
 from repro.core.config import SWATConfig
 from repro.core.pipeline import SWATPipelineModel
-from repro.serving.backends import REGISTRY, StepBurst, batch_head_rows, create_backend
+from repro.serving.backends import StepBurst, batch_head_rows, create_backend
 from repro.serving.cache import KVResidency, PlanCache
-from repro.serving.engine import ServingResult
 from repro.serving.request import (
     AttentionRequest,
     CompletedRequest,
@@ -111,6 +111,7 @@ __all__ = [
     "ServingClock",
     "InFlightRequest",
     "IterationRecord",
+    "ServingResult",
     "ContinuousBatcher",
     "QUEUE_POLICIES",
     "SCHEDULERS",
@@ -172,8 +173,8 @@ class InFlightRequest:
     shard: int
     rows_total: int
     admit_time: float
-    #: Monotonically increasing admission event id (the continuous-mode
-    #: analogue of a drain batch id).
+    #: Monotonically increasing admission event id (reported as the
+    #: completion's ``batch_id``).
     admission_id: int
     #: Residents on the shard right after this request was admitted.
     residency_at_admit: int
@@ -224,6 +225,31 @@ class IterationRecord:
     retired: "tuple[int, ...]"
     #: Residents as a fraction of ``max_batch_size`` slots.
     occupancy: float
+
+
+@dataclass(frozen=True)
+class ServingResult:
+    """Everything one serving run produced.
+
+    ``iterations`` holds one :class:`IterationRecord` per priced pipeline
+    iteration, or nothing when the run passed ``record_iterations=False``.
+    """
+
+    completed: "list[CompletedRequest]"
+    stats: ServingStats
+    iterations: "tuple[IterationRecord, ...]" = ()
+
+    def output_for(self, request: AttentionRequest):
+        """Return the output served for ``request``.
+
+        ``None`` when the request was served by a non-functional backend (or
+        was analytical); raises :class:`KeyError` when ``request`` was not
+        part of this run at all.
+        """
+        for done in self.completed:
+            if done.request.request_id == request.request_id:
+                return done.output
+        raise KeyError(f"request {request.request_id} was not served in this run")
 
 
 class ContinuousBatcher:
@@ -534,8 +560,8 @@ def serve_continuous(
     property tests pin them against each other.
 
     ``admission="drain"`` runs the same clock with static batching (a shard
-    refills only once empty); it exists so the scenario comparison isolates
-    the scheduling policy from the device model.  ``policy`` orders the
+    refills only once empty), so drain and continuous numbers differ by
+    scheduling policy alone, never by device model.  ``policy`` orders the
     waiting queue (``"fcfs"`` or ``"sjf"``, see
     :class:`ContinuousBatcher`).  ``backends`` reuses one
     already-constructed backend instance per shard (they should share
@@ -553,11 +579,6 @@ def serve_continuous(
     if scheduler not in SCHEDULERS:
         raise ValueError(f"scheduler must be one of {SCHEDULERS}, got {scheduler!r}")
     config = config if config is not None else SWATConfig()
-    if not REGISTRY.backend_class(backend).supports_continuous:
-        raise ValueError(
-            f"backend {backend!r} has no modelled per-iteration clock and cannot "
-            f"serve in continuous mode (its clock is measured host time)"
-        )
     bus = bus if bus is not None else NULL_BUS
     if plan_cache is None:
         plan_cache = PlanCache(bus=bus, run_id=run_id) if bus.active else PlanCache()
@@ -661,12 +682,7 @@ def serve_continuous(
     )
     if bus.active:
         bus.emit(RunFinished(wall_seconds=wall_seconds, stats=stats.to_dict(), run_id=run_id))
-    return ServingResult(
-        completed=completed,
-        stats=stats,
-        batches=(),
-        iterations=tuple(state.records),
-    )
+    return ServingResult(completed=completed, stats=stats, iterations=tuple(state.records))
 
 
 def _reference_loop(state: _RunState) -> None:

@@ -1,17 +1,18 @@
 """``repro-serve``: command-line demo of the serving layer.
 
 Generates a mixed-shape request set, serves it through a batched multi-shard
-engine, and prints the :class:`~repro.serving.stats.ServingStats` table.  With
-``--compare`` it also serves the same requests sequentially (one shard, batch
-size one) so the batching + sharding speedup is visible from the shell, in
-both requests/sec and the backend-independent head-rows/sec:
+engine under drain admission, and prints the
+:class:`~repro.serving.stats.ServingStats` table.  With ``--compare`` it also
+serves the same requests sequentially (one shard, batch size one) so the
+batching + sharding speedup is visible from the shell, in both requests/sec
+and the backend-independent head-rows/sec:
 
 .. code-block:: console
 
     $ repro-serve --backend analytical --shards 4 --requests 64 --compare
 
-``--mode continuous`` switches to the iteration-level scheduler of
-:mod:`repro.serving.continuous`: requests arrive over a seeded trace
+``--mode continuous`` switches to continuous admission on the same
+simulated clock: requests arrive over a seeded trace
 (``--trace poisson`` by default; ``diurnal`` modulates the rate over a
 day-night cycle, ``bursty`` clusters arrivals) at ``--load`` times the
 pool's saturation rate, are admitted mid-flight as slots free (``--policy
@@ -38,8 +39,8 @@ shape) and priced/executed end to end:
 ``--decode-every k`` turns every ``k``-th request into an autoregressive
 :class:`~repro.serving.request.DecodeRequest` — ``--decode-tokens`` new
 tokens generated against a resident K/V cache — so mixed prefill+decode
-traces run through either engine unchanged and the table gains TTFT,
-inter-token latency, tokens/sec and the KV-residency hit rate.
+traces run through either admission policy unchanged and the table gains
+TTFT, inter-token latency, tokens/sec and the KV-residency hit rate.
 ``--decode-block`` prices diffusion-style block decode (``--decode-adaptive``
 ramps the block width 1, 2, 4, ...):
 
@@ -60,6 +61,7 @@ from repro.serving.cache import PlanCache
 from repro.serving.continuous import (
     DEFAULT_ITERATION_ROWS,
     QUEUE_POLICIES,
+    ServingResult,
     bursty_arrivals,
     compare_modes,
     diurnal_arrivals,
@@ -67,7 +69,7 @@ from repro.serving.continuous import (
     serve_continuous,
     swat_request_rate,
 )
-from repro.serving.engine import ServingEngine, ServingResult
+from repro.serving.engine import ServingEngine
 from repro.serving.request import make_decode_request, make_forward_request, make_requests
 
 __all__ = ["build_parser", "main"]
@@ -111,8 +113,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--mode",
         default="drain",
         choices=ServingEngine.MODES,
-        help="dispatch mode: drain batches or continuous iteration-level "
-        "admission (default: drain)",
+        help="admission policy: drain (a shard refills once its batch retires) "
+        "or continuous (a freed slot admits mid-flight) (default: drain)",
     )
     parser.add_argument("--shards", type=int, default=2, help="accelerator shards (default: 2)")
     parser.add_argument(
@@ -422,11 +424,6 @@ def main(argv: "list[str] | None" = None) -> int:
         parser.error(f"--decode-tokens must be positive, got {args.decode_tokens}")
     if args.decode_block <= 0:
         parser.error(f"--decode-block must be positive, got {args.decode_block}")
-    if args.mode == "continuous" and not REGISTRY.backend_class(args.backend).supports_continuous:
-        parser.error(
-            f"--backend {args.backend} has no modelled per-iteration clock "
-            f"(its clock is measured host time) and cannot serve in continuous mode"
-        )
     config = SWATConfig.longformer(window_tokens=args.window_tokens)
     print(f"config: {config.describe()}")
     if args.model:

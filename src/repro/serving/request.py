@@ -8,7 +8,7 @@ mode used by capacity planning and the latency benchmarks).
 
 Functional data may be a single head (``(seq_len, head_dim)``) or a stack of
 ``num_heads`` distinct heads (``(num_heads, seq_len, head_dim)``).  Either
-way the batched execution path stacks all heads of a dispatch into one
+way the batched execution path stacks all heads of a retirement into one
 ``(G, seq_len, head_dim)`` tensor program per ``(config, seq_len)`` group
 (:class:`repro.core.plan.PlanBatch`), so requests are units of accounting,
 not units of execution.
@@ -24,9 +24,10 @@ prompt was already prefilled (its K/V is resident on the shard), and the
 request prices only the ``new_tokens`` generated rows — one row per step at
 ``block_size=1``, or ``k`` rows finalized per step in the diffusion-style
 block-decode scenario (:func:`decode_block_schedule`, fixed or adaptive).
-All request kinds share the scheduling protocol the batcher, engine and
-continuous clock rely on: ``seq_len``, ``arrival_time``, ``request_id``,
-``is_functional`` and the backend-independent work measure ``head_rows``.
+All request kinds share the scheduling protocol the engine relies on:
+``seq_len``, ``arrival_time`` (finite and non-negative, checked at
+construction), ``request_id``, ``is_functional`` and the
+backend-independent work measure ``head_rows``.
 
 This module also owns the seeded arrival-trace generators that stamp
 ``arrival_time`` for the continuous engine's simulated clock:
@@ -34,13 +35,15 @@ This module also owns the seeded arrival-trace generators that stamp
 (flash crowds) and :func:`diurnal_arrivals` (a sinusoidally rate-modulated
 Poisson process — the day/night load curve production traces follow).  All
 three are pure functions of their seed: the same arguments replay the same
-trace bit-for-bit, with no wall clock anywhere.
+trace bit-for-bit, with no wall clock anywhere, and all three reject
+non-finite float parameters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import count
+from math import inf, isfinite
 
 import numpy as np
 
@@ -65,6 +68,30 @@ __all__ = [
 _REQUEST_IDS = count()
 
 
+def _require_finite(name: str, value: float, consequence: str) -> None:
+    """Reject a nan or inf ``value`` with an actionable message.
+
+    Sign checks alone let both through (``nan < 0`` is false), so every
+    float entry point of this module runs this first.
+    """
+    if not isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value} ({consequence})")
+
+
+def _check_arrival_time(arrival_time: float) -> None:
+    """The arrival-instant check every request kind shares."""
+    if 0.0 <= arrival_time < inf:  # false for negatives, nan and inf alike
+        return
+    _require_finite(
+        "arrival_time",
+        arrival_time,
+        "a nan instant turns every latency percentile into nan and an inf one "
+        "makes the device makespan infinite",
+    )
+    if arrival_time < 0:
+        raise ValueError(f"arrival_time must be non-negative, got {arrival_time}")
+
+
 @dataclass
 class AttentionRequest:
     """One attention computation submitted to the serving engine.
@@ -84,11 +111,11 @@ class AttentionRequest:
         data; with 3-D data the stack depth must equal ``num_heads``
         (``num_heads`` left at 1 adopts the stack depth).
     arrival_time:
-        Simulated-clock instant (device seconds) the request becomes visible
-        to the scheduler.  The drain path serves whatever it is handed and
-        ignores it; the continuous engine admits a request only once its
-        shard's :class:`~repro.serving.continuous.ServingClock` has reached
-        this instant.
+        Finite, non-negative simulated-clock instant (device seconds) the
+        request becomes visible to the scheduler: under either admission
+        policy the engine admits a request only once its shard's
+        :class:`~repro.serving.continuous.ServingClock` has reached this
+        instant.
     request_id:
         Monotonically increasing identifier (assigned automatically).
     """
@@ -106,8 +133,7 @@ class AttentionRequest:
             raise ValueError(f"seq_len must be positive, got {self.seq_len}")
         if self.num_heads <= 0:
             raise ValueError(f"num_heads must be positive, got {self.num_heads}")
-        if self.arrival_time < 0:
-            raise ValueError(f"arrival_time must be non-negative, got {self.arrival_time}")
+        _check_arrival_time(self.arrival_time)
         provided = [x is not None for x in (self.q, self.k, self.v)]
         if any(provided) and not all(provided):
             raise ValueError("q, k, v must be provided together or not at all")
@@ -185,8 +211,7 @@ class ForwardRequest:
     def __post_init__(self) -> None:
         if not isinstance(self.spec, ModelSpec):
             raise TypeError(f"spec must be a ModelSpec, got {type(self.spec).__name__}")
-        if self.arrival_time < 0:
-            raise ValueError(f"arrival_time must be non-negative, got {self.arrival_time}")
+        _check_arrival_time(self.arrival_time)
         if self.x is not None:
             self.x = np.asarray(self.x, dtype=np.float64)
             expected = (self.spec.seq_len, self.spec.hidden_dim)
@@ -307,8 +332,7 @@ class DecodeRequest:
                 f"new_tokens={self.new_tokens} leaves no prompt: spec.seq_len="
                 f"{self.spec.seq_len} must cover at least one prompt token"
             )
-        if self.arrival_time < 0:
-            raise ValueError(f"arrival_time must be non-negative, got {self.arrival_time}")
+        _check_arrival_time(self.arrival_time)
         # Validates block_size/adaptive; memoised because backends key their
         # compiled DecodePlans on it.
         self._schedule = decode_block_schedule(self.new_tokens, self.block_size, self.adaptive)
@@ -390,18 +414,16 @@ class CompletedRequest:
         Attention output ``(seq_len, head_dim)`` for functional requests on a
         functional backend, else ``None``.
     shard:
-        Index of the accelerator shard that executed the batch.
+        Index of the accelerator shard that served the request.
     batch_id, batch_size:
-        The dispatch batch this request rode in.  Continuous-mode
-        completions report the admitting iteration's index and residency.
+        The request's admission: its admission event id and the shard's
+        residency right after it was admitted.
     device_seconds:
-        Modelled (or, for software backends, measured) accelerator busy time
-        of the whole batch (continuous mode: summed over the iterations this
-        request was resident in — residents share an iteration's clock, so
-        the duration counts fully for each of them).
+        Modelled device time summed over the iterations this request was
+        resident in — residents share an iteration's clock, so the duration
+        counts fully for each of them.
     arrival_time, admit_time, finish_time:
-        Lifecycle instants: simulated-clock in continuous mode, wall-clock
-        offsets from engine start in drain mode.  ``admit_time -
+        Lifecycle instants on the simulated clock.  ``admit_time -
         arrival_time`` is the queue wait, ``finish_time - arrival_time``
         the request latency.
     """
@@ -418,12 +440,12 @@ class CompletedRequest:
 
     @property
     def queue_seconds(self) -> float:
-        """Simulated wait between arrival and admission (continuous mode)."""
+        """Simulated wait between arrival and admission."""
         return self.admit_time - self.arrival_time
 
     @property
     def latency_seconds(self) -> float:
-        """Simulated arrival-to-completion latency (continuous mode)."""
+        """Simulated arrival-to-completion latency."""
         return self.finish_time - self.arrival_time
 
 
@@ -541,6 +563,12 @@ def make_decode_request(
 # Seeded arrival traces (simulated seconds, no wall-clock anywhere)
 # --------------------------------------------------------------------- #
 
+#: Why a trace parameter must be finite, for :func:`_require_finite`.
+_NON_FINITE_TRACE = (
+    "a nan trace parameter turns every arrival instant into nan and an inf one "
+    "collapses the instants onto one point or sends them to infinity"
+)
+
 
 def poisson_arrivals(count: int, rate: float, seed: int = 0, start: float = 0.0) -> "list[float]":
     """``count`` Poisson arrival instants at ``rate`` requests per second.
@@ -550,6 +578,8 @@ def poisson_arrivals(count: int, rate: float, seed: int = 0, start: float = 0.0)
     """
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
+    for name, value in (("rate", rate), ("start", start)):
+        _require_finite(name, value, _NON_FINITE_TRACE)
     if rate <= 0:
         raise ValueError(f"rate must be positive, got {rate}")
     rng = np.random.default_rng(seed)
@@ -574,6 +604,8 @@ def bursty_arrivals(
         raise ValueError(f"count must be non-negative, got {count}")
     if burst_size <= 0:
         raise ValueError(f"burst_size must be positive, got {burst_size}")
+    for name, value in (("burst_gap", burst_gap), ("start", start), ("jitter", jitter)):
+        _require_finite(name, value, _NON_FINITE_TRACE)
     if burst_gap <= 0:
         raise ValueError(
             f"burst_gap must be positive, got {burst_gap} "
@@ -619,6 +651,14 @@ def diurnal_arrivals(
     """
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
+    for name, value in (
+        ("mean_rate", mean_rate),
+        ("period", period),
+        ("amplitude", amplitude),
+        ("start", start),
+        ("phase", phase),
+    ):
+        _require_finite(name, value, _NON_FINITE_TRACE)
     if mean_rate <= 0:
         raise ValueError(f"mean_rate must be positive, got {mean_rate}")
     if period <= 0:

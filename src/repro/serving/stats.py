@@ -2,8 +2,8 @@
 
 The per-request :class:`~repro.core.simulator.TimingReport` answers "how fast
 is one attention"; :class:`ServingStats` answers the serving questions on top
-of it: requests/sec across the shard pool, how full the dispatched batches
-were, how evenly the shards were loaded and how often the plan cache saved a
+of it: requests/sec across the shard pool, how full the batch slots were,
+how evenly the shards were loaded and how often the plan cache saved a
 schedule rebuild.  Rendering goes through the shared
 :class:`repro.analysis.report.Table` machinery so serving reports line up
 with the paper-table reports.
@@ -16,7 +16,7 @@ from math import ceil
 
 from repro.analysis.report import Table
 
-__all__ = ["BatchRecord", "ServingStats", "decode_token_intervals", "percentile"]
+__all__ = ["ServingStats", "decode_token_intervals", "percentile"]
 
 
 def percentile(values: "list[float]", q: float) -> float:
@@ -78,21 +78,6 @@ def decode_token_intervals(
 
 
 @dataclass(frozen=True)
-class BatchRecord:
-    """Accounting for one dispatched batch."""
-
-    batch_id: int
-    shard: int
-    size: int
-    total_rows: int
-    device_seconds: float
-    energy_joules: float
-    #: Accounted ``num_heads * seq_len`` units the backend reported for the
-    #: batch — the backend-independent work measure.
-    head_rows: int = 0
-
-
-@dataclass(frozen=True)
 class ServingStats:
     """Aggregate accounting of one serving run.
 
@@ -101,37 +86,36 @@ class ServingStats:
     backend:
         Name of the executing backend.
     num_requests, num_batches, num_shards:
-        Volume of the run.
+        Volume of the run (``num_batches`` counts priced iterations, the
+        same number as ``num_iterations``).
     max_batch_size:
-        The batcher's dispatch bound (denominator of the occupancy).
+        Resident slots per shard (denominator of the occupancy).
     device_makespan_seconds:
-        Busy time of the most-loaded shard — the pool finishes when it does,
-        so this is the denominator of the device throughput.
+        Simulated instant the last request finished, arrival gaps included —
+        the denominator of the device throughput.
     shard_busy_seconds:
         Per-shard accelerator busy time.
     total_energy_joules:
-        Summed modelled energy across all batches.
+        Summed modelled energy across all iterations.
     wall_seconds:
         Measured host wall-clock of the run (queueing + batching + execution).
     cache_hits, cache_misses:
         Plan-cache counters accumulated during the run.
     total_head_rows:
-        Accounted ``num_heads * seq_len`` units served across all batches —
-        the backend-independent volume behind the throughput numbers.
+        Accounted ``num_heads * seq_len`` units served by the run — the
+        backend-independent volume behind the throughput numbers.
     mode:
-        Admission policy of the run: ``"drain"`` (the default batch-drain
-        engine) or ``"continuous"`` (iteration-level admission/retirement).
+        Admission policy of the run: ``"drain"`` (a shard refills only once
+        its whole batch has retired) or ``"continuous"`` (a freed slot admits
+        mid-flight).
     policy:
-        Queue-ordering policy of a continuous-clock run (``"fcfs"`` or
-        ``"sjf"``); drain-engine runs keep the default.
+        Queue-ordering policy of the run (``"fcfs"`` or ``"sjf"``).
     num_iterations:
-        Priced iterations of a continuous-clock run (0 on the drain path,
-        whose dispatches are whole batches; ``num_batches`` then counts
-        iterations instead of drain batches).
+        Priced pipeline iterations of the run.
     mean_occupancy:
         Mean resident requests per iteration as a fraction of
-        ``max_batch_size`` slots (continuous-clock runs only) — the
-        slot-utilisation number head-of-line blocking depresses.
+        ``max_batch_size`` slots — the slot-utilisation number head-of-line
+        blocking depresses.
     queue_p50_seconds, queue_p95_seconds:
         Percentiles of the simulated wait between a request's arrival and
         its admission into a running batch (time to first scheduled slice —
@@ -183,16 +167,6 @@ class ServingStats:
     inter_token_p95_seconds: float = 0.0
 
     @property
-    def mean_batch_size(self) -> float:
-        """Average requests per dispatched batch."""
-        return self.num_requests / self.num_batches if self.num_batches else 0.0
-
-    @property
-    def batch_occupancy(self) -> float:
-        """Mean batch size as a fraction of the dispatch bound."""
-        return self.mean_batch_size / self.max_batch_size if self.max_batch_size else 0.0
-
-    @property
     def requests_per_second(self) -> float:
         """Device throughput: requests served per second of pool makespan."""
         if self.device_makespan_seconds <= 0:
@@ -241,48 +215,34 @@ class ServingStats:
     def to_table(self, title: "str | None" = None) -> Table:
         """Render the stats as a (metric, value) table.
 
-        Drain-path rendering is unchanged; continuous-clock runs
-        (``num_iterations > 0``) swap the batch-shape rows for iteration
-        count, slot occupancy and the simulated queue/latency percentiles.
+        Decode rows (TTFT, inter-token gaps, tokens/sec, KV hit rate) appear
+        only when the run served decode requests.
         """
         balance = min(self.shard_utilisation) if self.shard_busy_seconds else 0.0
-        rows: "dict[str, object]" = {"backend": self.backend, "requests": self.num_requests}
-        if self.num_iterations > 0:
+        rows: "dict[str, object]" = {
+            "backend": self.backend,
+            "requests": self.num_requests,
+            "mode": self.mode,
+            "admission policy": self.policy,
+            "iterations": self.num_iterations,
+            "shards": self.num_shards,
+            "mean occupancy (slots)": self.mean_occupancy,
+            "queue wait p50 [s]": self.queue_p50_seconds,
+            "queue wait p95 [s]": self.queue_p95_seconds,
+            "latency p50 [s]": self.latency_p50_seconds,
+            "latency p95 [s]": self.latency_p95_seconds,
+        }
+        if self.num_decode_requests > 0:
             rows.update(
                 {
-                    "mode": self.mode,
-                    "admission policy": self.policy,
-                    "iterations": self.num_iterations,
-                    "shards": self.num_shards,
-                    "mean occupancy (slots)": self.mean_occupancy,
-                    "queue wait p50 [s]": self.queue_p50_seconds,
-                    "queue wait p95 [s]": self.queue_p95_seconds,
-                    "latency p50 [s]": self.latency_p50_seconds,
-                    "latency p95 [s]": self.latency_p95_seconds,
-                }
-            )
-            if self.num_decode_requests > 0:
-                rows.update(
-                    {
-                        "decode requests": self.num_decode_requests,
-                        "decode tokens": self.decode_tokens,
-                        "tokens/sec (device)": self.tokens_per_second,
-                        "TTFT p50 [s]": self.ttft_p50_seconds,
-                        "TTFT p95 [s]": self.ttft_p95_seconds,
-                        "inter-token p50 [s]": self.inter_token_p50_seconds,
-                        "inter-token p95 [s]": self.inter_token_p95_seconds,
-                        "KV-residency hit rate": self.kv_hit_rate,
-                    }
-                )
-        else:
-            rows.update(
-                {
-                    "batches": self.num_batches,
-                    "shards": self.num_shards,
-                    "mean batch size": self.mean_batch_size,
-                    "batch occupancy": self.batch_occupancy,
-                    "latency p50 [s]": self.latency_p50_seconds,
-                    "latency p95 [s]": self.latency_p95_seconds,
+                    "decode requests": self.num_decode_requests,
+                    "decode tokens": self.decode_tokens,
+                    "tokens/sec (device)": self.tokens_per_second,
+                    "TTFT p50 [s]": self.ttft_p50_seconds,
+                    "TTFT p95 [s]": self.ttft_p95_seconds,
+                    "inter-token p50 [s]": self.inter_token_p50_seconds,
+                    "inter-token p95 [s]": self.inter_token_p95_seconds,
+                    "KV-residency hit rate": self.kv_hit_rate,
                 }
             )
         rows.update(

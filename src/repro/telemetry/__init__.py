@@ -1,12 +1,12 @@
 """Observability layer: typed event stream, JSONL logs, replay, live metrics.
 
-The serving engines (:mod:`repro.serving.engine`,
-:mod:`repro.serving.continuous`) emit typed events at their accounting
-points onto an :class:`EventBus`.  With zero sinks subscribed the cost is a
-single branch per would-be event (the benchmark guard asserts it); with an
-:class:`EventLogWriter` subscribed every event lands as one JSON line in an
-append-only log that :class:`EventLogReader` (and ``repro-trace``) can read
-back — including bit-exact :class:`TraceReplayer` reconstruction of the
+The serving engine (:mod:`repro.serving.continuous`) emits typed events at
+its accounting points onto an :class:`EventBus`.  With zero sinks subscribed
+the cost is a single branch per would-be event (the benchmark guard asserts
+no event object is built); with an :class:`EventLogWriter` subscribed every
+event lands as one JSON line in an append-only log that
+:class:`EventLogReader` (and ``repro-trace``) can read back — including
+bit-exact :class:`TraceReplayer` reconstruction of the
 run's :class:`~repro.serving.stats.ServingStats` from the log alone.
 """
 
@@ -16,14 +16,12 @@ from repro.telemetry.bus import NULL_BUS, EventBus
 from repro.telemetry.events import (
     EVENT_TYPES,
     SCHEMA_VERSION,
-    BatchDispatched,
     Event,
     IterationAdvanced,
     PlanCacheLookup,
     QueueDepth,
     RequestAdmitted,
     RequestArrived,
-    RequestCancelled,
     RequestRetired,
     RunFinished,
     RunStarted,
@@ -43,8 +41,6 @@ __all__ = [
     "RequestArrived",
     "RequestAdmitted",
     "RequestRetired",
-    "RequestCancelled",
-    "BatchDispatched",
     "IterationAdvanced",
     "ShardOccupancy",
     "QueueDepth",

@@ -2,15 +2,13 @@
 
 The serving hot paths guard every emission with ``if bus.active:`` — a plain
 attribute read on a zero-subscriber bus, so instrumentation costs one branch
-per would-be event and *no event object is even constructed*.  The benchmark
-suite asserts the resulting throughput is within a few percent of the
-uninstrumented engine.
+per would-be event and *no event object is even constructed* (the benchmark
+suite counts event constructions of an idle-bus serve and asserts zero).
 
 A sink is any callable taking one :class:`~repro.telemetry.events.Event`
 (:class:`~repro.telemetry.log.EventLogWriter` is the canonical one); sinks
-run synchronously in emission order on the emitting thread, so a sink that
-must be thread-safe (the serving pool emits from worker threads) brings its
-own lock.
+run synchronously in emission order on the emitting thread, so a sink shared
+across threads brings its own lock.
 """
 
 from __future__ import annotations

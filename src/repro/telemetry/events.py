@@ -25,7 +25,9 @@ Schema version 3 adds :class:`RequestDecoded` — the per-token accounting of
 one retired decode (block completion times on the simulated clock), from
 which the replayer reconstructs TTFT/inter-token percentiles, token counts
 and the KV-residency hit/miss split.  Version-1/2 records still deserialise;
-their runs simply carry no decode accounting.
+their runs simply carry no decode accounting.  The ``batch_dispatched`` and
+``request_cancelled`` kinds left the schema with the thread-pool drain engine
+that emitted them, so logs of that engine no longer replay.
 """
 
 from __future__ import annotations
@@ -44,8 +46,6 @@ __all__ = [
     "RequestAdmitted",
     "RequestDecoded",
     "RequestRetired",
-    "RequestCancelled",
-    "BatchDispatched",
     "IterationAdvanced",
     "ShardOccupancy",
     "QueueDepth",
@@ -77,12 +77,10 @@ class Event:
 class RunStarted(Event):
     """A serving run began.
 
-    ``engine`` distinguishes the two execution engines — ``"drain"`` (the
-    asyncio batch-drain pool, wall-clock timestamps) and ``"continuous"``
-    (the simulated-clock iteration scheduler) — which is what the replayer
-    keys its aggregation shape on.  ``mode`` is the *admission policy* of a
-    continuous-clock run (``"continuous"`` or ``"drain"``), matching
-    :attr:`~repro.serving.stats.ServingStats.mode`.
+    ``engine`` names the engine that produced the log: ``"continuous"``,
+    the simulated-clock iteration scheduler every run goes through.
+    ``mode`` is the run's *admission policy* (``"continuous"`` or
+    ``"drain"``), matching :attr:`~repro.serving.stats.ServingStats.mode`.
     """
 
     kind: ClassVar[str] = "run_started"
@@ -93,7 +91,7 @@ class RunStarted(Event):
     num_requests: int
     mode: str = "drain"
     policy: str = "fcfs"
-    #: Rows per iteration slice of a continuous-clock run (0 on the drain engine).
+    #: Rows per iteration slice of the run.
     iteration_rows: int = 0
 
 
@@ -113,13 +111,13 @@ class RequestArrived(Event):
 
 @dataclass(frozen=True)
 class RequestAdmitted(Event):
-    """A request was admitted into a running batch (or dispatched batch)."""
+    """A request was admitted into a shard's running batch."""
 
     kind: ClassVar[str] = "request_admitted"
     request_id: int
     shard: int
     admit_time: float
-    #: Residents on the shard right after admission (drain: the batch size).
+    #: Residents on the shard right after admission.
     residency: int
 
 
@@ -162,35 +160,6 @@ class RequestRetired(Event):
     arrival_time: float
     admit_time: float
     finish_time: float
-
-
-@dataclass(frozen=True)
-class RequestCancelled(Event):
-    """A pending request was withdrawn before dispatch."""
-
-    kind: ClassVar[str] = "request_cancelled"
-    request_id: int
-    time: float
-
-
-@dataclass(frozen=True)
-class BatchDispatched(Event):
-    """One drain-engine batch finished executing on a shard.
-
-    Emitted co-located with the engine's ``BatchRecord`` append, so the log
-    order of these events is the engine's accounting order — the replayer's
-    per-shard busy-time and energy sums fold the same floats in the same
-    sequence.
-    """
-
-    kind: ClassVar[str] = "batch_dispatched"
-    batch_id: int
-    shard: int
-    size: int
-    total_rows: int
-    device_seconds: float
-    energy_joules: float
-    head_rows: int
 
 
 @dataclass(frozen=True)
@@ -266,8 +235,6 @@ EVENT_TYPES: "dict[str, type[Event]]" = {
         RequestAdmitted,
         RequestDecoded,
         RequestRetired,
-        RequestCancelled,
-        BatchDispatched,
         IterationAdvanced,
         ShardOccupancy,
         QueueDepth,

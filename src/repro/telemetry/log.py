@@ -3,8 +3,8 @@
 One event per line, serialised by :func:`repro.telemetry.events.to_record`.
 The writer flushes after every line so a concurrently running
 ``repro-trace watch`` can tail the file live, and takes a lock around each
-write because the drain engine emits from shard worker threads (plan-cache
-lookups execute inside ``asyncio.to_thread``).
+write so one writer can be shared by emitters on several threads without
+interleaving partial lines.
 
 Floats round-trip bit-exactly through JSON (``json.dumps`` emits ``repr``,
 ``json.loads`` reads it back to the same IEEE-754 bits); numpy scalars that

@@ -1,12 +1,12 @@
 """Bit-exact reconstruction of :class:`ServingStats` from an event log.
 
-The engines emit events at exactly their accounting points, in accounting
+The engine emits events at exactly its accounting points, in accounting
 order (see :mod:`repro.telemetry.events`), so replaying a log means folding
 the same floats through the same aggregation functions in the same sequence:
 
 - per-shard busy time and total energy are running float sums in log order
   (log order equals the engine's accumulation order by construction);
-- makespan is a ``max`` (order-free);
+- makespan is the ``max`` retirement instant (order-free);
 - queue/latency percentiles go through the engine's own
   :func:`repro.serving.stats.percentile` (it sorts, so order-free);
 - mean occupancy goes through :func:`statistics.mean` (exact rational
@@ -23,7 +23,6 @@ from statistics import mean
 
 from repro.serving.stats import ServingStats, decode_token_intervals, percentile
 from repro.telemetry.events import (
-    BatchDispatched,
     Event,
     IterationAdvanced,
     PlanCacheLookup,
@@ -57,9 +56,7 @@ class TraceReplayer:
         self._shard_busy: "list[float]" = []
         self._total_energy = 0.0
         self._num_iterations = 0
-        self._num_batches = 0
         self._arrived_head_rows = 0
-        self._batch_head_rows = 0
         self._occupancies: "list[float]" = []
         self._queue_waits: "list[float]" = []
         self._latencies: "list[float]" = []
@@ -100,11 +97,6 @@ class TraceReplayer:
             self._shard_busy[event.shard] += event.seconds
             self._total_energy += event.energy_joules
             self._occupancies.append(event.occupancy)
-        elif isinstance(event, BatchDispatched):
-            self._num_batches += 1
-            self._shard_busy[event.shard] += event.device_seconds
-            self._total_energy += event.energy_joules
-            self._batch_head_rows += event.head_rows
         elif isinstance(event, RequestDecoded):
             self._num_decodes += 1
             self._decode_tokens += event.new_tokens
@@ -145,54 +137,35 @@ class TraceReplayer:
         run = self.run
         if run is None:
             raise ValueError("log contains no run_started event; nothing to replay")
-        if run.engine == "continuous":
-            return ServingStats(
-                backend=run.backend,
-                num_requests=run.num_requests,
-                num_batches=self._num_iterations,
-                num_shards=run.num_shards,
-                max_batch_size=run.max_batch_size,
-                device_makespan_seconds=max(self._finish_times, default=0.0),
-                shard_busy_seconds=tuple(self._shard_busy),
-                total_energy_joules=self._total_energy,
-                wall_seconds=self.wall_seconds,
-                cache_hits=self._cache_hits,
-                cache_misses=self._cache_misses,
-                total_head_rows=self._arrived_head_rows,
-                mode=run.mode,
-                policy=run.policy,
-                num_iterations=self._num_iterations,
-                mean_occupancy=mean(self._occupancies) if self._occupancies else 0.0,
-                queue_p50_seconds=percentile(self._queue_waits, 50.0),
-                queue_p95_seconds=percentile(self._queue_waits, 95.0),
-                latency_p50_seconds=percentile(self._latencies, 50.0),
-                latency_p95_seconds=percentile(self._latencies, 95.0),
-                num_decode_requests=self._num_decodes,
-                decode_tokens=self._decode_tokens,
-                kv_hits=self._kv_hits,
-                kv_misses=self._kv_misses,
-                ttft_p50_seconds=percentile(self._ttfts, 50.0),
-                ttft_p95_seconds=percentile(self._ttfts, 95.0),
-                inter_token_p50_seconds=percentile(self._token_gaps, 50.0),
-                inter_token_p95_seconds=percentile(self._token_gaps, 95.0),
-            )
         return ServingStats(
             backend=run.backend,
             num_requests=run.num_requests,
-            num_batches=self._num_batches,
+            num_batches=self._num_iterations,
             num_shards=run.num_shards,
             max_batch_size=run.max_batch_size,
-            device_makespan_seconds=max(self._shard_busy) if self._shard_busy else 0.0,
+            device_makespan_seconds=max(self._finish_times, default=0.0),
             shard_busy_seconds=tuple(self._shard_busy),
             total_energy_joules=self._total_energy,
             wall_seconds=self.wall_seconds,
             cache_hits=self._cache_hits,
             cache_misses=self._cache_misses,
-            total_head_rows=self._batch_head_rows,
+            total_head_rows=self._arrived_head_rows,
+            mode=run.mode,
+            policy=run.policy,
+            num_iterations=self._num_iterations,
+            mean_occupancy=mean(self._occupancies) if self._occupancies else 0.0,
             queue_p50_seconds=percentile(self._queue_waits, 50.0),
             queue_p95_seconds=percentile(self._queue_waits, 95.0),
             latency_p50_seconds=percentile(self._latencies, 50.0),
             latency_p95_seconds=percentile(self._latencies, 95.0),
+            num_decode_requests=self._num_decodes,
+            decode_tokens=self._decode_tokens,
+            kv_hits=self._kv_hits,
+            kv_misses=self._kv_misses,
+            ttft_p50_seconds=percentile(self._ttfts, 50.0),
+            ttft_p95_seconds=percentile(self._ttfts, 95.0),
+            inter_token_p50_seconds=percentile(self._token_gaps, 50.0),
+            inter_token_p95_seconds=percentile(self._token_gaps, 95.0),
         )
 
 

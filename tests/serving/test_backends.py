@@ -13,7 +13,6 @@ from repro.serving.backends import (
     BackendRegistry,
     available_backends,
     create_backend,
-    swat_batch_cycles,
 )
 from repro.serving.cache import PlanCache
 from repro.serving.request import AttentionRequest, make_request
@@ -21,7 +20,6 @@ from repro.serving.request import AttentionRequest, make_request
 EXPECTED_BACKENDS = {
     "simulator",
     "analytical",
-    "fused",
     "gpu-dense",
     "gpu-chunked",
     "dense-fpga",
@@ -38,6 +36,9 @@ class TestRegistry:
     def test_all_execution_paths_registered(self):
         assert EXPECTED_BACKENDS <= set(available_backends())
 
+    def test_step_is_the_one_abstract_method(self):
+        assert AttentionBackend.__abstractmethods__ == frozenset({"step"})
+
     def test_unknown_backend_raises_with_choices(self):
         with pytest.raises(KeyError, match="simulator"):
             create_backend("no-such-backend")
@@ -48,7 +49,7 @@ class TestRegistry:
         class Dummy(AttentionBackend):
             name = "dummy"
 
-            def execute_batch(self, batch):  # pragma: no cover - never called
+            def step(self, slices, primed):  # pragma: no cover - never called
                 raise NotImplementedError
 
         registry.register(Dummy)
@@ -59,7 +60,7 @@ class TestRegistry:
         registry = BackendRegistry()
 
         class Nameless(AttentionBackend):
-            def execute_batch(self, batch):  # pragma: no cover - never called
+            def step(self, slices, primed):  # pragma: no cover - never called
                 raise NotImplementedError
 
         with pytest.raises(ValueError, match="non-empty name"):
@@ -79,63 +80,70 @@ class TestSimulatorBackend:
         config = _config()
         backend = create_backend("simulator", config=config, plan_cache=PlanCache())
         request = make_request(48, config.head_dim, seed=0)
-        result = backend.execute(request)
+        (output,) = backend.compute_outputs([request])
         expected = dense_attention(
             request.q, request.k, request.v, mask=swat_window_mask(48, config.window_tokens)
         )
-        np.testing.assert_allclose(result.outputs[0], expected, atol=1e-9)
-        assert result.cycles > 0
-        assert result.device_seconds > 0
-        assert result.energy_joules > 0
+        np.testing.assert_allclose(output, expected, atol=1e-9)
+        cost = backend.step([(request, 0, backend.request_rows(request))], primed=False)
+        assert cost.cycles > 0
+        assert cost.seconds > 0
+        assert cost.energy_joules > 0
 
     def test_analytical_request_yields_no_output_but_is_priced(self):
         backend = create_backend("simulator", config=_config())
-        result = backend.execute(AttentionRequest(seq_len=32))
-        assert result.outputs == (None,)
-        assert result.cycles > 0
+        request = AttentionRequest(seq_len=32)
+        assert backend.compute_outputs([request]) == (None,)
+        assert backend.step([(request, 0, 32)], primed=False).cycles > 0
 
-
-class TestFusedBackend:
-    def test_bit_identical_to_simulator_backend(self):
-        config = _config(num_global_tokens=2, num_random_tokens=2)
-        cache = PlanCache()
-        request = make_request(40, config.head_dim, seed=1)
-        simulated = create_backend("simulator", config=config, plan_cache=cache).execute(request)
-        fused = create_backend("fused", config=config, plan_cache=cache).execute(request)
-        assert np.array_equal(simulated.outputs[0], fused.outputs[0])
-
-    def test_measures_host_time(self):
-        backend = create_backend("fused", config=_config())
-        result = backend.execute(make_request(32, 16, seed=2))
-        assert result.device_seconds > 0
-        assert result.cycles is None
-
-
-class TestBatchAmortisation:
-    def test_batch_cheaper_than_sequential_dispatch(self):
-        """One fill per batch: n requests cost less than n separate dispatches."""
-        config = _config()
-        backend = create_backend("analytical", config=config)
-        requests = [AttentionRequest(seq_len=64) for _ in range(4)]
-        batched = backend.execute_batch(requests)
-        sequential = sum(backend.execute(request).cycles for request in requests)
-        assert batched.cycles < sequential
-        fill = backend.simulator.pipeline.timing.pipeline_depth_cycles
-        ii = backend.simulator.pipeline.initiation_interval
-        assert sequential - batched.cycles == 3 * (fill - ii)
-
-    def test_batch_cycles_match_pipeline_rows(self):
-        config = _config()
-        simulator = SWATSimulator(config)
-        requests = [AttentionRequest(seq_len=32), AttentionRequest(seq_len=48, num_heads=2)]
-        cycles = swat_batch_cycles(simulator.pipeline, requests)
-        assert cycles == simulator.pipeline.cycles_for_rows(32 + 2 * 48)
-
-    def test_single_request_batch_equals_estimate(self):
+    def test_whole_request_step_equals_estimate(self):
         config = _config()
         backend = create_backend("analytical", config=config)
         estimate = SWATSimulator(config).estimate(96)
-        assert backend.execute(AttentionRequest(seq_len=96)).cycles == estimate.cycles
+        cost = backend.step([(AttentionRequest(seq_len=96), 0, 96)], primed=False)
+        assert cost.cycles == estimate.cycles
+
+
+def _whole(backend, request):
+    """One iteration streaming all of ``request``'s rows from a cold pipeline."""
+    return backend.step([(request, 0, backend.request_rows(request))], primed=False)
+
+
+class TestIterationAmortisation:
+    """Residents stream in parallel slots: a cold iteration pays one fill,
+    not one per resident."""
+
+    def test_co_resident_slices_share_one_stream(self):
+        backend = create_backend("analytical", config=_config())
+        requests = [AttentionRequest(seq_len=64) for _ in range(4)]
+        together = backend.step([(request, 0, 64) for request in requests], primed=False)
+        apart = [_whole(backend, request) for request in requests]
+        assert together.cycles == apart[0].cycles
+        assert together.cycles < sum(cost.cycles for cost in apart)
+
+    def test_iteration_cycles_follow_the_gating_slice(self):
+        config = _config()
+        backend = create_backend("analytical", config=config)
+        short = AttentionRequest(seq_len=32)
+        multi_head = AttentionRequest(seq_len=48, num_heads=2)
+        gate = backend.request_rows(multi_head)
+        assert gate == 2 * 48  # one pipeline: the heads stream back to back
+        cost = backend.step([(short, 0, 32), (multi_head, 0, gate)], primed=False)
+        assert cost.gate_rows == gate
+        assert cost.cycles == backend.simulator.pipeline.cycles_for_rows(gate)
+        assert cost.seconds == cost.cycles * config.clock_period_s
+
+    def test_primed_iteration_pays_no_fill(self):
+        backend = create_backend("analytical", config=_config())
+        pipeline = backend.simulator.pipeline
+        fill = pipeline.timing.pipeline_depth_cycles
+        ii = pipeline.initiation_interval
+        for rows in (1, 17, 64):
+            slices = [(AttentionRequest(seq_len=64), 0, rows)]
+            cold = backend.step(slices, primed=False).cycles
+            primed = backend.step(slices, primed=True).cycles
+            assert primed == rows * ii
+            assert cold - primed == fill - ii
 
 
 class TestAnalyticalOnlyBackends:
@@ -143,20 +151,25 @@ class TestAnalyticalOnlyBackends:
     def test_priced_but_not_functional(self, name):
         backend = create_backend(name, config=_config())
         assert not backend.functional
-        result = backend.execute_batch(
-            [AttentionRequest(seq_len=128), AttentionRequest(seq_len=256)]
-        )
-        assert result.outputs == (None, None)
-        assert result.device_seconds > 0
-        assert result.energy_joules > 0
+        requests = [AttentionRequest(seq_len=128), AttentionRequest(seq_len=256)]
+        assert backend.compute_outputs(requests) == (None, None)
+        slices = [(request, 0, backend.request_rows(request)) for request in requests]
+        burst = backend.step_burst(slices, False, 64)
+        assert np.all(burst.seconds > 0)
+        assert np.all(burst.energy_joules > 0)
 
     def test_gpu_heads_scale_cost_when_launches_not_amortised(self):
         """launch_amortisation=0 reprices the looped per-head dispatch exactly."""
         from repro.serving.backends import GPUDenseBackend
 
         backend = GPUDenseBackend(config=_config(), launch_amortisation=0.0)
-        one = backend.execute(AttentionRequest(seq_len=256)).device_seconds
-        four = backend.execute(AttentionRequest(seq_len=256, num_heads=4)).device_seconds
+
+        def burst_seconds(request):
+            slices = [(request, 0, backend.request_rows(request))]
+            return float(np.sum(backend.step_burst(slices, False, 64).seconds))
+
+        one = burst_seconds(AttentionRequest(seq_len=256))
+        four = burst_seconds(AttentionRequest(seq_len=256, num_heads=4))
         assert four == pytest.approx(4 * one)
 
     def test_gpu_batching_amortises_launches(self):
@@ -170,18 +183,20 @@ class TestAnalyticalOnlyBackends:
         batched = GPUDenseBackend(config=config)  # launch_amortisation=1.0
         looped = GPUDenseBackend(config=config, launch_amortisation=0.0)
         request = AttentionRequest(seq_len=256, num_heads=8)
-        batched_s = batched.execute(request).device_seconds
-        looped_s = looped.execute(request).device_seconds
+        batched_s = _whole(batched, request).seconds
+        looped_s = _whole(looped, request).seconds
         assert batched_s < looped_s
         # Same arithmetic either way: only the launch/floor overhead shrinks.
-        one_body = batched.execute(AttentionRequest(seq_len=256)).device_seconds
+        one_body = _whole(batched, AttentionRequest(seq_len=256)).seconds
         assert batched_s > 0.5 * one_body
 
-    def test_dense_fpga_has_cycle_domain(self):
-        result = create_backend("dense-fpga", config=_config()).execute(
-            AttentionRequest(seq_len=64)
-        )
-        assert result.cycles > 0
+    def test_dense_fpga_prices_off_its_cycle_domain(self):
+        config = _config()
+        backend = create_backend("dense-fpga", config=config)
+        request = AttentionRequest(seq_len=64)
+        cycles = backend.baseline.run(64, num_heads=1).cycles
+        assert cycles > 0
+        assert _whole(backend, request).seconds == pytest.approx(cycles * config.clock_period_s)
 
 
 class TestStepBurst:

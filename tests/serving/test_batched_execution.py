@@ -1,9 +1,10 @@
-"""Property suite for the batched serving dispatch.
+"""Property suite for the batched functional pass behind retirement.
 
-The load-bearing contract of the batch-axis refactor: executing a dispatch
-batch as stacked ``(config, seq_len)`` tensor programs must be *bit-identical*
-to the per-request / per-head executor loop it replaced, for any mix of
-sequence lengths in a bucket, head counts, stacked multi-head data and
+The load-bearing contract of the batch-axis refactor: executing a batch of
+retirees as stacked ``(config, seq_len)`` tensor programs
+(:meth:`~repro.serving.backends.AttentionBackend.compute_outputs`) must be
+*bit-identical* to the per-request / per-head executor loop it replaced, for
+any mix of sequence lengths, head counts, stacked multi-head data and
 interleaved non-functional requests.
 """
 
@@ -14,8 +15,14 @@ from hypothesis import strategies as st
 
 from repro.core.config import SWATConfig
 from repro.core.plan import execute_plan_attention
-from repro.serving.backends import batch_head_rows, create_backend, seq_len_groups
+from repro.serving.backends import (
+    available_backends,
+    batch_head_rows,
+    create_backend,
+    indexed_seq_len_groups,
+)
 from repro.serving.cache import PlanCache
+from repro.serving.continuous import serve_continuous
 from repro.serving.request import AttentionRequest
 from repro.workload.generator import attention_inputs
 
@@ -32,7 +39,7 @@ def _config(window_tokens=8, num_global=0, num_random=0):
 
 
 # One request spec: (seq_len, kind, num_heads, data seed).  Sequence lengths
-# deliberately span bucket boundaries so one dispatch mixes exact shapes.
+# repeat and differ so one batch mixes several exact shapes.
 request_strategy = st.tuples(
     st.integers(3, 40),
     st.sampled_from(["analytical", "single", "declared-heads", "stacked-heads"]),
@@ -83,24 +90,14 @@ class TestBatchedDispatchBitIdentity:
         requests = [_build_request(*spec) for spec in specs]
         cache = PlanCache()
         simulator = create_backend("simulator", config=config, plan_cache=cache)
-        fused = create_backend("fused", config=config, plan_cache=cache)
-        sim_result = simulator.execute_batch(requests)
-        fused_result = fused.execute_batch(requests)
-
-        for request, sim_out, fused_out in zip(
-            requests, sim_result.outputs, fused_result.outputs
-        ):
+        outputs = simulator.compute_outputs(requests)
+        assert len(outputs) == len(requests)
+        for request, output in zip(requests, outputs):
             reference = _per_request_reference(config, cache, request)
             if reference is None:
-                assert sim_out is None
-                assert fused_out is None
-                continue
-            assert np.array_equal(sim_out, reference)
-            # The fused backend replicates declared heads but returns the
-            # item in the shape it supplied — identical bits either way.
-            assert np.array_equal(fused_out, reference)
-
-        assert sim_result.head_rows == fused_result.head_rows == batch_head_rows(requests)
+                assert output is None
+            else:
+                assert np.array_equal(output, reference)
 
     @given(specs=st.lists(request_strategy, min_size=1, max_size=8))
     @settings(max_examples=10, deadline=None)
@@ -108,10 +105,12 @@ class TestBatchedDispatchBitIdentity:
         config = _config(window_tokens=8)
         requests = [_build_request(*spec) for spec in specs]
         expected = batch_head_rows(requests)
-        cache = PlanCache()
-        for name in ("simulator", "analytical", "fused", "gpu-dense", "gpu-chunked", "dense-fpga"):
-            backend = create_backend(name, config=config, plan_cache=cache)
-            assert backend.execute_batch(requests).head_rows == expected, name
+        for name in available_backends():
+            result = serve_continuous(
+                requests, config=config, backend=name, max_batch_size=4, iteration_rows=16
+            )
+            assert result.stats.total_head_rows == expected, name
+            assert len(result.completed) == len(requests), name
 
 
 class TestSeqLenGroups:
@@ -121,7 +120,7 @@ class TestSeqLenGroups:
             AttentionRequest(seq_len=24),
             AttentionRequest(seq_len=20, num_heads=2),
         ]
-        groups = seq_len_groups(requests)
+        groups = indexed_seq_len_groups(enumerate(requests))
         assert list(groups) == [20, 24]
         assert [(i, r.request_id) for i, r in groups[20]] == [
             (0, requests[0].request_id),
@@ -136,15 +135,16 @@ class TestSeqLenGroups:
             AttentionRequest(seq_len=20, q=q, k=k, v=v)
             for q, k, v in (attention_inputs(20, HEAD_DIM, seed=s) for s in range(4))
         ] + [AttentionRequest(seq_len=24)]
-        backend.execute_batch(requests)
+        backend.compute_outputs(requests)
         counters = cache.counters()
         # 2 distinct shapes -> 2 lookups total, regardless of batch size.
         assert counters["hits"] + counters["misses"] == 2
 
 
-class TestFusedPerHeadAccounting:
-    def test_declared_heads_are_executed_not_ignored(self, monkeypatch):
-        """The fused backend stacks num_heads copies, so host time covers them."""
+class TestDeclaredHeads:
+    def test_declared_heads_are_priced_not_executed(self, monkeypatch):
+        """One head of data declared as three: the executor runs the head it
+        was given once, while pricing and accounting cover all three."""
         import repro.core.plan as plan_module
 
         config = _config()
@@ -156,14 +156,21 @@ class TestFusedPerHeadAccounting:
             return original(self, *args, **kwargs)
 
         monkeypatch.setattr(plan_module.PlanBatch, "execute", spy)
-        backend = create_backend("fused", config=config, plan_cache=PlanCache())
         q, k, v = attention_inputs(16, HEAD_DIM, seed=0)
-        result = backend.execute_batch([AttentionRequest(seq_len=16, q=q, k=k, v=v, num_heads=3)])
-        assert executed_heads == [3]
-        assert result.outputs[0].shape == (16, HEAD_DIM)
-        assert result.head_rows == 3 * 16
+        request = AttentionRequest(seq_len=16, q=q, k=k, v=v, num_heads=3)
+        result = serve_continuous([request], config=config, backend="simulator")
+        assert executed_heads == [1]
+        assert result.completed[0].output.shape == (16, HEAD_DIM)
+        assert result.stats.total_head_rows == 3 * 16
+        pipeline = create_backend("analytical", config=config).simulator.pipeline
+        cycles = sum(record.cycles for record in result.iterations)
+        assert cycles == pipeline.cycles_for_rows(3 * 16)
 
+
+class TestGPUShapeReports:
     def test_gpu_runner_called_once_per_distinct_shape(self):
+        """One runner call per distinct (seq_len, items) report, however many
+        bursts price it."""
         backend = create_backend("gpu-dense", config=_config())
         calls = []
         original = backend._runner_run_batch
@@ -177,10 +184,16 @@ class TestFusedPerHeadAccounting:
             AttentionRequest(seq_len=128, num_heads=2),
             AttentionRequest(seq_len=256),
             AttentionRequest(seq_len=128, num_heads=3),
+            AttentionRequest(seq_len=128, num_heads=2),
         ]
-        result = backend.execute_batch(requests)
-        assert calls == [(128, 5), (256, 1)]
-        assert result.head_rows == 2 * 128 + 256 + 3 * 128
+        for rows_done in (0, 16, 64):
+            slices = [
+                (request, rows_done, backend.request_rows(request) - rows_done)
+                for request in requests
+            ]
+            for primed in (False, True):
+                backend.step_burst(slices, primed, 16)
+        assert calls == [(128, 2), (256, 1), (128, 3)]
 
 
 class TestNoFunctionalPythonLoop:
@@ -205,7 +218,7 @@ class TestNoFunctionalPythonLoop:
             for q2, k2, v2 in [attention_inputs(24, HEAD_DIM, seed=9)]
         ]
         backend = create_backend("simulator", config=config, plan_cache=PlanCache())
-        backend.execute_batch(requests)
+        backend.compute_outputs(requests)
         # 7 requests, 2 shapes -> exactly 2 stacked executor entries.
         assert entries == [(20, 6, 6), (24, 1, 1)]
 

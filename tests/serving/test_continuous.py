@@ -91,7 +91,7 @@ class TestBitIdentity:
         solo = create_backend("simulator", config=config)
         assert len(result.completed) == len(requests)
         for done in result.completed:
-            reference = solo.execute(done.request).outputs[0]
+            (reference,) = solo.compute_outputs([done.request])
             assert np.array_equal(done.output, reference)
 
     def test_outputs_match_drain_engine_bitwise(self):
@@ -266,6 +266,29 @@ class TestDeterminism:
         with pytest.raises(ValueError, match="burst_size"):
             bursty_arrivals(4, burst_size=0, burst_gap=0.5)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_arrival_parameters_rejected(self, bad):
+        # nan passes every sign check (nan <= 0 is false): poisson_arrivals
+        # would return nan instants at a nan rate and collapse onto the start
+        # at an infinite one.  Every float parameter is checked.
+        cases = [
+            (poisson_arrivals, dict(count=3, rate=1.0), ("rate", "start")),
+            (
+                bursty_arrivals,
+                dict(count=3, burst_size=1, burst_gap=1.0),
+                ("burst_gap", "start", "jitter"),
+            ),
+            (
+                diurnal_arrivals,
+                dict(count=3, mean_rate=1.0, period=1.0),
+                ("mean_rate", "period", "amplitude", "start", "phase"),
+            ),
+        ]
+        for generator, valid, names in cases:
+            for name in names:
+                with pytest.raises(ValueError, match=f"{name} must be finite"):
+                    generator(**{**valid, name: bad})
+
 
 class TestSchedulerEquivalence:
     """The event-driven scheduler is a bit-exact drop-in for the reference loop.
@@ -424,26 +447,44 @@ class TestEngineMode:
         assert result.stats.mode == "continuous"
         assert result.stats.num_iterations == len(result.iterations) > 0
         assert all(done.output is not None for done in result.completed)
-        assert result.batches == ()
 
-    def test_drain_mode_is_default_and_unmarked(self):
+    def test_drain_mode_is_default_on_the_simulated_clock(self):
         config = _config()
         engine = ServingEngine(config=config, backend="analytical", num_shards=1)
         result = engine.serve(make_requests([16, 24], config.head_dim, functional=False))
         assert engine.mode == "drain"
         assert result.stats.mode == "drain"
-        assert result.stats.num_iterations == 0
-        assert result.iterations == ()
+        assert result.stats.num_iterations == len(result.iterations) > 0
+
+    @pytest.mark.parametrize("mode", ["drain", "continuous"])
+    @pytest.mark.parametrize("backend", ["simulator", "analytical"])
+    def test_engine_is_a_facade_over_serve_continuous(self, mode, backend):
+        """Every modelled stat of ``ServingEngine.serve`` is ``serve_continuous``'s."""
+        config = _config()
+        functional = backend == "simulator"
+        kwargs = dict(backend=backend, num_shards=2, max_batch_size=3, iteration_rows=16)
+        engine_run = ServingEngine(config=config, mode=mode, **kwargs).serve(
+            _trace_requests([16, 33, 8, 48, 24, 16, 8, 33], 3, functional=functional)
+        )
+        direct_run = serve_continuous(
+            _trace_requests([16, 33, 8, 48, 24, 16, 8, 33], 3, functional=functional),
+            config=config,
+            admission=mode,
+            **kwargs,
+        )
+        for spec in fields(ServingStats):
+            if spec.name != "wall_seconds":
+                assert getattr(engine_run.stats, spec.name) == getattr(
+                    direct_run.stats, spec.name
+                ), spec.name
+        assert engine_run.stats.mode == mode
+        for engine_done, direct_done in zip(engine_run.completed, direct_run.completed):
+            if functional:
+                assert np.array_equal(engine_done.output, direct_done.output)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="mode"):
             ServingEngine(config=_config(), mode="streaming")
-
-    def test_measured_clock_backend_rejected(self):
-        with pytest.raises(ValueError, match="measured host time"):
-            serve_continuous(
-                make_requests([16], HEAD_DIM, seed=0), config=_config(), backend="fused"
-            )
 
 
 class TestClockAndLatency:

@@ -205,16 +205,12 @@ class TestValidation:
             ["--model", "--model-layers", "0"],
             ["--model", "--model-heads", "-1"],
             ["--policy", "random"],
+            ["--backend", "fused"],
         ],
     )
     def test_bad_arguments_exit(self, argv):
         with pytest.raises(SystemExit):
             main(argv)
-
-    def test_continuous_rejects_measured_clock_backend(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["--mode", "continuous", "--backend", "fused", "--requests", "2"])
-        assert "measured host time" in capsys.readouterr().err
 
     def test_continuous_zero_requests_exits_cleanly(self, capsys):
         assert main(["--mode", "continuous", "--backend", "analytical", "--requests", "0"]) == 0

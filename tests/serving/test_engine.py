@@ -1,6 +1,7 @@
-"""Tests for the async serving engine and its accounting."""
+"""Tests for the serving engine facade, its accounting and request validation."""
 
 import asyncio
+import math
 
 import numpy as np
 import pytest
@@ -8,8 +9,15 @@ import pytest
 from repro.attention.dense import dense_attention
 from repro.attention.masks import swat_window_mask
 from repro.core.config import SWATConfig
+from repro.core.simulator import SWATSimulator
+from repro.model import ModelSpec
 from repro.serving.engine import ServingEngine
-from repro.serving.request import AttentionRequest, make_requests
+from repro.serving.request import (
+    AttentionRequest,
+    DecodeRequest,
+    ForwardRequest,
+    make_requests,
+)
 
 
 def _config(**overrides):
@@ -55,20 +63,6 @@ class TestFunctionalServing:
         assert result.stats.cache_hit_rate == pytest.approx(5 / 6)
 
 
-class TestAsyncApi:
-    def test_serve_async_from_running_loop(self):
-        config = _config()
-        engine = ServingEngine(config=config, backend="analytical", num_shards=2)
-
-        async def drive():
-            requests = [AttentionRequest(seq_len=64) for _ in range(8)]
-            return await engine.serve_async(requests)
-
-        result = asyncio.run(drive())
-        assert result.stats.num_requests == 8
-        assert all(done.output is None for done in result.completed)
-
-
 class TestAccounting:
     def test_empty_request_set(self):
         engine = ServingEngine(config=_config(), backend="analytical")
@@ -85,14 +79,15 @@ class TestAccounting:
         requests = [AttentionRequest(seq_len=64) for _ in range(8)]
         result = engine.serve(requests)
         stats = result.stats
-        assert stats.num_batches == 2
-        assert stats.mean_batch_size == 4
-        assert stats.batch_occupancy == 1.0
+        # Each shard admits one full batch of four and streams it in one
+        # iteration of the default quantum.
+        assert stats.num_iterations == stats.num_batches == 2
+        assert stats.mean_occupancy == 1.0
         assert len(stats.shard_busy_seconds) == 2
         # Two equal batches on two shards: both busy, perfectly balanced.
         assert stats.shard_busy_seconds[0] == pytest.approx(stats.shard_busy_seconds[1])
         assert stats.device_makespan_seconds == pytest.approx(max(stats.shard_busy_seconds))
-        assert {record.shard for record in result.batches} == {0, 1}
+        assert {record.shard for record in result.iterations} == {0, 1}
 
     def test_makespan_throughput_definition(self):
         engine = ServingEngine(config=_config(), backend="analytical", num_shards=2)
@@ -108,6 +103,169 @@ class TestAccounting:
         text = stats.render()
         assert "requests/sec (device)" in text
         assert "analytical" in text
+
+    @pytest.mark.parametrize("mode", ["drain", "continuous"])
+    def test_single_request_occupies_one_shard(self, mode):
+        config = _config()
+        engine = ServingEngine(config=config, backend="analytical", num_shards=2, mode=mode)
+        result = engine.serve([AttentionRequest(seq_len=96)])
+        (done,) = result.completed
+        assert (done.shard, done.batch_size) == (0, 1)
+        assert result.stats.shard_busy_seconds[1] == 0.0
+        # Sliced into quanta or not, a lone request costs its solo estimate.
+        estimate = SWATSimulator(config).estimate(96)
+        assert done.device_seconds == pytest.approx(estimate.seconds)
+        assert result.stats.device_makespan_seconds == done.finish_time
+
+    def test_total_head_rows_accounts_heads(self):
+        engine = ServingEngine(config=_config(), backend="analytical", num_shards=1)
+        requests = [AttentionRequest(seq_len=16, num_heads=3), AttentionRequest(seq_len=24)]
+        assert engine.serve(requests).stats.total_head_rows == 3 * 16 + 24
+
+    def test_invalid_batch_size_raises(self):
+        engine = ServingEngine(config=_config(), backend="analytical", max_batch_size=0)
+        with pytest.raises(ValueError, match="max_batch_size"):
+            engine.serve([AttentionRequest(seq_len=16)])
+
+    def test_serve_inside_a_running_event_loop(self):
+        # serve() is synchronous simulated-clock code, so async callers (an
+        # async server, a notebook cell) call it directly.
+        engine = ServingEngine(config=_config(), backend="analytical", num_shards=2)
+
+        async def handler():
+            return engine.serve([AttentionRequest(seq_len=64) for _ in range(8)])
+
+        result = asyncio.run(handler())
+        assert result.stats.num_requests == 8
+        assert all(done.output is None for done in result.completed)
+
+
+class TestAdmissionModes:
+    """A short request retires early beside a long one; only continuous
+    admission refills its slot before the long one finishes."""
+
+    def _serve(self, mode):
+        config = _config()
+        requests = make_requests([8, 48, 16, 16, 8], config.head_dim, functional=False)
+        engine = ServingEngine(
+            config=config,
+            backend="analytical",
+            num_shards=1,
+            max_batch_size=2,
+            mode=mode,
+            iteration_rows=8,
+        )
+        return engine.serve(requests).completed
+
+    def test_drain_refills_only_an_empty_shard(self):
+        completed = self._serve("drain")
+        waves = sorted({done.admit_time for done in completed})
+        assert [sum(done.admit_time == wave for done in completed) for wave in waves] == [2, 2, 1]
+        # Each wave is admitted the instant the previous one has fully retired.
+        for previous, wave in zip(waves, waves[1:]):
+            finished = [done.finish_time for done in completed if done.admit_time == previous]
+            assert wave == max(finished)
+
+    def test_continuous_refills_a_freed_slot(self):
+        short, long_, first_waiting = self._serve("continuous")[:3]
+        assert short.finish_time < long_.finish_time
+        assert first_waiting.admit_time == short.finish_time
+
+
+class TestArrivals:
+    """Both modes honour ``arrival_time`` on the simulated clock."""
+
+    @pytest.mark.parametrize("mode", ["drain", "continuous"])
+    def test_admitted_in_arrival_order(self, mode):
+        config = _config()
+        arrivals = [3e-6, 0.0, 2e-6, 1e-6]
+        requests = make_requests(
+            [24] * 4, config.head_dim, functional=False, arrival_times=arrivals
+        )
+        engine = ServingEngine(
+            config=config, backend="analytical", num_shards=1, max_batch_size=1, mode=mode
+        )
+        admitted = sorted(engine.serve(requests).completed, key=lambda done: done.admit_time)
+        assert [done.request.arrival_time for done in admitted] == sorted(arrivals)
+        for done in admitted:
+            assert done.arrival_time <= done.admit_time < done.finish_time
+
+    def test_latencies_share_the_device_clock(self):
+        # Every request arrives at 0, so no latency can exceed the makespan:
+        # queue waits, latencies and makespan are all simulated seconds.
+        config = _config()
+        requests = make_requests([24, 48, 24, 48] * 4, config.head_dim, functional=False)
+        engine = ServingEngine(config=config, backend="analytical", num_shards=2, max_batch_size=2)
+        stats = engine.serve(requests).stats
+        assert 0 < stats.latency_p50_seconds <= stats.latency_p95_seconds
+        assert stats.latency_p95_seconds <= stats.device_makespan_seconds
+        assert stats.queue_p95_seconds < stats.device_makespan_seconds
+
+    @pytest.mark.parametrize("mode", ["drain", "continuous"])
+    def test_zero_arrivals_admit_at_time_zero(self, mode):
+        config = _config()
+        requests = make_requests([24] * 8, config.head_dim, functional=False)
+        assert all(request.arrival_time == 0.0 for request in requests)
+        engine = ServingEngine(
+            config=config, backend="analytical", num_shards=2, max_batch_size=4, mode=mode
+        )
+        result = engine.serve(requests)
+        assert [done.admit_time for done in result.completed] == [0.0] * 8
+        assert result.stats.queue_p95_seconds == 0.0
+
+    @pytest.mark.parametrize("mode", ["drain", "continuous"])
+    def test_arrival_gaps_stretch_the_run_not_the_busy_time(self, mode):
+        config = _config()
+        arrivals = [0.0, 1e-3, 2e-3, 3e-3]  # gaps far longer than one request
+        requests = make_requests(
+            [24] * 4, config.head_dim, functional=False, arrival_times=arrivals
+        )
+        engine = ServingEngine(
+            config=config, backend="analytical", num_shards=1, max_batch_size=1, mode=mode
+        )
+        result = engine.serve(requests)
+        # An idle shard admits each request the instant it arrives.
+        assert [done.admit_time for done in result.completed] == arrivals
+        assert result.stats.device_makespan_seconds > arrivals[-1]
+        # Busy time excludes the gaps, and the pipeline drains between
+        # requests, so every request pays its own fill.
+        cold = SWATSimulator(config).pipeline.cycles_for_rows(24) * config.clock_period_s
+        assert result.stats.shard_busy_seconds[0] == pytest.approx(4 * cold)
+
+    @pytest.mark.parametrize("mode", ["drain", "continuous"])
+    def test_staggered_run_reports_latency_percentiles(self, mode):
+        config = _config()
+        requests = make_requests(
+            [24, 32, 24, 32],
+            config.head_dim,
+            functional=False,
+            arrival_times=[0.0, 1e-6, 2e-6, 3e-6],
+        )
+        engine = ServingEngine(
+            config=config, backend="analytical", num_shards=1, max_batch_size=2, mode=mode
+        )
+        result = engine.serve(requests)
+        stats = result.stats
+        assert stats.latency_p95_seconds >= stats.latency_p50_seconds > 0
+        assert stats.latency_p95_seconds == max(done.latency_seconds for done in result.completed)
+        assert "latency p50 [s]" in stats.render()
+
+    @pytest.mark.parametrize("mode", ["drain", "continuous"])
+    def test_shared_late_arrival_idles_the_pool_until_then(self, mode):
+        config = _config()
+        requests = make_requests(
+            [24] * 4, config.head_dim, functional=False, arrival_times=[5e-6] * 4
+        )
+        engine = ServingEngine(
+            config=config, backend="analytical", num_shards=2, max_batch_size=2, mode=mode
+        )
+        result = engine.serve(requests)
+        assert {done.admit_time for done in result.completed} == {5e-6}
+        assert {done.shard for done in result.completed} == {0, 1}
+        assert result.stats.queue_p95_seconds == 0.0
+        # Latency counts from the arrival, not from the start of the clock.
+        for done in result.completed:
+            assert done.latency_seconds == done.finish_time - 5e-6
 
 
 class TestThroughputScaling:
@@ -128,59 +286,35 @@ class TestThroughputScaling:
             ServingEngine(config=_config(), num_shards=0)
 
 
-class TestArrivalPacing:
-    """Drain mode honours AttentionRequest.arrival_time with wall-clock pacing."""
+class TestRequestValidation:
+    def test_partial_qkv_rejected(self):
+        with pytest.raises(ValueError, match="together"):
+            AttentionRequest(seq_len=8, q=np.zeros((8, 4)))
 
-    def test_zero_arrivals_skip_pacing(self):
-        import time
+    def test_seq_len_mismatch_rejected(self):
+        data = np.zeros((8, 4))
+        with pytest.raises(ValueError, match="seq_len"):
+            AttentionRequest(seq_len=16, q=data, k=data, v=data)
 
-        config = _config()
-        requests = make_requests([24] * 8, config.head_dim, functional=False)
-        assert all(request.arrival_time == 0.0 for request in requests)
-        engine = ServingEngine(config=config, backend="analytical", max_batch_size=4)
-        start = time.monotonic()
-        result = engine.serve(requests)
-        assert time.monotonic() - start < 1.0
-        assert len(result.completed) == len(requests)
+    def test_request_ids_monotonic(self):
+        first = AttentionRequest(seq_len=8)
+        second = AttentionRequest(seq_len=8)
+        assert second.request_id > first.request_id
 
-    def test_paced_arrivals_stretch_the_run(self):
-        import time
-
-        config = _config()
-        arrivals = [0.0, 0.05, 0.1, 0.15]
-        requests = make_requests(
-            [24] * 4, config.head_dim, functional=False, arrival_times=arrivals
+    @pytest.mark.parametrize("arrival_time", [math.nan, math.inf, -math.inf])
+    def test_non_finite_arrival_rejected_by_every_kind(self, arrival_time):
+        # nan slips past a plain sign check (nan < 0 is false) and would turn
+        # every latency percentile into nan; inf would never arrive.
+        spec = ModelSpec.uniform(1, 16, window_tokens=8, num_heads=1, head_dim=8)
+        constructors = (
+            lambda: AttentionRequest(seq_len=16, arrival_time=arrival_time),
+            lambda: ForwardRequest(spec=spec, arrival_time=arrival_time),
+            lambda: DecodeRequest(spec=spec, new_tokens=4, arrival_time=arrival_time),
         )
-        engine = ServingEngine(config=config, backend="analytical", max_batch_size=1)
-        start = time.monotonic()
-        result = engine.serve(requests)
-        elapsed = time.monotonic() - start
-        assert elapsed >= 0.15  # the last request cannot be admitted before it arrives
-        assert len(result.completed) == 4
-        # Lifecycle stamps respect arrival <= admit <= finish for every request.
-        for done in result.completed:
-            assert done.arrival_time <= done.admit_time <= done.finish_time
+        for construct in constructors:
+            with pytest.raises(ValueError, match="arrival_time must be finite"):
+                construct()
 
-    def test_paced_arrivals_are_admitted_in_arrival_order(self):
-        config = _config()
-        arrivals = [0.03, 0.0, 0.02, 0.01]
-        requests = make_requests(
-            [24] * 4, config.head_dim, functional=False, arrival_times=arrivals
-        )
-        engine = ServingEngine(config=config, backend="analytical", max_batch_size=1)
-        result = engine.serve(requests)
-        admitted = sorted(result.completed, key=lambda done: done.admit_time)
-        assert [done.request.arrival_time for done in admitted] == sorted(arrivals)
-
-    def test_paced_run_reports_latency_percentiles(self):
-        config = _config()
-        requests = make_requests(
-            [24, 32, 24, 32],
-            config.head_dim,
-            functional=False,
-            arrival_times=[0.0, 0.001, 0.002, 0.003],
-        )
-        engine = ServingEngine(config=config, backend="analytical", max_batch_size=2)
-        stats = engine.serve(requests).stats
-        assert stats.latency_p95_seconds >= stats.latency_p50_seconds > 0
-        assert "latency p50 [s]" in stats.render()
+    def test_negative_arrival_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            AttentionRequest(seq_len=16, arrival_time=-1.0)

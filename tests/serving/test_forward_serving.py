@@ -3,14 +3,13 @@
 The contracts carried from the attention path to :class:`ForwardRequest`:
 
 * **Bit-identity** — drain-served forward outputs equal the solo
-  :class:`~repro.model.executor.ModelExecutor` forward (and the fused host
-  backend agrees with the simulator); continuous-mode outputs equal drain.
-* **Accounting** — all six backends report the same ``head_rows`` for the
-  same forward batch; SWAT pricing matches the compiled
-  :class:`~repro.model.plan.ModelPlan`; a solo forward's continuous-clock
-  iterations sum bit-exactly to its drained cycles.
-* **Scheduling** — the dynamic batcher groups forwards by spec, never mixing
-  them with single attentions; admission/retirement lifecycles hold.
+  :class:`~repro.model.executor.ModelExecutor` forward; continuous-mode
+  outputs equal drain.
+* **Accounting** — every backend reports the same ``total_head_rows`` for
+  the same served forwards; SWAT pricing matches the compiled
+  :class:`~repro.model.plan.ModelPlan`; a solo forward's iterations sum
+  bit-exactly to its plan's cycles.
+* **Scheduling** — admission/retirement lifecycles hold on every backend.
 """
 
 import numpy as np
@@ -19,7 +18,6 @@ import pytest
 from repro.core.config import SWATConfig
 from repro.model import ModelExecutor, ModelSpec
 from repro.serving.backends import available_backends, batch_head_rows, create_backend
-from repro.serving.batcher import DynamicBatcher
 from repro.serving.cache import PlanCache
 from repro.serving.continuous import serve_continuous
 from repro.serving.engine import ServingEngine
@@ -80,30 +78,22 @@ class TestDrainServing:
             assert done.request.request_id == request.request_id
             assert np.array_equal(done.output, executor.forward(request.x))
 
-    def test_fused_backend_matches_simulator_bits(self):
-        config = _config()
-        requests = [make_forward_request(_spec(), seed=seed) for seed in range(3)]
-        simulator = create_backend("simulator", config=config, plan_cache=PlanCache())
-        fused = create_backend("fused", config=config, plan_cache=PlanCache())
-        sim_out = simulator.execute_batch(list(requests)).outputs
-        fused_out = fused.execute_batch(list(requests)).outputs
-        for a, b in zip(sim_out, fused_out):
-            assert np.array_equal(a, b)
-
     def test_mixed_attention_and_forward_batch(self):
-        """One dispatch mixing kinds: outputs line up, accounting sums."""
+        """One batch mixing kinds: outputs line up, accounting sums."""
         config = _config()
         spec = _spec()
         attention = make_request(16, HEAD_DIM, seed=0, num_heads=2)
         forward = make_forward_request(spec, seed=1)
         backend = create_backend("simulator", config=config, plan_cache=PlanCache())
-        result = backend.execute_batch([attention, forward])
-        assert result.outputs[0].shape == (16, HEAD_DIM)
-        assert result.outputs[1].shape == (spec.seq_len, spec.hidden_dim)
-        assert result.head_rows == attention.head_rows + forward.head_rows
-        plan = backend.model_plan(forward)
-        solo_attention = backend.execute_batch([attention])
-        assert result.cycles == solo_attention.cycles + plan.total_cycles
+        outputs = backend.compute_outputs([attention, forward])
+        assert outputs[0].shape == (16, HEAD_DIM)
+        assert outputs[1].shape == (spec.seq_len, spec.hidden_dim)
+        served = serve_continuous(
+            [attention, forward], config=config, backend="simulator", max_batch_size=2
+        )
+        assert served.stats.total_head_rows == attention.head_rows + forward.head_rows
+        for output, done in zip(outputs, served.completed):
+            assert np.array_equal(output, done.output)
 
     def test_head_rows_consistent_across_all_backends(self):
         config = _config()
@@ -113,20 +103,59 @@ class TestDrainServing:
         ]
         expected = batch_head_rows(requests)
         for name in available_backends():
-            backend = create_backend(name, config=config, plan_cache=PlanCache())
-            result = backend.execute_batch(list(requests))
-            assert result.head_rows == expected, name
-            assert result.device_seconds > 0 or name == "fused", name
+            result = serve_continuous(list(requests), config=config, backend=name, max_batch_size=2)
+            assert result.stats.total_head_rows == expected, name
+            assert result.stats.device_makespan_seconds > 0, name
+
+    def test_total_head_rows_counts_layers(self):
+        config = _config()
+        spec = _spec()
+        requests = [make_forward_request(spec, functional=False) for _ in range(2)]
+        result = serve_continuous(requests, config=config, backend="analytical", max_batch_size=2)
+        assert spec.head_rows == spec.num_layers * spec.num_heads * spec.seq_len
+        assert result.stats.total_head_rows == 2 * spec.head_rows
+
+    def test_retirement_stacks_forwards_per_spec(self, monkeypatch):
+        """Forwards of two specs and an attention of the same length share
+        one drain batch; each spec's retirees run as one stacked forward and
+        every output keeps its solo bits."""
+        config = _config()
+        spec_a, spec_b = _spec(), _spec(num_layers=2)
+        requests = [
+            make_forward_request(spec_a, seed=0),
+            make_forward_request(spec_b, seed=1),
+            make_forward_request(spec_a, seed=2),
+            make_request(spec_a.seq_len, HEAD_DIM, seed=3),
+        ]
+        solo = [
+            ModelExecutor(request.spec, base_config=config).forward(request.x)
+            for request in requests[:3]
+        ]
+        stacked = []
+        original = ModelExecutor.forward_batch
+
+        def spy(self, xs):
+            stacked.append((self.spec.num_layers, len(xs)))
+            return original(self, xs)
+
+        monkeypatch.setattr(ModelExecutor, "forward_batch", spy)
+        result = serve_continuous(
+            requests, config=config, backend="simulator", max_batch_size=4, admission="drain"
+        )
+        assert {done.admit_time for done in result.completed} == {0.0}
+        assert sorted(stacked) == [(2, 1), (3, 2)]
+        for reference, done in zip(solo, result.completed):
+            assert np.array_equal(done.output, reference)
+        assert result.completed[3].output.shape == (spec_a.seq_len, HEAD_DIM)
 
     def test_swat_pricing_reads_the_model_plan(self):
         config = _config()
         request = make_forward_request(_spec(), functional=False)
         backend = create_backend("analytical", config=config, plan_cache=PlanCache())
-        result = backend.execute(request)
         plan = backend.model_plan(request)
-        assert result.cycles == plan.total_cycles
-        assert result.kv_bytes_moved == plan.total_kv_bytes
-        assert result.energy_joules == pytest.approx(plan.total_energy_joules)
+        cost = backend.step([(request, 0, plan.total_rows)], primed=False)
+        assert cost.cycles == plan.total_cycles
+        assert cost.seconds == plan.total_cycles * config.clock_period_s
 
     def test_model_registry_memoises_per_spec(self):
         config = _config()
@@ -194,29 +223,3 @@ class TestContinuousServing:
             assert len(result.completed) == 2, name
             for done in result.completed:
                 assert done.finish_time >= done.admit_time >= done.arrival_time, name
-
-
-class TestForwardBatching:
-    def test_batcher_groups_forwards_by_spec(self):
-        config = _config()
-        batcher = DynamicBatcher(config, max_batch_size=4)
-        spec_a, spec_b = _spec(), _spec(num_layers=2)
-        attention = make_request(24, HEAD_DIM, functional=False)
-        assert batcher.batch_key(make_forward_request(spec_a)) == batcher.batch_key(
-            make_forward_request(spec_a)
-        )
-        assert batcher.batch_key(make_forward_request(spec_a)) != batcher.batch_key(
-            make_forward_request(spec_b)
-        )
-        # Same seq_len, different kinds: never one dispatch.
-        assert batcher.batch_key(make_forward_request(spec_a)) != batcher.batch_key(attention)
-
-    def test_batch_total_rows_counts_layers(self):
-        config = _config()
-        batcher = DynamicBatcher(config, max_batch_size=2)
-        spec = _spec()
-        first = batcher.add(make_forward_request(spec, functional=False))
-        assert first is None
-        full = batcher.add(make_forward_request(spec, functional=False))
-        assert full is not None
-        assert full.total_rows == 2 * spec.head_rows

@@ -5,13 +5,11 @@ import pytest
 from repro.telemetry.events import (
     EVENT_TYPES,
     SCHEMA_VERSION,
-    BatchDispatched,
     IterationAdvanced,
     PlanCacheLookup,
     QueueDepth,
     RequestAdmitted,
     RequestArrived,
-    RequestCancelled,
     RequestDecoded,
     RequestRetired,
     RunFinished,
@@ -50,16 +48,6 @@ EXAMPLES = [
         arrival_time=0.125,
         admit_time=0.25,
         finish_time=0.5,
-    ),
-    RequestCancelled(request_id=9, time=0.375),
-    BatchDispatched(
-        batch_id=2,
-        shard=0,
-        size=4,
-        total_rows=1024,
-        device_seconds=0.5,
-        energy_joules=1e-3,
-        head_rows=1024,
     ),
     IterationAdvanced(
         index=11,
@@ -142,3 +130,18 @@ class TestValidation:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown event kind"):
             from_record({"v": SCHEMA_VERSION, "kind": "mystery"})
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"kind": "batch_dispatched", "batch_id": 2, "shard": 0, "size": 4},
+            {"kind": "request_cancelled", "request_id": 9, "time": 0.375},
+        ],
+        ids=lambda record: record["kind"],
+    )
+    def test_removed_thread_pool_kinds_rejected(self, record):
+        # Logs of the retired thread-pool drain engine carried these kinds;
+        # they fail loudly instead of replaying into wrong stats.
+        assert record["kind"] not in EVENT_TYPES
+        with pytest.raises(ValueError, match="unknown event kind"):
+            from_record({"v": SCHEMA_VERSION, **record})

@@ -5,7 +5,7 @@ conservation: a run's JSONL event log alone is a sufficient statistic for
 its :class:`~repro.serving.stats.ServingStats`.  Every field — including the
 accumulated floats (shard busy seconds, energy) and the percentile fields —
 must come back *equal*, not approximately equal, for seeded Poisson and
-bursty continuous traces and for a drain-engine run.
+bursty continuous traces and for drain-admission runs.
 """
 
 from dataclasses import fields
@@ -193,7 +193,7 @@ class TestDrainReplay:
         assert verify_log(path) == []
 
     def test_paced_drain_run_replays(self, tmp_path):
-        """Arrival-paced drain (wall-clock sleeps) still logs a replayable trace."""
+        """Drain admission with staggered arrivals logs a replayable trace."""
         config = _config()
         requests = make_requests(
             [24, 32, 24, 32],
