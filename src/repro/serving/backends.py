@@ -16,17 +16,22 @@ select execution paths with a string:
     The dense-attention FPGA baseline of :mod:`repro.baselines.dense_fpga`.
 
 Every backend prices on a *modelled* clock for the simulated-clock engine of
-:mod:`repro.serving.continuous`.  :meth:`AttentionBackend.step` prices one
-iteration of ``(request, rows_done, rows)`` slices: the pipeline fill is
-charged only when the pipeline was idle before the iteration, so the
-per-iteration cycles of a busy period sum exactly to what
+:mod:`repro.serving.continuous`, in integer ticks of the pool's kernel clock
+(``config.clock_period_s``; :attr:`AttentionBackend.time_base` converts
+ticks to seconds and energy ticks to joules at the backend's ``power_w``).
+:meth:`AttentionBackend.step` prices one iteration of
+``(request, rows_done, rows)`` slices: the pipeline fill is charged only
+when the pipeline was idle before the iteration, so the per-iteration ticks
+(SWAT cycles) of a busy period sum exactly to what
 :meth:`~repro.core.pipeline.SWATPipelineModel.batch_attention_cycles` would
 charge for the same rows streamed as one batch.
 :meth:`AttentionBackend.step_burst` prices every iteration over a fixed
-resident set in one closed-form call.  The GPU backends price off one
-memoised ``run_batch`` report per distinct ``(seq_len, items)`` shape, with
-the launch-amortisation knob of :mod:`repro.gpu` deciding how much of the
-per-kernel launch cost the batch hides.
+resident set in one call.  The GPU backends price off one memoised
+``run_batch`` report per distinct ``(seq_len, items)`` shape, rounded up to
+a tick, with the launch-amortisation knob of :mod:`repro.gpu` deciding how
+much of the per-kernel launch cost the batch hides; they and the
+dense-FPGA baseline spread a request's ticks over its rows positionally,
+so a solo request's slices sum to its one-shot ticks exactly.
 
 Functional outputs are separate from pricing: at retirement the engine asks
 the backend for :meth:`AttentionBackend.compute_outputs`.  The ``simulator``
@@ -85,10 +90,12 @@ from repro.model.executor import ModelExecutor
 from repro.model.plan import DecodePlan, ModelPlan, ModelPlanCompiler, compile_decode_plan
 from repro.serving.cache import PlanCache
 from repro.serving.request import AttentionRequest, DecodeRequest, ForwardRequest
+from repro.serving.stats import TimeBase
 
 __all__ = [
     "StepCost",
     "StepBurst",
+    "StreamBurst",
     "AttentionBackend",
     "BackendRegistry",
     "REGISTRY",
@@ -103,31 +110,31 @@ __all__ = [
 
 @dataclass(frozen=True)
 class StepCost:
-    """Price of one continuous-batching iteration on a backend's clock.
+    """Price of one continuous-batching iteration on the pool's tick clock.
 
     Attributes
     ----------
-    seconds:
-        Modelled device time of the iteration.  Resident slices stream in
-        parallel across the stacked batch axis, so the iteration lasts as
-        long as its *gating* (largest) slice, not the sum of all slices.
-    cycles:
-        Modelled cycle count when the backend has a cycle-accurate clock
-        domain, else ``None``.
-    energy_joules:
-        Modelled energy of the iteration.
+    ticks:
+        Modelled device time of the iteration, in integer ticks of the
+        pool's kernel clock (``config.clock_period_s``).  Resident slices
+        stream in parallel across the stacked batch axis, so the iteration
+        lasts as long as its *gating* (largest) slice, not the sum of all
+        slices.
+    energy_ticks:
+        The ticks the backend's energy rule charges at its
+        :attr:`~AttentionBackend.power_w`: the busy ``ticks`` on SWAT and
+        the dense-FPGA baseline, every slice's ticks summed on the GPU
+        models (energy tracks the work of all slices).
     gate_rows:
         Row-work units of the gating slice — the quantity the pipeline
         actually streamed for the duration of the iteration.
     """
 
-    seconds: float
-    cycles: "int | None"
-    energy_joules: float
+    ticks: int
+    energy_ticks: int
     gate_rows: int = 0
 
 
-@dataclass(frozen=True)
 class StepBurst:
     """Prices of a *burst* of consecutive iterations over fixed residents.
 
@@ -135,48 +142,182 @@ class StepBurst:
     is constant, so every iteration of the burst advances the same slices —
     the whole burst is a closed-form function of the residents' remaining
     rows.  :meth:`AttentionBackend.step_burst` prices all of them in one
-    call; the arrays hold one entry per iteration, in order, each entry
-    bit-identical to what the corresponding :meth:`~AttentionBackend.step`
-    call would have returned.
+    call; iteration ``j`` is bit-identical to what the corresponding
+    :meth:`~AttentionBackend.step` call would have returned.
+
+    The scheduler asks a burst two questions, both in integer ticks:
+    :meth:`ticks_through` (the ticks of its first ``j`` iterations, with
+    :meth:`energy_through` the energy-rule counterpart) and
+    :meth:`first_start_at` (the first iteration whose start reaches a given
+    offset).  This class answers them off int64 per-iteration arrays and
+    their prefix sums — the positional (forward/decode) and flat-rate
+    bursts.  :class:`StreamBurst` answers them in closed form.
 
     A burst may be consumed across several activations of its shard: when
     an arrival or another shard's activation cuts it short, the scheduler
     keeps the unconsumed :meth:`tail` and continues from it at the shard's
     next activation unless that activation admits.  Every entry after the
     first is priced primed at the row offsets a fresh call would use, so the
-    tail holds the same bits a fresh :meth:`~AttentionBackend.step_burst`
+    tail holds the same ticks a fresh :meth:`~AttentionBackend.step_burst`
     call would return.
 
     Attributes
     ----------
-    seconds, energy_joules:
-        Per-iteration device time and energy (``float64`` arrays).
-    cycles:
-        Per-iteration cycle counts (``int64`` array) when the backend has a
-        cycle-accurate clock domain, else ``None``.
+    ticks:
+        Per-iteration device ticks (int64 array).
+    energy_ticks:
+        Per-iteration ticks the energy rule charges (int64 array; the
+        ``ticks`` array itself when the rule charges busy time).
     gate_rows:
-        Per-iteration rows of the gating slice (``int64`` array).
+        Per-iteration rows of the gating slice (int64 array).
     iterations:
         Burst length: iterations until the resident with the fewest
         remaining rows retires.
     """
 
-    seconds: "np.ndarray"
-    cycles: "np.ndarray | None"
-    energy_joules: "np.ndarray"
-    gate_rows: "np.ndarray"
-    iterations: int
+    __slots__ = ("iterations", "_ticks", "_energy_ticks", "_gate_rows", "_starts", "_energy_starts")
 
-    def tail(self, offset: int) -> "StepBurst":
-        """The burst after its first ``offset`` iterations (array views)."""
+    def __init__(self, ticks, gate_rows, energy_ticks=None):
+        self.iterations = len(ticks)
+        self._ticks = ticks
+        self._gate_rows = gate_rows
+        self._energy_ticks = ticks if energy_ticks is None else energy_ticks
+        # starts[j]: ticks of the first j iterations (iteration j's start).
+        self._starts = np.zeros(self.iterations + 1, dtype=np.int64)
+        np.cumsum(ticks, out=self._starts[1:])
+        if energy_ticks is None:
+            self._energy_starts = self._starts
+        else:
+            self._energy_starts = np.zeros(self.iterations + 1, dtype=np.int64)
+            np.cumsum(energy_ticks, out=self._energy_starts[1:])
+
+    @property
+    def ticks(self) -> np.ndarray:
+        return self._ticks
+
+    @property
+    def energy_ticks(self) -> np.ndarray:
+        return self._energy_ticks
+
+    @property
+    def gate_rows(self) -> np.ndarray:
+        return self._gate_rows
+
+    def ticks_through(self, count: int) -> int:
+        """Ticks of the burst's first ``count`` iterations."""
+        return int(self._starts[count])
+
+    def energy_through(self, count: int) -> int:
+        """Energy-rule ticks of the burst's first ``count`` iterations."""
+        return int(self._energy_starts[count])
+
+    def first_start_at(self, offset: int) -> int:
+        """The first iteration starting ``offset`` or more ticks into the burst.
+
+        Iteration ``j`` starts ``ticks_through(j)`` ticks in; returns
+        ``iterations`` when no iteration of the burst starts that late.
+        """
+        return min(int(np.searchsorted(self._starts, offset, side="left")), self.iterations)
+
+    def _check_tail(self, offset: int) -> None:
         if not 0 < offset < self.iterations:
             raise ValueError(f"tail offset must be in (0, {self.iterations}), got {offset}")
+
+    def tail(self, offset: int) -> "StepBurst":
+        """The burst after its first ``offset`` iterations."""
+        self._check_tail(offset)
         return StepBurst(
-            seconds=self.seconds[offset:],
-            cycles=None if self.cycles is None else self.cycles[offset:],
-            energy_joules=self.energy_joules[offset:],
-            gate_rows=self.gate_rows[offset:],
-            iterations=self.iterations - offset,
+            self._ticks[offset:],
+            self._gate_rows[offset:],
+            None if self._energy_ticks is self._ticks else self._energy_ticks[offset:],
+        )
+
+
+class StreamBurst(StepBurst):
+    """A closed-form SWAT burst: one row per initiation interval.
+
+    With the resident set fixed and every slice a plain attention, a burst
+    is ``first`` (the fill-or-primed first iteration, ``first_rows`` gating
+    rows), then ``iterations - 2`` primed full iterations of ``body`` ticks
+    (``body_rows`` rows), then the primed remainder of ``last`` ticks
+    (``last_rows`` rows); a one-iteration burst is ``first`` alone.  Both
+    scheduler questions are O(1) arithmetic, and the per-iteration arrays
+    are built only when iteration records or a telemetry bus ask for them.
+    The energy rule charges the busy ticks.
+    """
+
+    __slots__ = ("_first", "_body", "_last", "_first_rows", "_body_rows", "_last_rows")
+
+    def __init__(
+        self,
+        iterations: int,
+        first: int,
+        body: int,
+        last: int,
+        first_rows: int,
+        body_rows: int,
+        last_rows: int,
+    ):
+        self.iterations = iterations
+        self._first = first
+        self._body = body
+        self._last = last
+        self._first_rows = first_rows
+        self._body_rows = body_rows
+        self._last_rows = last_rows
+        self._ticks = None
+        self._gate_rows = None
+
+    def _expand(self, first, body, last) -> np.ndarray:
+        values = np.full(self.iterations, body, dtype=np.int64)
+        values[-1] = last
+        values[0] = first
+        return values
+
+    @property
+    def ticks(self) -> np.ndarray:
+        if self._ticks is None:
+            self._ticks = self._expand(self._first, self._body, self._last)
+        return self._ticks
+
+    @property
+    def gate_rows(self) -> np.ndarray:
+        if self._gate_rows is None:
+            self._gate_rows = self._expand(self._first_rows, self._body_rows, self._last_rows)
+        return self._gate_rows
+
+    @property
+    def energy_ticks(self) -> np.ndarray:
+        return self.ticks
+
+    def ticks_through(self, count: int) -> int:
+        if count <= 0:
+            return 0
+        if count < self.iterations:
+            return self._first + (count - 1) * self._body
+        if self.iterations == 1:
+            return self._first
+        return self._first + (self.iterations - 2) * self._body + self._last
+
+    def energy_through(self, count: int) -> int:
+        return self.ticks_through(count)
+
+    def first_start_at(self, offset: int) -> int:
+        if offset <= 0:
+            return 0
+        if offset <= self._first or self.iterations == 1:
+            return 1
+        return min(1 + -(-(offset - self._first) // self._body), self.iterations)
+
+    def tail(self, offset: int) -> "StreamBurst":
+        self._check_tail(offset)
+        left = self.iterations - offset
+        if left == 1:
+            first, first_rows = self._last, self._last_rows
+        else:
+            first, first_rows = self._body, self._body_rows
+        return StreamBurst(
+            left, first, self._body, self._last, first_rows, self._body_rows, self._last_rows
         )
 
 
@@ -338,9 +479,10 @@ class AttentionBackend(ABC):
         in the immediately preceding iteration).
 
         The default implementation loops :meth:`step` once per iteration —
-        bit-identical to the quantum-stepped scheduler by definition.
-        Vectorized backends override it with closed-form array pricing that
-        reproduces the same bits without the Python loop.
+        bit-identical to the quantum-stepped scheduler by definition, and
+        the oracle the backend overrides are tested against.  Overrides
+        price the same integer ticks closed-form (:class:`StreamBurst`) or
+        as int64 rows (:class:`StepBurst`) without the Python loop.
         """
         if not slices:
             raise ValueError("a burst needs at least one resident slice")
@@ -348,11 +490,9 @@ class AttentionBackend(ABC):
         if min(remaining) <= 0:
             raise ValueError(f"remaining rows must be positive, got {min(remaining)}")
         iterations = -(-min(remaining) // iteration_rows)
-        seconds = np.empty(iterations)
-        energy = np.empty(iterations)
+        ticks = np.empty(iterations, dtype=np.int64)
+        energy = np.empty(iterations, dtype=np.int64)
         gate_rows = np.empty(iterations, dtype=np.int64)
-        cycles = np.empty(iterations, dtype=np.int64)
-        has_cycles = True
         for index in range(iterations):
             advanced = index * iteration_rows
             cost = self.step(
@@ -362,20 +502,20 @@ class AttentionBackend(ABC):
                 ],
                 primed if index == 0 else True,
             )
-            seconds[index] = cost.seconds
-            energy[index] = cost.energy_joules
+            ticks[index] = cost.ticks
+            energy[index] = cost.energy_ticks
             gate_rows[index] = cost.gate_rows
-            if cost.cycles is None:
-                has_cycles = False
-            else:
-                cycles[index] = cost.cycles
-        return StepBurst(
-            seconds=seconds,
-            cycles=cycles if has_cycles else None,
-            energy_joules=energy,
-            gate_rows=gate_rows,
-            iterations=iterations,
-        )
+        return StepBurst(ticks, gate_rows, energy)
+
+    @property
+    def power_w(self) -> float:
+        """The power the backend's energy rule charges per energy tick."""
+        raise NotImplementedError(f"backend {self.name!r} declares no power_w")
+
+    @property
+    def time_base(self) -> TimeBase:
+        """The backend's tick (its config's kernel clock) and energy-rule power."""
+        return TimeBase(self.config.clock_period_s, self.power_w)
 
     def compute_outputs(self, batch: "list[AttentionRequest]") -> "tuple[np.ndarray | None, ...]":
         """Functional outputs of ``batch`` without touching the timing model.
@@ -452,6 +592,10 @@ def available_backends() -> "tuple[str, ...]":
     return REGISTRY.names()
 
 
+#: Request kinds priced positionally along a compiled plan's row axis.
+_POSITIONAL_KINDS = (DecodeRequest, ForwardRequest)
+
+
 def batch_head_rows(batch: "list[AttentionRequest]") -> int:
     """Accounted head-row units of a batch (``num_heads * seq_len`` per
     attention request, summed over layers for forwards).
@@ -520,8 +664,12 @@ class _SWATBackendBase(AttentionBackend):
         # attribute chains (pipeline model, power breakdown) are pure
         # functions of the frozen config.
         self._initiation_interval = self.simulator.pipeline.initiation_interval
-        self._clock_period_s = self.config.clock_period_s
         self._total_power_w = self.simulator.power_model.total_power_w
+
+    @property
+    def power_w(self) -> float:
+        """The board power SWAT's energy rule charges per busy tick."""
+        return self._total_power_w
 
     def _stream_cycles(self, rows: int, primed: bool) -> int:
         """The one SWAT clock primitive every timing path prices through.
@@ -591,11 +739,12 @@ class _SWATBackendBase(AttentionBackend):
         segments' own initiation intervals, with geometry-switch refills
         charged exactly once wherever the iteration boundaries fall — a solo
         forward's (or decode's) slices sum bit-exactly to its plan's
-        ``total_cycles``.
+        ``total_cycles``.  SWAT's ticks are its cycles, and its energy rule
+        charges the busy ticks.
         """
         if not slices:
             raise ValueError("an iteration needs at least one resident slice")
-        cycles = 0
+        cycles = -1
         gate_rows = 0
         for request, rows_done, rows in slices:
             if rows <= 0:
@@ -608,13 +757,7 @@ class _SWATBackendBase(AttentionBackend):
             if slice_cycles > cycles:
                 cycles = slice_cycles
                 gate_rows = rows
-        seconds = cycles * self._clock_period_s
-        return StepCost(
-            seconds=seconds,
-            cycles=cycles,
-            energy_joules=self._total_power_w * seconds,
-            gate_rows=gate_rows,
-        )
+        return StepCost(ticks=cycles, energy_ticks=cycles, gate_rows=gate_rows)
 
     def step_burst(
         self,
@@ -626,11 +769,11 @@ class _SWATBackendBase(AttentionBackend):
 
         With the resident set fixed, every iteration before the last
         advances exactly ``iteration_rows`` gating rows, so an attention-only
-        burst is ``[fill-or-primed first, (K - 2) primed full slices, one
-        primed remainder]`` — a handful of array ops instead of ``K``
-        Python-loop ``step`` calls, bit-identical entry for entry.  Forward
-        and decode slices are priced positionally: each resident's cycle
-        row is a slice of its plan's memoised
+        burst is a :class:`StreamBurst` — ``[fill-or-primed first, (K - 2)
+        primed full slices, one primed remainder]`` — built in O(residents)
+        with no per-iteration array at all.  Forward and decode slices are
+        priced positionally: each resident's int64 cycle row is a slice of
+        its plan's memoised
         :meth:`~repro.model.plan._RowSpanPricing.primed_grid` for
         ``(iteration_rows, rows_done % iteration_rows)``, with only a cold
         first span (or a final span stopping short of the plan's end) priced
@@ -641,37 +784,39 @@ class _SWATBackendBase(AttentionBackend):
         """
         if not slices:
             raise ValueError("a burst needs at least one resident slice")
-        min_remaining = min(rows_left for _, _, rows_left in slices)
+        remaining = [rows_left for _, _, rows_left in slices]
+        min_remaining = min(remaining)
         if min_remaining <= 0:
             raise ValueError(f"remaining rows must be positive, got {min_remaining}")
         iterations = -(-min_remaining // iteration_rows)
         streamed = (iterations - 1) * iteration_rows
+        ii = self._initiation_interval
+        for request, _, _ in slices:
+            if isinstance(request, _POSITIONAL_KINDS):
+                break
+        else:
+            # Attention only.  The final iteration is gated by the resident
+            # with the most rows left.
+            last_rows = min(iteration_rows, max(remaining) - streamed)
+            first_rows = iteration_rows if iterations > 1 else last_rows
+            return StreamBurst(
+                iterations,
+                self._stream_cycles(first_rows, primed),
+                iteration_rows * ii,
+                last_rows * ii,
+                first_rows,
+                iteration_rows,
+                last_rows,
+            )
         plans = [self._positional_plan(request) for request, _, _ in slices]
-        if all(plan is None for plan in plans):
-            last_rows = max(
-                min(iteration_rows, rows_left - streamed) for _, _, rows_left in slices
-            )
-            gate_rows = np.full(iterations, iteration_rows, dtype=np.int64)
-            gate_rows[-1] = last_rows
-            cycles = gate_rows * self._initiation_interval
-            if not primed:
-                cycles[0] = self.simulator.pipeline.cycles_for_rows(int(gate_rows[0]))
-            seconds = cycles * self._clock_period_s
-            return StepBurst(
-                seconds=seconds,
-                cycles=cycles,
-                energy_joules=self._total_power_w * seconds,
-                gate_rows=gate_rows,
-                iterations=iterations,
-            )
         cycle_rows = np.empty((len(slices), iterations), dtype=np.int64)
         last_slice_rows = np.empty(len(slices), dtype=np.int64)
         for index, ((_, rows_done, rows_left), plan) in enumerate(zip(slices, plans)):
             last_slice_rows[index] = min(iteration_rows, rows_left - streamed)
+            row = cycle_rows[index]
             if plan is None:
-                row = cycle_rows[index]
-                row[:] = iteration_rows * self._initiation_interval
-                row[-1] = last_slice_rows[index] * self._initiation_interval
+                row[:] = iteration_rows * ii
+                row[-1] = last_slice_rows[index] * ii
                 if not primed:
                     # For a one-iteration burst this overwrites the remainder
                     # entry: a cold slice prices the fill, exactly as the
@@ -680,7 +825,6 @@ class _SWATBackendBase(AttentionBackend):
                         min(iteration_rows, rows_left)
                     )
             else:
-                row = cycle_rows[index]
                 first = rows_done // iteration_rows
                 grid = plan.primed_grid(iteration_rows, rows_done % iteration_rows)
                 row[:] = grid[first : first + iterations]
@@ -697,14 +841,7 @@ class _SWATBackendBase(AttentionBackend):
         cycles = cycle_rows[gate_index, np.arange(iterations)]
         gate_rows = np.full(iterations, iteration_rows, dtype=np.int64)
         gate_rows[-1] = int(last_slice_rows[gate_index[-1]])
-        seconds = cycles * self._clock_period_s
-        return StepBurst(
-            seconds=seconds,
-            cycles=cycles,
-            energy_joules=self._total_power_w * seconds,
-            gate_rows=gate_rows,
-            iterations=iterations,
-        )
+        return StepBurst(cycles, gate_rows)
 
 
 @register_backend
@@ -759,22 +896,114 @@ class AnalyticalBackend(_SWATBackendBase):
     functional = False
 
 
-class _GPUBackendBase(AttentionBackend):
+def _ceil_div(numerator, denominator):
+    """Exact integer ceiling of ``numerator / denominator`` (ints or int64 arrays)."""
+    return -(-numerator // denominator)
+
+
+class _RateBackendBase(AttentionBackend):
+    """Flat-rate pricing: a request's one-shot ticks spread over its row axis.
+
+    A request costs ``R`` ticks over ``T`` rate rows (:meth:`_rate`).  A
+    slice of rows ``[lo, hi)`` is priced positionally as
+    ``ceil(R * hi / T) - ceil(R * lo / T)`` ticks, so however the engine
+    slices a solo request, its slices sum to exactly ``ceil(R * rows / T)``
+    — ``R`` itself whenever the request streams its whole rate axis.  No
+    fill state: ``primed`` is ignored.  An iteration lasts as long as its
+    slowest slice.
+    """
+
+    #: Whether the energy rule charges every slice's ticks (work-proportional
+    #: energy) instead of the iteration's busy ticks.
+    charges_slice_work = False
+
+    def _rate(self, request: AttentionRequest) -> "tuple[int, int]":
+        """``(R, T)``: the request's one-shot ticks and its rate-row count."""
+        raise NotImplementedError
+
+    def step(
+        self, slices: "list[tuple[AttentionRequest, int, int]]", primed: bool
+    ) -> StepCost:
+        """One iteration: each slice's positional share of its request's ticks."""
+        del primed  # no streaming fill to amortise
+        if not slices:
+            raise ValueError("an iteration needs at least one resident slice")
+        ticks = -1
+        gate_rows = 0
+        work = 0
+        for request, rows_done, rows in slices:
+            if rows <= 0:
+                raise ValueError(f"slice rows must be positive, got {rows}")
+            total, rate_rows = self._rate(request)
+            slice_ticks = _ceil_div(total * (rows_done + rows), rate_rows) - _ceil_div(
+                total * rows_done, rate_rows
+            )
+            work += slice_ticks
+            if slice_ticks > ticks:
+                ticks = slice_ticks
+                gate_rows = rows
+        return StepCost(
+            ticks=ticks,
+            energy_ticks=work if self.charges_slice_work else ticks,
+            gate_rows=gate_rows,
+        )
+
+    def step_burst(
+        self,
+        slices: "list[tuple[AttentionRequest, int, int]]",
+        primed: bool,
+        iteration_rows: int,
+    ) -> StepBurst:
+        """The burst as int64 rows: every resident's slice ticks at once.
+
+        Row ``r``, column ``j`` is resident ``r``'s positional slice of
+        iteration ``j``; ``np.argmax`` down the slice axis reproduces the
+        reference loop's first-strict-max gating.
+        """
+        del primed  # no streaming fill to amortise
+        if not slices:
+            raise ValueError("a burst needs at least one resident slice")
+        remaining = np.array([rows_left for _, _, rows_left in slices], dtype=np.int64)
+        if int(remaining.min()) <= 0:
+            raise ValueError(f"remaining rows must be positive, got {int(remaining.min())}")
+        iterations = -(-int(remaining.min()) // iteration_rows)
+        # Per resident (rows): R, T and rows_done as int64 columns.
+        rates = np.array([self._rate(request) for request, _, _ in slices], dtype=np.int64)
+        total, rate_rows = rates[:, :1], rates[:, 1:]
+        rows_done = np.array([[rows_done] for _, rows_done, _ in slices], dtype=np.int64)
+        # Rows each resident has streamed at every iteration boundary.
+        streamed = np.minimum(
+            np.arange(iterations + 1, dtype=np.int64) * iteration_rows, remaining[:, None]
+        )
+        slice_ticks = np.diff(_ceil_div(total * (rows_done + streamed), rate_rows), axis=1)
+        gate = np.argmax(slice_ticks, axis=0)
+        columns = np.arange(iterations)
+        return StepBurst(
+            slice_ticks[gate, columns],
+            np.diff(streamed, axis=1)[gate, columns],
+            slice_ticks.sum(axis=0) if self.charges_slice_work else None,
+        )
+
+
+class _GPUBackendBase(_RateBackendBase):
     """Shared GPU accounting: one batched report per distinct shape.
 
     A request's ``B x H`` (or, for a forward, ``L x H``) instances fold into
     one batched kernel stream
     (:meth:`~repro.gpu.dense_runner.DenseAttentionGPU.run_batch`), memoised
-    per ``(seq_len, items)`` — the report is deterministic per shape, so the
-    runner is invoked once however many iterations price it.  How much of
-    the per-kernel launch cost the stream hides is the runner's
-    ``launch_amortisation`` knob: at ``0.0`` it reprices exactly the looped
-    per-head dispatch, the contrast with the fill-once SWAT pipeline the
-    serving benchmarks surface.
+    per ``(seq_len, items)`` as its seconds rounded up to a tick — the
+    report is deterministic per shape, so the runner is invoked once however
+    many iterations price it.  How much of the per-kernel launch cost the
+    stream hides is the runner's ``launch_amortisation`` knob: at ``0.0`` it
+    reprices exactly the looped per-head dispatch, the contrast with the
+    fill-once SWAT pipeline the serving benchmarks surface.  Energy is the
+    board power times every slice's ticks (it tracks the work of every
+    slice, not the gate).
     """
 
     #: The runner's launch-amortisation knob (see :meth:`GPUKernelModel.batched`).
     launch_amortisation: float = 1.0
+    charges_slice_work = True
 
     def __init__(
         self,
@@ -785,17 +1014,15 @@ class _GPUBackendBase(AttentionBackend):
         super().__init__(config=config, plan_cache=plan_cache)
         if launch_amortisation is not None:
             self.launch_amortisation = launch_amortisation
-        self._step_reports: "dict[tuple[int, int], object]" = {}
+        self._shape_ticks: "dict[tuple[int, int], int]" = {}
 
     def _runner_run_batch(self, seq_len: int, items: int):
         raise NotImplementedError
 
-    def _shape_report(self, seq_len: int, num_heads: int):
-        """Memoised full-shape report backing the per-row iteration rate."""
-        key = (seq_len, num_heads)
-        if key not in self._step_reports:
-            self._step_reports[key] = self._runner_run_batch(seq_len, num_heads)
-        return self._step_reports[key]
+    @property
+    def power_w(self) -> float:
+        """The GPU board power its energy rule charges per slice tick."""
+        return self.runner.device.board_power_w
 
     def _report_items(self, request: AttentionRequest) -> int:
         """Kernel instances of the request's full-context shape report.
@@ -808,109 +1035,24 @@ class _GPUBackendBase(AttentionBackend):
             return request.num_layers * request.num_heads
         return request.head_rows // request.seq_len
 
-    def _rate_rows(self, request: AttentionRequest) -> int:
-        """Row denominator of the per-row rate: the report's own row count.
+    def _rate(self, request: AttentionRequest) -> "tuple[int, int]":
+        """The memoised shape report's ticks over the report's own rows.
 
-        For attention and forward requests that is :meth:`request_rows`
-        (their report covers exactly their rows).  A decode's full-context
-        report covers ``L x H x seq_len`` rows but the decode only streams
-        one query row per new token per layer-head — each generated row costs
-        a ``1 / seq_len`` share of the report, the dense-GPU KV-cache model.
+        For attention and forward requests the rate rows are
+        :meth:`request_rows` (their report covers exactly their rows).  A
+        decode's full-context report covers ``L x H x seq_len`` rows but the
+        decode only streams one query row per new token per layer-head — each
+        generated row costs a ``1 / seq_len`` share of the report, the
+        dense-GPU KV-cache model.
         """
+        key = (request.seq_len, self._report_items(request))
+        ticks = self._shape_ticks.get(key)
+        if ticks is None:
+            report = self._runner_run_batch(*key)
+            ticks = self._shape_ticks[key] = self.time_base.first_tick(report.seconds)
         if isinstance(request, DecodeRequest):
-            return request.num_layers * request.num_heads * request.seq_len
-        return self.request_rows(request)
-
-    def step(
-        self, slices: "list[tuple[AttentionRequest, int, int]]", primed: bool
-    ) -> StepCost:
-        """One iteration on the GPU clock: gated by the slowest slice.
-
-        Each slice is priced at its request's per-row rate (the memoised
-        full-shape :meth:`run_batch` report divided by its total rows, so a
-        solo request's slices sum exactly to its one-shot report — launch
-        cost included, hence ``primed`` carries no extra fill here).  A
-        whole-model forward's report batches its ``L x H`` per-layer
-        instances into one kernel stream at the model's seq_len.  The
-        iteration lasts as long as the slowest slice; energy tracks the work
-        of every slice.
-        """
-        del primed  # launch cost is embedded in the per-shape rate
-        if not slices:
-            raise ValueError("an iteration needs at least one resident slice")
-        gate_seconds = 0.0
-        gate_rows = 0
-        energy = 0.0
-        for request, _rows_done, rows in slices:
-            if rows <= 0:
-                raise ValueError(f"slice rows must be positive, got {rows}")
-            report = self._shape_report(request.seq_len, self._report_items(request))
-            total_rows = self._rate_rows(request)
-            slice_seconds = report.seconds * rows / total_rows
-            if slice_seconds > gate_seconds:
-                gate_seconds = slice_seconds
-                gate_rows = rows
-            energy += report.energy_joules * rows / total_rows
-        return StepCost(
-            seconds=gate_seconds, cycles=None, energy_joules=energy, gate_rows=gate_rows
-        )
-
-    def step_burst(
-        self,
-        slices: "list[tuple[AttentionRequest, int, int]]",
-        primed: bool,
-        iteration_rows: int,
-    ) -> StepBurst:
-        """Closed-form GPU burst off the residents' per-row rates.
-
-        Every iteration before the last advances ``iteration_rows`` rows per
-        resident at its memoised per-row rate, so mid-burst iterations are
-        literally identical — priced once and broadcast.  Rates are
-        non-positional (a forward's report already folds all its layers), so
-        forwards vectorize here too.
-        """
-        del primed  # launch cost is embedded in the per-shape rate
-        if not slices:
-            raise ValueError("a burst needs at least one resident slice")
-        remaining = np.array([rows_left for _, _, rows_left in slices], dtype=np.int64)
-        if int(remaining.min()) <= 0:
-            raise ValueError(f"remaining rows must be positive, got {int(remaining.min())}")
-        iterations = -(-int(remaining.min()) // iteration_rows)
-        reports = [
-            self._shape_report(request.seq_len, self._report_items(request))
-            for request, _, _ in slices
-        ]
-        rate_seconds = np.array([report.seconds for report in reports])
-        rate_energy = np.array([report.energy_joules for report in reports])
-        totals = np.array([self._rate_rows(request) for request, _, _ in slices], dtype=np.int64)
-
-        def price(rows):
-            # Reference op order per slice: multiply by rows, then divide.
-            slice_seconds = rate_seconds * rows / totals
-            gate = int(np.argmax(slice_seconds))
-            # The reference sums slice energies sequentially from 0.0.
-            energy = float(np.cumsum(rate_energy * rows / totals)[-1])
-            return float(slice_seconds[gate]), gate, energy
-
-        seconds = np.empty(iterations)
-        energy = np.empty(iterations)
-        gate_rows = np.full(iterations, iteration_rows, dtype=np.int64)
-        if iterations > 1:
-            mid_seconds, _, mid_energy = price(iteration_rows)
-            seconds[:-1] = mid_seconds
-            energy[:-1] = mid_energy
-        last_rows = np.minimum(iteration_rows, remaining - (iterations - 1) * iteration_rows)
-        last_seconds, last_gate, last_energy = price(last_rows)
-        seconds[-1] = last_seconds
-        energy[-1] = last_energy
-        gate_rows[-1] = int(last_rows[last_gate])
-        return StepBurst(
-            seconds=seconds,
-            cycles=None,
-            energy_joules=energy,
-            gate_rows=gate_rows,
-            iterations=iterations,
-        )
+            return ticks, request.num_layers * request.num_heads * request.seq_len
+        return ticks, self.request_rows(request)
 
 
 @register_backend
@@ -967,8 +1109,12 @@ class GPUChunkedBackend(_GPUBackendBase):
 
 
 @register_backend
-class DenseFPGABackend(AttentionBackend):
-    """Dense attention on a SWAT-sized core array (the ablation baseline)."""
+class DenseFPGABackend(_RateBackendBase):
+    """Dense attention on a SWAT-sized core array (the ablation baseline).
+
+    Its ticks are the baseline's cycles; the energy rule charges the board
+    power per busy tick.
+    """
 
     name = "dense-fpga"
     functional = False
@@ -979,6 +1125,11 @@ class DenseFPGABackend(AttentionBackend):
         self.power_model = PowerModel(self.config)
         self._step_cycles: "dict[tuple[int, int], int]" = {}
 
+    @property
+    def power_w(self) -> float:
+        """The board power the dense baseline's energy rule charges per busy tick."""
+        return self.power_model.total_power_w
+
     def _request_cycles(self, request: AttentionRequest) -> int:
         """Memoised dense-baseline cycles of one request.
 
@@ -987,8 +1138,7 @@ class DenseFPGABackend(AttentionBackend):
         cycles are ``num_layers`` times the per-layer report.  A decode's
         new tokens each attend the full context but compute only their own
         query row, so its cycles are the full-context forward's scaled to
-        ``new_tokens / seq_len`` (rounded up to keep the clock integral) —
-        one total :meth:`step` and :meth:`step_burst` share.
+        ``new_tokens / seq_len`` (rounded up to keep the clock integral).
         """
         key = (request.seq_len, request.num_heads)
         if key not in self._step_cycles:
@@ -1001,74 +1151,6 @@ class DenseFPGABackend(AttentionBackend):
         layers = request.num_layers if isinstance(request, ForwardRequest) else 1
         return layers * self._step_cycles[key]
 
-    def step(
-        self, slices: "list[tuple[AttentionRequest, int, int]]", primed: bool
-    ) -> StepCost:
-        """One iteration on the dense baseline: per-row rate off its report.
-
-        Dense attention has no streaming fill to amortise, so ``primed`` is
-        ignored; each slice is priced as its row share of the memoised
-        full-shape report and the iteration is gated by the slowest slice.
-        """
-        del primed
-        if not slices:
-            raise ValueError("an iteration needs at least one resident slice")
-        gate_seconds = 0.0
-        gate_rows = 0
-        for request, _rows_done, rows in slices:
-            if rows <= 0:
-                raise ValueError(f"slice rows must be positive, got {rows}")
-            total_rows = self.request_rows(request)
-            slice_seconds = (
-                self._request_cycles(request) * self.config.clock_period_s * rows / total_rows
-            )
-            if slice_seconds > gate_seconds:
-                gate_seconds = slice_seconds
-                gate_rows = rows
-        return StepCost(
-            seconds=gate_seconds,
-            cycles=None,
-            energy_joules=self.power_model.total_power_w * gate_seconds,
-            gate_rows=gate_rows,
-        )
-
-    def step_burst(
-        self,
-        slices: "list[tuple[AttentionRequest, int, int]]",
-        primed: bool,
-        iteration_rows: int,
-    ) -> StepBurst:
-        """Closed-form dense-baseline burst (per-row rates, no fill state)."""
-        del primed
-        if not slices:
-            raise ValueError("a burst needs at least one resident slice")
-        remaining = np.array([rows_left for _, _, rows_left in slices], dtype=np.int64)
-        if int(remaining.min()) <= 0:
-            raise ValueError(f"remaining rows must be positive, got {int(remaining.min())}")
-        iterations = -(-int(remaining.min()) // iteration_rows)
-        base_cycles = np.array(
-            [self._request_cycles(request) for request, _, _ in slices], dtype=np.int64
-        )
-        totals = np.array([self.request_rows(request) for request, _, _ in slices], dtype=np.int64)
-
-        def price(rows):
-            # Reference op order: (cycles * period) * rows, then divide.
-            slice_seconds = base_cycles * self.config.clock_period_s * rows / totals
-            gate = int(np.argmax(slice_seconds))
-            return float(slice_seconds[gate]), gate
-
-        seconds = np.empty(iterations)
-        gate_rows = np.full(iterations, iteration_rows, dtype=np.int64)
-        if iterations > 1:
-            seconds[:-1] = price(iteration_rows)[0]
-        last_rows = np.minimum(iteration_rows, remaining - (iterations - 1) * iteration_rows)
-        last_seconds, last_gate = price(last_rows)
-        seconds[-1] = last_seconds
-        gate_rows[-1] = int(last_rows[last_gate])
-        return StepBurst(
-            seconds=seconds,
-            cycles=None,
-            energy_joules=self.power_model.total_power_w * seconds,
-            gate_rows=gate_rows,
-            iterations=iterations,
-        )
+    def _rate(self, request: AttentionRequest) -> "tuple[int, int]":
+        """The request's dense cycles over its own rows."""
+        return self._request_cycles(request), self.request_rows(request)

@@ -35,17 +35,18 @@ Two scheduler implementations produce bit-identical results
 (property-tested; ``scheduler=`` selects one):
 
 ``"event"`` (default)
-    Event-driven and vectorized.  A heap over per-shard activation times
+    Event-driven and vectorized.  A heap over per-shard activation ticks
     replaces the linear scan, and between an admission and the next
     retirement the resident set is fixed — the backend prices that whole
-    *burst* of iterations in one closed-form
+    *burst* of iterations in one
     :meth:`~repro.serving.backends.AttentionBackend.step_burst` call, and
-    the loop folds it into the accounting with sequential ``cumsum``\\ s that
-    reproduce the per-iteration float additions bit for bit.  A burst cut
-    short by an arrival or by another shard's activation is resumed, not
-    repriced, at the shard's next activation unless that activation admits.
-    Pricing cost scales with *resident-set changes*, not iterations or
-    activations: a 100k-request diurnal trace replays in seconds.
+    the loop folds it into the accounting with integer prefix sums (an
+    attention-only SWAT burst answers them in closed form, so a burst costs
+    O(residents), not O(iterations)).  A burst cut short by an arrival or
+    by another shard's activation is resumed, not repriced, at the shard's
+    next activation unless that activation admits.  Pricing cost scales
+    with *resident-set changes*, not iterations or activations: a
+    100k-request diurnal trace replays in seconds.
 
 ``"reference"``
     The retained quantum-stepped loop: one Python iteration per priced
@@ -54,8 +55,14 @@ Two scheduler implementations produce bit-identical results
 
 Clock
 -----
-Everything runs on a deterministic simulated clock (:class:`ServingClock`):
-request ``arrival_time``\\ s come from seeded generators
+Everything runs on a deterministic simulated clock (:class:`ServingClock`)
+kept in integer ticks of the pool's kernel clock (``config.clock_period_s``,
+one SWAT cycle): shard clocks, busy time, request stamps and decode block
+stamps are ints, so the two schedulers agree in plain integer arithmetic.
+Seconds and joules appear only at the stats/telemetry edge, through the one
+:class:`~repro.serving.stats.TimeBase` conversion.  Request
+``arrival_time``\\ s stay floats; a shard admits a request from the first
+tick at or after its arrival.  They come from seeded generators
 (:func:`~repro.serving.request.poisson_arrivals`,
 :func:`~repro.serving.request.bursty_arrivals`,
 :func:`~repro.serving.request.diurnal_arrivals`), shards advance
@@ -73,13 +80,11 @@ from __future__ import annotations
 
 import heapq
 import time
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
 from statistics import mean
-
-import numpy as np
 
 from repro.core.config import SWATConfig
 from repro.core.pipeline import SWATPipelineModel
@@ -93,7 +98,7 @@ from repro.serving.request import (
     diurnal_arrivals,
     poisson_arrivals,
 )
-from repro.serving.stats import ServingStats, decode_token_intervals, percentile
+from repro.serving.stats import ServingStats, TimeBase, decode_token_intervals, percentile
 from repro.telemetry.bus import NULL_BUS
 from repro.telemetry.events import (
     IterationAdvanced,
@@ -138,40 +143,49 @@ DEFAULT_ITERATION_ROWS = 128
 
 
 class ServingClock:
-    """One shard's simulated device clock, advanced in priced time slices.
+    """One shard's simulated device clock, in integer ticks.
 
-    ``now`` is simulated seconds since the start of the run.  The clock only
-    ever moves forward: :meth:`advance` adds a priced iteration (counted as
-    busy time), :meth:`jump_to` skips idle gaps to the next arrival (not
-    counted as busy).  The event scheduler writes ``now``/``busy_seconds``
-    directly from cumulative sums whose sequential accumulation reproduces
-    per-iteration :meth:`advance` calls bit for bit.
+    ``now`` is the tick count since the start of the run and ``busy_ticks``
+    the ticks the shard spent streaming.  The clock only ever moves
+    forward: :meth:`advance` adds a priced iteration (counted as busy time),
+    :meth:`jump_to` skips idle gaps to an arrival's first tick (not counted
+    as busy).  The event scheduler adds a burst's
+    :meth:`~repro.serving.backends.StepBurst.ticks_through` directly —
+    integer sums, so no order of additions can change a bit.
     """
 
+    __slots__ = ("now", "busy_ticks")
+
     def __init__(self) -> None:
-        self.now = 0.0
-        self.busy_seconds = 0.0
+        self.now = 0
+        self.busy_ticks = 0
 
-    def advance(self, seconds: float) -> None:
-        """Advance by one priced iteration of ``seconds`` busy time."""
-        if seconds < 0:
-            raise ValueError(f"cannot advance the clock by {seconds} seconds")
-        self.now += seconds
-        self.busy_seconds += seconds
+    def advance(self, ticks: int) -> None:
+        """Advance by one priced iteration of ``ticks`` busy time."""
+        if ticks < 0:
+            raise ValueError(f"cannot advance the clock by {ticks} ticks")
+        self.now += ticks
+        self.busy_ticks += ticks
 
-    def jump_to(self, instant: float) -> None:
-        """Skip idle time forward to ``instant`` (no-op when already past)."""
-        if instant > self.now:
-            self.now = instant
+    def jump_to(self, tick: int) -> None:
+        """Skip idle time forward to ``tick`` (no-op when already past)."""
+        if tick > self.now:
+            self.now = tick
 
 
-@dataclass
+@dataclass(slots=True)
 class InFlightRequest:
-    """A request resident in (or retired from) a shard's running batch."""
+    """A request resident in (or retired from) a shard's running batch.
+
+    Clock stamps are integer ticks; ``admit_time`` is the admit instant in
+    seconds, converted once per admitting activation and shared by that
+    activation's admits.
+    """
 
     request: AttentionRequest
     shard: int
     rows_total: int
+    admit_tick: int
     admit_time: float
     #: Monotonically increasing admission event id (reported as the
     #: completion's ``batch_id``).
@@ -179,18 +193,18 @@ class InFlightRequest:
     #: Residents on the shard right after this request was admitted.
     residency_at_admit: int
     rows_done: int = 0
-    finish_time: "float | None" = None
-    #: Summed seconds of every iteration this request was resident in (an
+    finish_tick: "int | None" = None
+    #: Summed ticks of every iteration this request was resident in (an
     #: iteration's duration is counted for each of its residents — they
     #: share the clock, not split it).
-    device_seconds: float = 0.0
+    device_ticks: int = 0
     #: Decode requests only: cumulative row offsets at which each decode
     #: block finalises (last entry equals ``rows_total``); ``None`` for
     #: prefill/attention requests.
     token_boundaries: "tuple[int, ...] | None" = None
-    #: Decode requests only: simulated clock instant each block completed,
-    #: appended as the row stream crosses ``token_boundaries``.
-    block_times: "list[float] | None" = None
+    #: Decode requests only: clock tick each block completed at, appended
+    #: as the row stream crosses ``token_boundaries``.
+    block_ticks: "list[int] | None" = None
 
     @property
     def remaining_rows(self) -> int:
@@ -205,14 +219,14 @@ class InFlightRequest:
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """Accounting for one priced iteration of one shard."""
+    """Accounting for one priced iteration of one shard, in integer ticks."""
 
     index: int
     shard: int
-    start_seconds: float
-    seconds: float
-    cycles: "int | None"
-    energy_joules: float
+    start_tick: int
+    ticks: int
+    #: The ticks the backend's energy rule charged for the iteration.
+    energy_ticks: int
     #: Rows of the gating (largest) slice — what the pipeline streamed for
     #: the duration of the iteration.
     gate_rows: int
@@ -233,10 +247,13 @@ class ServingResult:
 
     ``iterations`` holds one :class:`IterationRecord` per priced pipeline
     iteration, or nothing when the run passed ``record_iterations=False``.
+    ``time_base`` is the pool's tick and energy-rule power: it converts the
+    records' ticks to the seconds and joules of ``stats``.
     """
 
     completed: "list[CompletedRequest]"
     stats: ServingStats
+    time_base: TimeBase
     iterations: "tuple[IterationRecord, ...]" = ()
 
     def output_for(self, request: AttentionRequest):
@@ -279,6 +296,11 @@ class ContinuousBatcher:
     decode K/V: admitted decodes pin their final-context bytes (one miss for
     the prompt load), retirement counts one hit per post-first block and
     releases the bytes.
+
+    Clock instants (``now``) are integer ticks of ``time_base`` (by default
+    one-second ticks, so plain seconds work too).  A request is admissible
+    at ``now`` when ``arrival_time <= time_base.seconds(now)``, i.e. from
+    :meth:`next_arrival_tick` on.
     """
 
     def __init__(
@@ -288,6 +310,7 @@ class ContinuousBatcher:
         admission: str = "continuous",
         policy: str = "fcfs",
         kv_residency: "KVResidency | None" = None,
+        time_base: "TimeBase | None" = None,
     ):
         if max_batch_size <= 0:
             raise ValueError(f"max_batch_size must be positive, got {max_batch_size}")
@@ -302,16 +325,17 @@ class ContinuousBatcher:
         self.admission = admission
         self.policy = policy
         self.kv_residency = kv_residency
-        from collections import deque
-
+        self.time_base = time_base if time_base is not None else TimeBase(1.0)
         self._waiting: "deque[AttentionRequest]" = deque()
         self.running: "list[list[InFlightRequest]]" = [[] for _ in range(num_shards)]
         self._admission_ids = 0
+        # The queue head and its first tick, recomputed only when the head
+        # changes (no tick is stored per request).
+        self._head: "AttentionRequest | None" = None
+        self._head_tick = 0
 
     def submit(self, requests: "list[AttentionRequest]") -> None:
         """Queue ``requests``; admission order is ``(arrival_time, submit order)``."""
-        from collections import deque
-
         ordered = sorted(
             list(self._waiting) + list(requests),
             key=lambda request: (request.arrival_time, request.request_id),
@@ -328,9 +352,15 @@ class ContinuousBatcher:
         """True when nothing is waiting and no shard has residents."""
         return not self._waiting and not any(self.running)
 
-    def next_arrival_time(self) -> "float | None":
-        """Arrival instant of the earliest waiting request (``None`` if empty)."""
-        return self._waiting[0].arrival_time if self._waiting else None
+    def next_arrival_tick(self) -> "int | None":
+        """First tick at or after the earliest waiting arrival (``None`` if empty)."""
+        if not self._waiting:
+            return None
+        head = self._waiting[0]
+        if head is not self._head:
+            self._head = head
+            self._head_tick = self.time_base.first_tick(head.arrival_time)
+        return self._head_tick
 
     def free_slots(self, shard: int) -> int:
         """Slots a shard could still fill under its admission policy.
@@ -344,21 +374,21 @@ class ContinuousBatcher:
             return 0
         return self.max_batch_size - resident
 
-    def _pop_next(self, now: float, work_of) -> "AttentionRequest | None":
+    def _pop_next(self, now_seconds: float, work_of) -> "AttentionRequest | None":
         """Remove and return the next admissible waiting request, if any.
 
         The queue is kept in ``(arrival_time, request_id)`` order, so the
         arrived candidates are its leading run.  FCFS takes the front; SJF
         scans that run for the smallest ``(work_of, arrival_time, id)``.
         """
-        if not self._waiting or self._waiting[0].arrival_time > now:
+        if not self._waiting or self._waiting[0].arrival_time > now_seconds:
             return None
         if self.policy == "fcfs":
             return self._waiting.popleft()
         best_index = 0
         best_key = None
         for index, request in enumerate(self._waiting):
-            if request.arrival_time > now:
+            if request.arrival_time > now_seconds:
                 break
             key = (work_of(request), request.arrival_time, request.request_id)
             if best_key is None or key < best_key:
@@ -367,8 +397,8 @@ class ContinuousBatcher:
         del self._waiting[best_index]
         return request
 
-    def admit(self, shard: int, now: float, rows_of, work_of=None) -> "list[InFlightRequest]":
-        """Admit arrived waiting requests into ``shard``'s free slots.
+    def admit(self, shard: int, now: int, rows_of, work_of=None) -> "list[InFlightRequest]":
+        """Admit arrived waiting requests into ``shard``'s free slots at tick ``now``.
 
         ``rows_of`` maps a request to its total row-work on the serving
         backend (how many rows it must stream before retiring); ``work_of``
@@ -376,12 +406,16 @@ class ContinuousBatcher:
         (:meth:`~repro.serving.backends.AttentionBackend.request_work`) and
         defaults to ``rows_of`` — on every current backend the two coincide.
         Returns the newly admitted in-flight records; occupancy never
-        exceeds ``max_batch_size``.
+        exceeds ``max_batch_size``.  The admits share one ``admit_time``
+        float, ``now`` converted once.
         """
         admitted: "list[InFlightRequest]" = []
         slots = self.free_slots(shard)
+        if slots <= 0 or not self._waiting:
+            return admitted
+        now_seconds = self.time_base.seconds(now)
         while slots > 0:
-            request = self._pop_next(now, work_of if work_of is not None else rows_of)
+            request = self._pop_next(now_seconds, work_of if work_of is not None else rows_of)
             if request is None:
                 break
             slots -= 1
@@ -389,7 +423,8 @@ class ContinuousBatcher:
                 request=request,
                 shard=shard,
                 rows_total=rows_of(request),
-                admit_time=now,
+                admit_tick=now,
+                admit_time=now_seconds,
                 admission_id=self._admission_ids,
                 residency_at_admit=len(self.running[shard]) + 1,
             )
@@ -405,7 +440,7 @@ class ContinuousBatcher:
                     boundaries.append(tokens_done * per_token)
                 boundaries[-1] = inflight.rows_total
                 inflight.token_boundaries = tuple(boundaries)
-                inflight.block_times = []
+                inflight.block_ticks = []
                 if self.kv_residency is not None:
                     self.kv_residency.admit(request.request_id, request.kv_resident_bytes)
             self._admission_ids += 1
@@ -420,20 +455,21 @@ class ContinuousBatcher:
             for inflight in self.running[shard]
         ]
 
-    def retire_finished(self, shard: int, now: float) -> "list[InFlightRequest]":
-        """Remove finished residents, stamping their completion instant.
+    def retire_finished(self, shard: int, now: int) -> "list[InFlightRequest]":
+        """Remove finished residents, stamping their completion tick.
 
         Retiring a decode settles its KV residency: every block after the
         first re-read the resident cache (one hit each), and the request's
         bytes leave device memory.
         """
-        retired = [inflight for inflight in self.running[shard] if inflight.finished]
+        retired = []
+        staying = []
+        for inflight in self.running[shard]:
+            (retired if inflight.finished else staying).append(inflight)
         if retired:
-            self.running[shard] = [
-                inflight for inflight in self.running[shard] if not inflight.finished
-            ]
+            self.running[shard] = staying
             for inflight in retired:
-                inflight.finish_time = now
+                inflight.finish_tick = now
                 request = inflight.request
                 if inflight.token_boundaries is not None and self.kv_residency is not None:
                     self.kv_residency.touch(request.request_id, len(request.block_schedule) - 1)
@@ -447,6 +483,7 @@ class _RunState:
     __slots__ = (
         "shards",
         "batcher",
+        "time_base",
         "clocks",
         "primed",
         "rows_of",
@@ -460,7 +497,7 @@ class _RunState:
         "occupancy_counts",
         "num_iterations",
         "completed",
-        "total_energy",
+        "energy_ticks",
         "num_decode",
         "decode_tokens",
         "ttfts",
@@ -479,8 +516,11 @@ class _RunState:
     ) -> None:
         self.shards = shards
         self.batcher = batcher
+        self.time_base = batcher.time_base
         self.clocks = [ServingClock() for _ in range(batcher.num_shards)]
         self.primed = [False] * batcher.num_shards
+        # Every shard is the same backend on the same config (checked by
+        # serve_continuous), so shard 0 answers for the pool.
         self.rows_of = shards[0].request_rows
         self.work_of = shards[0].request_work
         self.iteration_rows = iteration_rows
@@ -494,7 +534,7 @@ class _RunState:
         self.occupancy_counts: "Counter[float]" = Counter()
         self.num_iterations = 0
         self.completed: "list[CompletedRequest]" = []
-        self.total_energy = 0.0
+        self.energy_ticks = 0
         self.num_decode = 0
         self.decode_tokens = 0
         self.ttfts: "list[float]" = []
@@ -516,6 +556,25 @@ def _occupancy_mean(counts: "Counter[float]") -> float:
     return float(exact / total)
 
 
+def _check_pool(shards, backend: str) -> None:
+    """Reject a pool whose shards would not share one pricing and time base."""
+    first = shards[0]
+    for index, shard in enumerate(shards[1:], start=1):
+        if shard.name != first.name or shard.config != first.config:
+            raise ValueError(
+                f"shard {index} is a {shard.name!r} backend on {shard.config.describe()}, "
+                f"but shard 0 is a {first.name!r} backend on {first.config.describe()}: "
+                "every shard of a pool must be the same backend on the same config "
+                "(they share one row model and one tick); serve each backend in its "
+                "own serve_continuous call"
+            )
+    if backend != first.name:
+        raise ValueError(
+            f"backend={backend!r} labels the run, but its shards are {first.name!r} "
+            f"backends; pass backend={first.name!r}"
+        )
+
+
 def serve_continuous(
     requests: "list[AttentionRequest]",
     config: "SWATConfig | None" = None,
@@ -535,7 +594,7 @@ def serve_continuous(
     """Serve ``requests`` through the iteration-level scheduler.
 
     The deterministic simulated-clock engine: shards advance event-driven
-    (the one with the earliest activation instant runs next), each iteration
+    (the one with the earliest activation tick runs next), each iteration
     admits arrived requests under the ``admission`` policy, prices the
     backend's :meth:`~repro.serving.backends.AttentionBackend.step` clock,
     advances every resident's slice and retires finished requests — whose
@@ -552,10 +611,14 @@ def serve_continuous(
     from those stamps — so mixed prefill+decode traces run through this one
     entry point unchanged.
 
+    The clock counts integer ticks of the pool's kernel clock; the
+    backend's :attr:`~repro.serving.backends.AttentionBackend.time_base`
+    converts them to the seconds and joules of the returned stats.
+
     ``scheduler`` selects the implementation: ``"event"`` (default) skips
     ahead between scheduling events and prices whole iteration bursts with
-    one vectorized :meth:`~repro.serving.backends.AttentionBackend.step_burst`
-    call; ``"reference"`` steps one Python loop per iteration.  Both produce
+    one :meth:`~repro.serving.backends.AttentionBackend.step_burst` call;
+    ``"reference"`` steps one Python loop per iteration.  Both produce
     bit-identical results (stats, records, completions and telemetry) — the
     property tests pin them against each other.
 
@@ -566,7 +629,8 @@ def serve_continuous(
     :class:`ContinuousBatcher`).  ``backends`` reuses one
     already-constructed backend instance per shard (they should share
     ``plan_cache`` for the cache counters to mean anything); by default one
-    is created per shard.  ``bus`` (an
+    is created per shard.  Every shard must be the same backend on the same
+    config, named by ``backend``.  ``bus`` (an
     :class:`~repro.telemetry.bus.EventBus`) streams the run's lifecycle,
     iteration and occupancy events, all stamped with ``run_id`` (multi-run
     logs replay one run at a time); with no bus (or no sinks) every emission
@@ -578,6 +642,8 @@ def serve_continuous(
         raise ValueError(f"iteration_rows must be positive, got {iteration_rows}")
     if scheduler not in SCHEDULERS:
         raise ValueError(f"scheduler must be one of {SCHEDULERS}, got {scheduler!r}")
+    if num_shards <= 0:
+        raise ValueError(f"num_shards must be positive, got {num_shards}")
     config = config if config is not None else SWATConfig()
     bus = bus if bus is not None else NULL_BUS
     if plan_cache is None:
@@ -593,15 +659,18 @@ def serve_continuous(
             create_backend(backend, config=config, plan_cache=plan_cache)
             for _ in range(num_shards)
         ]
+    _check_pool(shards, backend)
+    time_base = shards[0].time_base
 
     if bus.active:
         bus.emit(
             RunStarted(
-                engine="continuous",
                 backend=backend,
                 num_shards=num_shards,
                 max_batch_size=max_batch_size,
                 num_requests=len(requests),
+                tick_seconds=time_base.tick_seconds,
+                power_w=time_base.power_w,
                 mode=admission,
                 policy=policy,
                 iteration_rows=iteration_rows,
@@ -626,6 +695,7 @@ def serve_continuous(
         admission=admission,
         policy=policy,
         kv_residency=kv_residency,
+        time_base=time_base,
     )
     batcher.submit(list(requests))
     state = _RunState(
@@ -653,12 +723,11 @@ def serve_continuous(
     stats = ServingStats(
         backend=backend,
         num_requests=len(requests),
-        num_batches=state.num_iterations,
         num_shards=num_shards,
         max_batch_size=max_batch_size,
         device_makespan_seconds=makespan,
-        shard_busy_seconds=tuple(clock.busy_seconds for clock in state.clocks),
-        total_energy_joules=state.total_energy,
+        shard_busy_seconds=tuple(time_base.seconds(clock.busy_ticks) for clock in state.clocks),
+        total_energy_joules=time_base.joules(state.energy_ticks),
         wall_seconds=wall_seconds,
         cache_hits=cache_after["hits"] - cache_before["hits"],
         cache_misses=cache_after["misses"] - cache_before["misses"],
@@ -682,7 +751,12 @@ def serve_continuous(
     )
     if bus.active:
         bus.emit(RunFinished(wall_seconds=wall_seconds, stats=stats.to_dict(), run_id=run_id))
-    return ServingResult(completed=completed, stats=stats, iterations=tuple(state.records))
+    return ServingResult(
+        completed=completed,
+        stats=stats,
+        time_base=time_base,
+        iterations=tuple(state.records),
+    )
 
 
 def _reference_loop(state: _RunState) -> None:
@@ -701,7 +775,7 @@ def _reference_loop(state: _RunState) -> None:
         clock = state.clocks[shard]
         if not batcher.running[shard]:
             # Idle shard: skip forward to its next arrival (idle, not busy).
-            next_arrival = batcher.next_arrival_time()
+            next_arrival = batcher.next_arrival_tick()
             if next_arrival is not None:
                 clock.jump_to(next_arrival)
         admitted = batcher.admit(shard, clock.now, state.rows_of, work_of=state.work_of)
@@ -709,27 +783,25 @@ def _reference_loop(state: _RunState) -> None:
         if not residents:  # pragma: no cover - defensive; admit() always lands one
             continue
         if bus.active and admitted:
-            _emit_admissions(state, shard, admitted, batcher.waiting_count, clock.now)
+            _emit_admissions(state, shard, admitted, batcher.waiting_count)
         slices = batcher.slices(shard, state.iteration_rows)
         cost = state.shards[shard].step(
             [(inflight.request, inflight.rows_done, rows) for inflight, rows in slices],
             state.primed[shard],
         )
         start = clock.now
-        clock.advance(cost.seconds)
-        state.total_energy += cost.energy_joules
+        clock.advance(cost.ticks)
+        state.energy_ticks += cost.energy_ticks
         for inflight, rows in slices:
             inflight.rows_done += rows
-            inflight.device_seconds += cost.seconds
+            inflight.device_ticks += cost.ticks
             if inflight.token_boundaries is not None:
                 _mark_blocks(inflight, clock.now)
         retired = batcher.retire_finished(shard, clock.now)
-        outputs = _retirement_outputs(state.shards[shard], retired)
-        for inflight, output in zip(retired, outputs):
-            state.completed.append(_completion(inflight, output))
-            _fold_decode(state, inflight)
-            if bus.active:
-                _emit_retired(state, inflight)
+        done = _complete(state, shard, retired)
+        if bus.active:
+            for inflight, completion in zip(retired, done):
+                _emit_retired(state, inflight, completion)
         index = state.num_iterations
         state.num_iterations += 1
         occupancy = len(slices) / state.max_batch_size
@@ -740,10 +812,9 @@ def _reference_loop(state: _RunState) -> None:
                 IterationRecord(
                     index=index,
                     shard=shard,
-                    start_seconds=start,
-                    seconds=cost.seconds,
-                    cycles=cost.cycles,
-                    energy_joules=cost.energy_joules,
+                    start_tick=start,
+                    ticks=cost.ticks,
+                    energy_ticks=cost.energy_ticks,
                     gate_rows=cost.gate_rows,
                     primed=was_primed,
                     resident=tuple(
@@ -755,30 +826,9 @@ def _reference_loop(state: _RunState) -> None:
                 )
             )
         if bus.active:
-            bus.emit(
-                IterationAdvanced(
-                    index=index,
-                    shard=shard,
-                    start_seconds=start,
-                    seconds=cost.seconds,
-                    cycles=cost.cycles,
-                    energy_joules=cost.energy_joules,
-                    gate_rows=cost.gate_rows,
-                    primed=was_primed,
-                    num_resident=len(slices),
-                    occupancy=occupancy,
-                    run_id=state.run_id,
-                )
-            )
-            bus.emit(
-                ShardOccupancy(
-                    shard=shard,
-                    residents=len(slices),
-                    slots=state.max_batch_size,
-                    occupancy=occupancy,
-                    time=start,
-                    run_id=state.run_id,
-                )
+            _emit_iteration(
+                state, index, shard, start, cost.ticks, cost.energy_ticks, cost.gate_rows,
+                was_primed, len(slices), occupancy,
             )
         # The pipeline stays primed only while the shard keeps streaming.
         state.primed[shard] = bool(batcher.running[shard])
@@ -787,34 +837,36 @@ def _reference_loop(state: _RunState) -> None:
 def _event_loop(state: _RunState) -> None:
     """The event-driven scheduler: skip ahead, price iteration bursts.
 
-    A heap of ``(activation, shard, version)`` entries replaces the
+    A heap of ``(activation tick, shard, version)`` entries replaces the
     reference loop's linear scan (tuple order reproduces its tie-break:
     earliest activation, then lowest shard index).  Per-shard version
     counters invalidate stale entries lazily — an admission that moves the
     queue head re-versions every empty shard, since their activations quote
-    the old head's arrival.
+    the old head's arrival tick.
 
     After admitting at the popped shard the resident set is fixed until the
     next retirement, so the backend prices the whole run of iterations to
-    that retirement in one vectorized
+    that retirement in one
     :meth:`~repro.serving.backends.AttentionBackend.step_burst` call; the
     burst is then cut short at the first iteration whose start would admit a
-    newly arrived request, or at another shard's activation.  A cut burst
-    keeps its unconsumed :meth:`~repro.serving.backends.StepBurst.tail`, and
-    the shard's next activation continues from it unless it admits — only a
-    retirement ends a burst, so the residents are the ones it was priced
-    for, and its primed entries are the bits a fresh call would return.
-    All float accounting (clock, busy time, energy, per-resident device
-    seconds) folds through sequential ``cumsum``\\ s over the same values the
-    reference loop adds one at a time, keeping every accumulator
-    bit-identical.
+    newly arrived request (it starts at or after the arrival's first tick),
+    or at another shard's activation — one
+    :meth:`~repro.serving.backends.StepBurst.first_start_at` question.  A
+    cut burst keeps its unconsumed
+    :meth:`~repro.serving.backends.StepBurst.tail`, and the shard's next
+    activation continues from it unless it admits — only a retirement ends a
+    burst, so the residents are the ones it was priced for, and its primed
+    entries are the ticks a fresh call would return.  Clock, busy time,
+    energy and per-resident device time add the burst's integer
+    :meth:`~repro.serving.backends.StepBurst.ticks_through` sums, so they
+    equal the reference loop's one-at-a-time additions exactly.
     """
     batcher = state.batcher
     clocks = state.clocks
     num_shards = batcher.num_shards
     quantum = state.iteration_rows
     version = [0] * num_shards
-    heap: "list[tuple[float, int, int]]" = []
+    heap: "list[tuple[int, int, int]]" = []
     # Per shard: its last burst and the iterations consumed of it, or None
     # once a retirement ended it.
     pending: "list[tuple[StepBurst, int] | None]" = [None] * num_shards
@@ -825,226 +877,189 @@ def _event_loop(state: _RunState) -> None:
     rows_of = state.rows_of
     work_of = state.work_of
     bus = state.bus
-    record = state.record_iterations
+    slow = state.record_iterations or bus.active
     occupancy_counts = state.occupancy_counts
-    completed = state.completed
     max_batch_size = state.max_batch_size
     running = batcher.running
-    next_arrival_time = batcher.next_arrival_time
+    next_arrival_tick = batcher.next_arrival_tick
     admit = batcher.admit
     free_slots = batcher.free_slots
+    retire_finished = batcher.retire_finished
+    heappush = heapq.heappush
+    heappop = heapq.heappop
 
     def push(shard: int) -> None:
         version[shard] += 1
         if running[shard]:
             activation = clocks[shard].now
         else:
-            next_arrival = next_arrival_time()
+            next_arrival = next_arrival_tick()
             if next_arrival is None:
                 return
             activation = max(clocks[shard].now, next_arrival)
-        heapq.heappush(heap, (activation, shard, version[shard]))
+        heappush(heap, (activation, shard, version[shard]))
 
     for shard in range(num_shards):
         push(shard)
 
     while not batcher.done:
         while True:
-            _, shard, entry_version = heapq.heappop(heap)
+            _, shard, entry_version = heappop(heap)
             if entry_version == version[shard]:
                 break
         clock = clocks[shard]
-        if not running[shard]:
-            next_arrival = next_arrival_time()
-            if next_arrival is not None:
-                clock.jump_to(next_arrival)
-        head_before = next_arrival_time()
-        admitted = admit(shard, clock.now, rows_of, work_of=work_of)
+        residents = running[shard]
+        head_before = next_arrival_tick()
+        if not residents and head_before is not None and head_before > clock.now:
+            clock.now = head_before
+        admitted = admit(shard, clock.now, rows_of, work_of)
         residents = running[shard]
         if not residents:  # pragma: no cover - defensive; admit() always lands one
             push(shard)
             continue
-        head_now = next_arrival_time()
-        if admitted and head_now != head_before:
-            # The queue head moved: empty shards' queued activations quoted
-            # the old head and must be re-versioned.
-            for other in range(num_shards):
-                if other != shard and not running[other]:
-                    push(other)
-        if admitted and bus.active:
-            _emit_admissions(state, shard, admitted, batcher.waiting_count, clock.now)
-        burst_slices = [
-            (inflight.request, inflight.rows_done, inflight.remaining_rows)
-            for inflight in residents
-        ]
+        head_now = next_arrival_tick()
+        if admitted:
+            if head_now != head_before:
+                # The queue head moved: empty shards' queued activations
+                # quoted the old head and must be re-versioned.
+                for other in range(num_shards):
+                    if other != shard and not running[other]:
+                        push(other)
+            if bus.active:
+                _emit_admissions(state, shard, admitted, batcher.waiting_count)
         if admitted or pending[shard] is None:
-            burst = shards[shard].step_burst(burst_slices, primed[shard], quantum)
+            burst = shards[shard].step_burst(
+                [
+                    (inflight.request, inflight.rows_done, inflight.rows_total - inflight.rows_done)
+                    for inflight in residents
+                ],
+                primed[shard],
+                quantum,
+            )
         else:
             cut, consumed = pending[shard]
             burst = cut.tail(consumed)
         length = burst.iterations
-        # times[j] is the start of iteration j + 1; times[length] the end.
-        # Built as [now, s0, s1, ...] then cumsummed in place: numpy's cumsum
-        # adds strictly left to right, so every entry carries the exact bits
-        # the reference loop's one-at-a-time ``+=`` would produce.
-        times = np.empty(length + 1)
-        times[0] = clock.now
-        times[1:] = burst.seconds
-        np.cumsum(times, out=times)
-        if head_now is not None and free_slots(shard) > 0:
-            # An admission-eligible arrival ends the burst at the first
-            # iteration whose start would admit it (arrival <= start).
-            length = min(
-                length, 1 + int(np.searchsorted(times[1:length], head_now, side="left"))
-            )
-        other_entry = _peek_valid(heap, version)
-        if other_entry is not None:
-            # Another shard activates first: run only the iterations that
-            # start strictly before it (at an exact tie the reference scan
-            # prefers the lower shard index).
-            other_activation, other_shard, _ = other_entry
-            side = "right" if shard < other_shard else "left"
-            length = min(
-                length,
-                1 + int(np.searchsorted(times[1:length], other_activation, side=side)),
-            )
+        start = clock.now
+        # The burst ends before its first iteration starting at or after
+        # ``cut_at``: an admission-eligible arrival's first tick (the
+        # iteration starting there would admit it), or another shard's
+        # activation (at an exact tie the reference scan prefers the lower
+        # shard index).
+        cut_at = head_now if head_now is not None and free_slots(shard) > 0 else None
+        while heap and heap[0][2] != version[heap[0][1]]:
+            heappop(heap)
+        if heap:
+            other_activation, other_shard, _ = heap[0]
+            other_cut = other_activation + 1 if shard < other_shard else other_activation
+            if cut_at is None or other_cut < cut_at:
+                cut_at = other_cut
+        if cut_at is not None:
+            first = burst.first_start_at(cut_at - start)
+            if first < length:
+                length = first if first > 1 else 1
         retiring = length == burst.iterations
         pending[shard] = None if retiring else (burst, length)
-        if length == 1:
-            seconds0 = float(burst.seconds[0])
-            clock.now += seconds0
-            clock.busy_seconds += seconds0
-            state.total_energy += float(burst.energy_joules[0])
-            for inflight in residents:
-                inflight.rows_done += min(quantum, inflight.rows_total - inflight.rows_done)
-                inflight.device_seconds += seconds0
-                if inflight.token_boundaries is not None:
-                    _mark_blocks(inflight, clock.now)
-        else:
-            durations = burst.seconds[:length]
-            clock.now = float(times[length])
-            clock.busy_seconds = _chained_sum(clock.busy_seconds, durations)
-            state.total_energy = _chained_sum(
-                state.total_energy, burst.energy_joules[:length]
-            )
-            device = np.empty((len(residents), length + 1))
-            for index, inflight in enumerate(residents):
-                device[index, 0] = inflight.device_seconds
-            device[:, 1:] = durations
-            np.cumsum(device, axis=1, out=device)
-            advanced = length * quantum
-            for index, inflight in enumerate(residents):
-                start_rows = inflight.rows_done
-                inflight.rows_done += min(advanced, inflight.rows_total - inflight.rows_done)
-                inflight.device_seconds = float(device[index, length])
-                if inflight.token_boundaries is not None:
-                    _mark_blocks_burst(inflight, start_rows, times, quantum)
+        if slow:
+            resident = [
+                (inflight.request.request_id, inflight.rows_total - inflight.rows_done)
+                for inflight in residents
+            ]
+        ticks = burst.ticks_through(length)
+        clock.now = start + ticks
+        clock.busy_ticks += ticks
+        state.energy_ticks += burst.energy_through(length)
+        advanced = length * quantum
+        for inflight in residents:
+            start_rows = inflight.rows_done
+            inflight.rows_done = min(start_rows + advanced, inflight.rows_total)
+            inflight.device_ticks += ticks
+            if inflight.token_boundaries is not None:
+                _mark_blocks_burst(inflight, start_rows, burst, start, quantum)
         occupancy = len(residents) / max_batch_size
         occupancy_counts[occupancy] += length
         base_index = state.num_iterations
         state.num_iterations += length
-        slow = record or bus.active
-        if slow and length > 1:
-            # Non-final iterations record/emit before retirement, matching
-            # the reference loop's event interleaving (retirement may emit
-            # plan-cache lookups of its own).
-            _record_iterations(
-                state, shard, burst_slices, burst, length, times, occupancy,
-                base_index, admitted, 0, length - 1, retiring, (),
-            )
-        retired = batcher.retire_finished(shard, clock.now) if retiring else []
-        if retired:
-            outputs = _retirement_outputs(shards[shard], retired)
-            for inflight, output in zip(retired, outputs):
-                completed.append(_completion(inflight, output))
-                _fold_decode(state, inflight)
+        if slow:
+            if length > 1:
+                # Non-final iterations record/emit before retirement, matching
+                # the reference loop's event interleaving (retirement may emit
+                # plan-cache lookups of its own).
+                _record_iterations(
+                    state, shard, resident, burst, start, occupancy, base_index,
+                    admitted, 0, length - 1, length, retiring, (), (),
+                )
+        retired = retire_finished(shard, clock.now) if retiring else ()
+        done = _complete(state, shard, retired)
         if slow:
             _record_iterations(
-                state, shard, burst_slices, burst, length, times, occupancy,
-                base_index, admitted, length - 1, length, retiring, retired,
+                state, shard, resident, burst, start, occupancy, base_index,
+                admitted, length - 1, length, length, retiring, retired, done,
             )
         primed[shard] = bool(running[shard])
         push(shard)
 
 
-def _chained_sum(initial: float, values: "np.ndarray") -> float:
-    """``initial`` plus ``values`` added strictly left to right.
-
-    The vectorized form of the reference loop's per-iteration ``+=`` on a
-    float accumulator: an in-place ``cumsum`` over ``[initial, v0, v1, ...]``
-    performs the identical sequence of additions, so the returned float is
-    bit-identical — never a closed form, never a pairwise reduction.
-    """
-    chain = np.empty(len(values) + 1)
-    chain[0] = initial
-    chain[1:] = values
-    np.cumsum(chain, out=chain)
-    return float(chain[-1])
-
-
-def _peek_valid(heap, version) -> "tuple[float, int, int] | None":
-    """Earliest valid heap entry (pruning stale versions), or ``None``."""
-    while heap and heap[0][2] != version[heap[0][1]]:
-        heapq.heappop(heap)
-    return heap[0] if heap else None
-
-
 def _record_iterations(
     state: _RunState,
     shard: int,
-    burst_slices,
+    resident,
     burst,
-    length: int,
-    times,
+    start: int,
     occupancy: float,
     base_index: int,
     admitted,
-    start: int,
+    first: int,
     stop: int,
+    length: int,
     retiring: bool,
     retired,
+    done,
 ) -> None:
-    """Expand burst iterations ``[start, stop)`` into records and events.
+    """Expand burst iterations ``[first, stop)`` into records and events.
 
     The slow path of the event scheduler, entered only when iteration
-    records or an active bus ask for per-iteration granularity.  The caller
-    splits the burst around retirement so emission order matches the
-    reference loop exactly: non-final iterations first, then retirement
-    (whose functional pass may emit plan-cache lookups), then the retired
-    events ahead of the final iteration's advancement events.
+    records or an active bus ask for per-iteration granularity.
+    ``resident`` holds ``(request_id, rows_left)`` per resident as the
+    activation found them.  The caller splits the
+    burst around retirement so emission order matches the reference loop
+    exactly: non-final iterations first, then retirement (whose functional
+    pass may emit plan-cache lookups), then the retired events ahead of the
+    final iteration's advancement events.
     """
     bus = state.bus
     quantum = state.iteration_rows
-    full_resident = tuple((request.request_id, quantum) for request, _, _ in burst_slices)
+    full_resident = tuple((request_id, quantum) for request_id, _ in resident)
     admitted_ids = tuple(inflight.request.request_id for inflight in admitted)
     retired_ids = tuple(inflight.request.request_id for inflight in retired)
-    for index in range(start, stop):
+    ticks = burst.ticks
+    energy_ticks = burst.energy_ticks
+    gate_rows = burst.gate_rows
+    for index in range(first, stop):
         final = index == length - 1
         if final and retiring:
-            resident = tuple(
-                (request.request_id, min(quantum, rows_left - (length - 1) * quantum))
-                for request, _, rows_left in burst_slices
+            resident_rows = tuple(
+                (request_id, min(quantum, rows_left - (length - 1) * quantum))
+                for request_id, rows_left in resident
             )
         else:
-            resident = full_resident
+            resident_rows = full_resident
         was_primed = state.primed[shard] if index == 0 else True
-        start_value = float(times[index])
-        seconds_value = float(burst.seconds[index])
-        energy_value = float(burst.energy_joules[index])
-        gate_value = int(burst.gate_rows[index])
-        cycles_value = int(burst.cycles[index]) if burst.cycles is not None else None
+        start_tick = start + burst.ticks_through(index)
+        iteration_ticks = int(ticks[index])
+        iteration_energy = int(energy_ticks[index])
+        gate_value = int(gate_rows[index])
         if state.record_iterations:
             state.records.append(
                 IterationRecord(
                     index=base_index + index,
                     shard=shard,
-                    start_seconds=start_value,
-                    seconds=seconds_value,
-                    cycles=cycles_value,
-                    energy_joules=energy_value,
+                    start_tick=start_tick,
+                    ticks=iteration_ticks,
+                    energy_ticks=iteration_energy,
                     gate_rows=gate_value,
                     primed=was_primed,
-                    resident=resident,
+                    resident=resident_rows,
                     admitted=admitted_ids if index == 0 else (),
                     retired=retired_ids if final else (),
                     occupancy=occupancy,
@@ -1052,36 +1067,54 @@ def _record_iterations(
             )
         if bus.active:
             if final:
-                for inflight in retired:
-                    _emit_retired(state, inflight)
-            bus.emit(
-                IterationAdvanced(
-                    index=base_index + index,
-                    shard=shard,
-                    start_seconds=start_value,
-                    seconds=seconds_value,
-                    cycles=cycles_value,
-                    energy_joules=energy_value,
-                    gate_rows=gate_value,
-                    primed=was_primed,
-                    num_resident=len(burst_slices),
-                    occupancy=occupancy,
-                    run_id=state.run_id,
-                )
-            )
-            bus.emit(
-                ShardOccupancy(
-                    shard=shard,
-                    residents=len(burst_slices),
-                    slots=state.max_batch_size,
-                    occupancy=occupancy,
-                    time=start_value,
-                    run_id=state.run_id,
-                )
+                for inflight, completion in zip(retired, done):
+                    _emit_retired(state, inflight, completion)
+            _emit_iteration(
+                state, base_index + index, shard, start_tick, iteration_ticks,
+                iteration_energy, gate_value, was_primed, len(resident), occupancy,
             )
 
 
-def _emit_admissions(state: _RunState, shard: int, admitted, queue_depth: int, now: float) -> None:
+def _emit_iteration(
+    state: _RunState,
+    index: int,
+    shard: int,
+    start_tick: int,
+    ticks: int,
+    energy_ticks: int,
+    gate_rows: int,
+    primed: bool,
+    residents: int,
+    occupancy: float,
+) -> None:
+    """One iteration's advancement and occupancy events, in reference order."""
+    state.bus.emit(
+        IterationAdvanced(
+            index=index,
+            shard=shard,
+            start_tick=start_tick,
+            ticks=ticks,
+            energy_ticks=energy_ticks,
+            gate_rows=gate_rows,
+            primed=primed,
+            num_resident=residents,
+            occupancy=occupancy,
+            run_id=state.run_id,
+        )
+    )
+    state.bus.emit(
+        ShardOccupancy(
+            shard=shard,
+            residents=residents,
+            slots=state.max_batch_size,
+            occupancy=occupancy,
+            time=state.time_base.seconds(start_tick),
+            run_id=state.run_id,
+        )
+    )
+
+
+def _emit_admissions(state: _RunState, shard: int, admitted, queue_depth: int) -> None:
     """Admission events plus the queue-depth sample, in reference order."""
     for inflight in admitted:
         state.bus.emit(
@@ -1093,97 +1126,120 @@ def _emit_admissions(state: _RunState, shard: int, admitted, queue_depth: int, n
                 run_id=state.run_id,
             )
         )
-    state.bus.emit(QueueDepth(depth=queue_depth, time=now, run_id=state.run_id))
+    state.bus.emit(QueueDepth(depth=queue_depth, time=admitted[0].admit_time, run_id=state.run_id))
 
 
-def _mark_blocks(inflight: InFlightRequest, now: float) -> None:
+def _mark_blocks(inflight: InFlightRequest, now: int) -> None:
     """Stamp every decode block the request's row stream just crossed.
 
     Called after an iteration advanced ``rows_done``: a block completes at
-    the end of the iteration that streams past its boundary, so its time is
+    the end of the iteration that streams past its boundary, so its tick is
     the advanced clock.
     """
     boundaries = inflight.token_boundaries
-    times = inflight.block_times
-    while len(times) < len(boundaries) and inflight.rows_done >= boundaries[len(times)]:
-        times.append(now)
+    blocks = inflight.block_ticks
+    while len(blocks) < len(boundaries) and inflight.rows_done >= boundaries[len(blocks)]:
+        blocks.append(now)
 
 
 def _mark_blocks_burst(
-    inflight: InFlightRequest, start_rows: int, times, quantum: int
+    inflight: InFlightRequest, start_rows: int, burst, start: int, quantum: int
 ) -> None:
     """Burst-path block stamping: boundaries map to burst iteration ends.
 
-    ``times`` is the burst's cumulative clock (``times[j]`` is the end of
-    iteration ``j``), already carrying the reference loop's exact bits, so a
-    boundary crossed in iteration ``j`` gets the identical completion time
-    the reference loop would stamp.
+    A boundary crossed in the burst's iteration ``j`` (1-based) completes at
+    ``start + burst.ticks_through(j)`` — the tick the reference loop's clock
+    shows after that iteration.
     """
     boundaries = inflight.token_boundaries
-    blocks = inflight.block_times
+    blocks = inflight.block_ticks
     while len(blocks) < len(boundaries) and inflight.rows_done >= boundaries[len(blocks)]:
         iteration = -(-(boundaries[len(blocks)] - start_rows) // quantum)
-        blocks.append(float(times[iteration]))
+        blocks.append(start + burst.ticks_through(iteration))
 
 
-def _fold_decode(state: _RunState, inflight: InFlightRequest) -> None:
-    """Fold one retired decode's per-token accounting into the run state."""
-    if inflight.token_boundaries is None:
-        return
-    request = inflight.request
-    state.num_decode += 1
-    state.decode_tokens += request.new_tokens
-    ttft, gaps = decode_token_intervals(
-        tuple(inflight.block_times), request.block_schedule, request.arrival_time
-    )
-    state.ttfts.append(ttft)
-    state.token_gaps.extend(gaps)
+def _complete(state: _RunState, shard: int, retired) -> "list[CompletedRequest]":
+    """Completions of one activation's retirees (one stacked output pass).
 
-
-def _emit_retired(state: _RunState, inflight: InFlightRequest) -> None:
-    """Emit one retirement's events: decode accounting first, then retired."""
-    if inflight.token_boundaries is not None:
+    The finish instant is converted to seconds once and shared by every
+    retiree, as their admit instant was at admission; each decode's
+    per-token accounting folds into the run state.
+    """
+    if not retired:
+        return []
+    time_base = state.time_base
+    finish_time = time_base.seconds(retired[0].finish_tick)
+    outputs = _retirement_outputs(state.shards[shard], retired)
+    done = []
+    for inflight, output in zip(retired, outputs):
         request = inflight.request
+        completion = CompletedRequest(
+            request=request,
+            output=output,
+            shard=inflight.shard,
+            batch_id=inflight.admission_id,
+            batch_size=inflight.residency_at_admit,
+            device_seconds=time_base.seconds(inflight.device_ticks),
+            arrival_time=request.arrival_time,
+            admit_time=inflight.admit_time,
+            finish_time=finish_time,
+        )
+        done.append(completion)
+        if inflight.token_boundaries is not None:
+            state.num_decode += 1
+            state.decode_tokens += request.new_tokens
+            ttft, gaps = decode_token_intervals(
+                _block_times(state, inflight), request.block_schedule, request.arrival_time
+            )
+            state.ttfts.append(ttft)
+            state.token_gaps.extend(gaps)
+    state.completed.extend(done)
+    return done
+
+
+def _block_times(state: _RunState, inflight: InFlightRequest) -> "tuple[float, ...]":
+    """A decode's block completion instants, in seconds.
+
+    Blocks finishing in the same iteration share its end tick (stamps never
+    decrease), and each distinct tick is converted once, so those blocks
+    share one float.
+    """
+    times = []
+    last_tick = None
+    for tick in inflight.block_ticks:
+        if tick != last_tick:
+            last_tick = tick
+            instant = state.time_base.seconds(tick)
+        times.append(instant)
+    return tuple(times)
+
+
+def _emit_retired(state: _RunState, inflight: InFlightRequest, done: CompletedRequest) -> None:
+    """Emit one retirement's events: decode accounting first, then retired."""
+    request = inflight.request
+    if inflight.token_boundaries is not None:
         state.bus.emit(
             RequestDecoded(
                 request_id=request.request_id,
                 new_tokens=request.new_tokens,
                 block_sizes=request.block_schedule,
-                block_times=tuple(inflight.block_times),
+                block_times=_block_times(state, inflight),
                 arrival_time=request.arrival_time,
                 run_id=state.run_id,
             )
         )
-    state.bus.emit(_retired_event(inflight, run_id=state.run_id))
-
-
-def _completion(inflight: InFlightRequest, output) -> CompletedRequest:
-    """The :class:`CompletedRequest` of one retired in-flight record."""
-    return CompletedRequest(
-        request=inflight.request,
-        output=output,
-        shard=inflight.shard,
-        batch_id=inflight.admission_id,
-        batch_size=inflight.residency_at_admit,
-        device_seconds=inflight.device_seconds,
-        arrival_time=inflight.request.arrival_time,
-        admit_time=inflight.admit_time,
-        finish_time=inflight.finish_time,
-    )
-
-
-def _retired_event(inflight: InFlightRequest, run_id: int) -> RequestRetired:
-    """The telemetry event mirroring one retirement's accounting."""
-    return RequestRetired(
-        request_id=inflight.request.request_id,
-        shard=inflight.shard,
-        batch_id=inflight.admission_id,
-        batch_size=inflight.residency_at_admit,
-        device_seconds=inflight.device_seconds,
-        arrival_time=inflight.request.arrival_time,
-        admit_time=inflight.admit_time,
-        finish_time=inflight.finish_time,
-        run_id=run_id,
+    state.bus.emit(
+        RequestRetired(
+            request_id=request.request_id,
+            shard=done.shard,
+            batch_id=done.batch_id,
+            batch_size=done.batch_size,
+            device_seconds=done.device_seconds,
+            arrival_time=done.arrival_time,
+            admit_time=done.admit_time,
+            finish_time=done.finish_time,
+            run_id=state.run_id,
+        )
     )
 
 
@@ -1191,10 +1247,10 @@ def _next_active_shard(batcher: ContinuousBatcher, clocks: "list[ServingClock]")
     """The shard whose next iteration starts earliest (event-driven order).
 
     A shard with residents activates at its own clock; an empty shard
-    activates when the next waiting request arrives.  Ties break on shard
-    index, so the loop is deterministic.
+    activates at the first tick of the next waiting arrival.  Ties break on
+    shard index, so the loop is deterministic.
     """
-    next_arrival = batcher.next_arrival_time()
+    next_arrival = batcher.next_arrival_tick()
     best_shard = None
     best_time = None
     for shard, clock in enumerate(clocks):

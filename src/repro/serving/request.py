@@ -402,7 +402,7 @@ class DecodeRequest:
         return self.kv_prompt_bytes + self.new_tokens * self.kv_bytes_per_token
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CompletedRequest:
     """A served request plus where and how it was executed.
 

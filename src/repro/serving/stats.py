@@ -12,11 +12,63 @@ with the paper-table reports.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from math import ceil
+from math import ceil, isfinite
 
 from repro.analysis.report import Table
 
-__all__ = ["ServingStats", "decode_token_intervals", "percentile"]
+__all__ = ["ServingStats", "TimeBase", "decode_token_intervals", "percentile"]
+
+
+@dataclass(frozen=True)
+class TimeBase:
+    """The serving clock's one time base: integer ticks of the kernel clock.
+
+    The engine keeps every clock quantity in integer ticks of
+    ``tick_seconds`` (the pool's ``config.clock_period_s``): shard clocks,
+    busy time, request stamps and decode block stamps.  Energy is the
+    integer count of ticks the backend's energy rule charges at ``power_w``
+    (busy ticks on SWAT and the dense-FPGA baseline, summed slice ticks on
+    the GPU models).  This is the one place ticks become seconds and joules.
+    The engine converts at the stats/telemetry edge, and
+    :class:`~repro.telemetry.replay.TraceReplayer` converts a log's ticks
+    with the same two methods, so live and replayed stats agree bit for bit.
+    """
+
+    tick_seconds: float
+    power_w: float = 0.0
+
+    def __post_init__(self):
+        if not (isfinite(self.tick_seconds) and self.tick_seconds > 0):
+            raise ValueError(f"tick_seconds must be finite and positive, got {self.tick_seconds}")
+        if not (isfinite(self.power_w) and self.power_w >= 0):
+            raise ValueError(f"power_w must be finite and non-negative, got {self.power_w}")
+
+    def seconds(self, ticks: int) -> float:
+        """Simulated seconds of ``ticks`` (an instant or a duration)."""
+        return ticks * self.tick_seconds
+
+    def joules(self, energy_ticks: int) -> float:
+        """Modelled energy of ``energy_ticks`` charged at ``power_w``."""
+        return self.power_w * (energy_ticks * self.tick_seconds)
+
+    def first_tick(self, seconds: float) -> int:
+        """The first tick whose instant is at or after ``seconds``.
+
+        Multiplying by the positive tick length is monotone, so
+        ``seconds <= self.seconds(t)`` holds exactly when
+        ``t >= first_tick(seconds)``.  The scheduler compares float arrival
+        instants against its integer clock through this, and
+        ``first_tick(self.seconds(t)) == t`` recovers a converted tick
+        count exactly.
+        """
+        tick = max(0, ceil(seconds / self.tick_seconds))
+        # The float quotient may land a tick off either way; settle on the
+        # exact boundary of the monotone predicate.
+        while tick * self.tick_seconds < seconds:
+            tick += 1
+        while tick > 0 and (tick - 1) * self.tick_seconds >= seconds:
+            tick -= 1
+        return tick
 
 
 def percentile(values: "list[float]", q: float) -> float:
@@ -85,18 +137,19 @@ class ServingStats:
     ----------
     backend:
         Name of the executing backend.
-    num_requests, num_batches, num_shards:
-        Volume of the run (``num_batches`` counts priced iterations, the
-        same number as ``num_iterations``).
+    num_requests, num_shards:
+        Volume of the run.
     max_batch_size:
         Resident slots per shard (denominator of the occupancy).
     device_makespan_seconds:
         Simulated instant the last request finished, arrival gaps included —
         the denominator of the device throughput.
     shard_busy_seconds:
-        Per-shard accelerator busy time.
+        Per-shard accelerator busy time (each shard's integer busy ticks,
+        converted once through :class:`TimeBase`).
     total_energy_joules:
-        Summed modelled energy across all iterations.
+        Modelled energy of the run: the summed energy ticks of every
+        iteration, converted once through :class:`TimeBase`.
     wall_seconds:
         Measured host wall-clock of the run (queueing + batching + execution).
     cache_hits, cache_misses:
@@ -139,7 +192,6 @@ class ServingStats:
 
     backend: str
     num_requests: int
-    num_batches: int
     num_shards: int
     max_batch_size: int
     device_makespan_seconds: float

@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import deque
 
 from repro.analysis.report import Table
-from repro.serving.stats import percentile
+from repro.serving.stats import TimeBase, percentile
 from repro.telemetry.events import (
     Event,
     IterationAdvanced,
@@ -39,6 +39,7 @@ class MetricsAggregator:
             raise ValueError(f"window must be positive, got {window}")
         self.window = window
         self.run: "RunStarted | None" = None
+        self.time_base: "TimeBase | None" = None
         self.finished = False
         self.events_seen = 0
         self.arrived = 0
@@ -58,6 +59,7 @@ class MetricsAggregator:
         self.events_seen += 1
         if isinstance(event, RunStarted):
             self.run = event
+            self.time_base = TimeBase(event.tick_seconds, event.power_w)
         elif isinstance(event, RequestArrived):
             self.arrived += 1
             self.last_time = max(self.last_time, event.arrival_time)
@@ -71,7 +73,9 @@ class MetricsAggregator:
             self._queue_waits.append(event.admit_time - event.arrival_time)
         elif isinstance(event, IterationAdvanced):
             self.iterations += 1
-            self.last_time = max(self.last_time, event.start_seconds + event.seconds)
+            if self.time_base is not None:
+                end = self.time_base.seconds(event.start_tick + event.ticks)
+                self.last_time = max(self.last_time, end)
         elif isinstance(event, ShardOccupancy):
             self._shard_occupancy[event.shard] = event.occupancy
         elif isinstance(event, QueueDepth):
@@ -113,7 +117,7 @@ class MetricsAggregator:
         """The current metrics as an ordered (label -> value) mapping."""
         run = self.run
         labels: "dict[str, object]" = {
-            "engine": f"{run.engine} ({run.backend})" if run else "?",
+            "run": f"{run.mode} ({run.backend})" if run else "?",
             "status": "finished" if self.finished else "running",
             "events": self.events_seen,
             "arrived / admitted / retired": (

@@ -15,19 +15,26 @@ a flat JSON-able dict (``{"v": ..., "kind": ..., **fields}``) and
 bit-exactly (``repr`` of a float is re-read to the same bits), which is what
 makes replay *bit*-identical rather than merely approximate.
 
-Since schema version 2 every event carries a ``run_id``, so one log can hold
-several runs (e.g. :func:`~repro.serving.continuous.compare_modes` streams
-its continuous run as ``run_id=0`` and its drain run as ``run_id=1``);
+Every event carries a ``run_id``, so one log can hold several runs (e.g.
+:func:`~repro.serving.continuous.compare_modes` streams its continuous run
+as ``run_id=0`` and its drain run as ``run_id=1``);
 :class:`~repro.telemetry.replay.TraceReplayer` selects one run to fold.
-Version-1 records deserialise unchanged with ``run_id=0``.
+:class:`RequestDecoded` carries the per-token accounting of one retired
+decode (block completion times on the simulated clock), from which the
+replayer reconstructs TTFT/inter-token percentiles, token counts and the
+KV-residency hit/miss split.
 
-Schema version 3 adds :class:`RequestDecoded` — the per-token accounting of
-one retired decode (block completion times on the simulated clock), from
-which the replayer reconstructs TTFT/inter-token percentiles, token counts
-and the KV-residency hit/miss split.  Version-1/2 records still deserialise;
-their runs simply carry no decode accounting.  The ``batch_dispatched`` and
-``request_cancelled`` kinds left the schema with the thread-pool drain engine
-that emitted them, so logs of that engine no longer replay.
+Schema version 4 puts the engine's integer time base on the wire.
+:class:`RunStarted` carries ``tick_seconds`` (the pool's kernel-clock
+period) and ``power_w`` (the power its energy rule charges per energy
+tick), and :class:`IterationAdvanced` carries the iteration's integer
+``start_tick``, ``ticks`` and ``energy_ticks`` instead of float seconds,
+cycles and joules.  The replayer sums those integers per shard and converts
+once through :class:`~repro.serving.stats.TimeBase`, exactly as the engine
+does.  Lifecycle instants (arrival, admit, finish, block times) stay
+seconds.  Version 4 also drops ``RunStarted.engine``: every run comes from
+the one continuous engine.  Logs of versions 1-3 are rejected with a
+message to re-record them.
 """
 
 from __future__ import annotations
@@ -55,10 +62,10 @@ __all__ = [
 ]
 
 #: Version stamped into every serialised record; bumped on any field change.
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 #: Schema versions :func:`from_record` can still deserialise.
-SUPPORTED_VERSIONS = (1, 2, 3)
+SUPPORTED_VERSIONS = (4,)
 
 
 @dataclass(frozen=True)
@@ -77,18 +84,20 @@ class Event:
 class RunStarted(Event):
     """A serving run began.
 
-    ``engine`` names the engine that produced the log: ``"continuous"``,
-    the simulated-clock iteration scheduler every run goes through.
     ``mode`` is the run's *admission policy* (``"continuous"`` or
     ``"drain"``), matching :attr:`~repro.serving.stats.ServingStats.mode`.
+    ``tick_seconds`` and ``power_w`` are the run's
+    :class:`~repro.serving.stats.TimeBase`: they convert the log's integer
+    ticks to the seconds and joules of the recorded stats.
     """
 
     kind: ClassVar[str] = "run_started"
-    engine: str
     backend: str
     num_shards: int
     max_batch_size: int
     num_requests: int
+    tick_seconds: float
+    power_w: float
     mode: str = "drain"
     policy: str = "fcfs"
     #: Rows per iteration slice of the run.
@@ -164,15 +173,19 @@ class RequestRetired(Event):
 
 @dataclass(frozen=True)
 class IterationAdvanced(Event):
-    """One priced iteration of the continuous engine advanced a shard."""
+    """One priced iteration of the continuous engine advanced a shard.
+
+    ``start_tick``, ``ticks`` and ``energy_ticks`` are integer ticks of the
+    run's ``tick_seconds`` (see :class:`RunStarted`).
+    """
 
     kind: ClassVar[str] = "iteration_advanced"
     index: int
     shard: int
-    start_seconds: float
-    seconds: float
-    cycles: "int | None"
-    energy_joules: float
+    start_tick: int
+    ticks: int
+    #: The ticks the backend's energy rule charged for the iteration.
+    energy_ticks: int
     gate_rows: int
     primed: bool
     num_resident: int
@@ -256,6 +269,12 @@ def from_record(record: "dict[str, object]") -> Event:
     """Deserialise one :func:`to_record` dict back into its event class."""
     version = record.get("v")
     if version not in SUPPORTED_VERSIONS:
+        if isinstance(version, int) and version < SCHEMA_VERSION:
+            raise ValueError(
+                f"event schema version {version} predates the integer-tick schema "
+                f"(version {SCHEMA_VERSION}): its iterations carry float seconds, not ticks; "
+                "re-record the log with this version (repro-serve ... --events PATH)"
+            )
         raise ValueError(
             f"unsupported event schema version {version!r} (expected one of {SUPPORTED_VERSIONS})"
         )

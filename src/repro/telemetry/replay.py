@@ -4,8 +4,10 @@ The engine emits events at exactly its accounting points, in accounting
 order (see :mod:`repro.telemetry.events`), so replaying a log means folding
 the same floats through the same aggregation functions in the same sequence:
 
-- per-shard busy time and total energy are running float sums in log order
-  (log order equals the engine's accumulation order by construction);
+- per-shard busy ticks and total energy ticks are integer sums, converted
+  once through the run's :class:`~repro.serving.stats.TimeBase` (the
+  ``tick_seconds`` and ``power_w`` of ``run_started``) — the engine's own
+  conversion;
 - makespan is the ``max`` retirement instant (order-free);
 - queue/latency percentiles go through the engine's own
   :func:`repro.serving.stats.percentile` (it sorts, so order-free);
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 from statistics import mean
 
-from repro.serving.stats import ServingStats, decode_token_intervals, percentile
+from repro.serving.stats import ServingStats, TimeBase, decode_token_intervals, percentile
 from repro.telemetry.events import (
     Event,
     IterationAdvanced,
@@ -53,8 +55,9 @@ class TraceReplayer:
         self.run_id = run_id
         self.run: "RunStarted | None" = None
         self.finished: "RunFinished | None" = None
-        self._shard_busy: "list[float]" = []
-        self._total_energy = 0.0
+        self.time_base: "TimeBase | None" = None
+        self._shard_busy: "list[int]" = []
+        self._energy_ticks = 0
         self._num_iterations = 0
         self._arrived_head_rows = 0
         self._occupancies: "list[float]" = []
@@ -89,13 +92,14 @@ class TraceReplayer:
             # skipped rather than folded in.
             if self.run_id is None:
                 self.run_id = event.run_id
-            self._shard_busy = [0.0] * event.num_shards
+            self.time_base = TimeBase(event.tick_seconds, event.power_w)
+            self._shard_busy = [0] * event.num_shards
         elif isinstance(event, RequestArrived):
             self._arrived_head_rows += event.head_rows
         elif isinstance(event, IterationAdvanced):
             self._num_iterations += 1
-            self._shard_busy[event.shard] += event.seconds
-            self._total_energy += event.energy_joules
+            self._shard_busy[event.shard] += event.ticks
+            self._energy_ticks += event.energy_ticks
             self._occupancies.append(event.occupancy)
         elif isinstance(event, RequestDecoded):
             self._num_decodes += 1
@@ -137,15 +141,15 @@ class TraceReplayer:
         run = self.run
         if run is None:
             raise ValueError("log contains no run_started event; nothing to replay")
+        time_base = self.time_base
         return ServingStats(
             backend=run.backend,
             num_requests=run.num_requests,
-            num_batches=self._num_iterations,
             num_shards=run.num_shards,
             max_batch_size=run.max_batch_size,
             device_makespan_seconds=max(self._finish_times, default=0.0),
-            shard_busy_seconds=tuple(self._shard_busy),
-            total_energy_joules=self._total_energy,
+            shard_busy_seconds=tuple(time_base.seconds(busy) for busy in self._shard_busy),
+            total_energy_joules=time_base.joules(self._energy_ticks),
             wall_seconds=self.wall_seconds,
             cache_hits=self._cache_hits,
             cache_misses=self._cache_misses,
@@ -198,12 +202,6 @@ def verify_log(path, run_id: "int | None" = None) -> "list[str]":
     for field_name in sorted(set(recorded) | set(reconstructed)):
         got = reconstructed.get(field_name)
         want = recorded.get(field_name)
-        if field_name not in recorded and not got:
-            # Stats fields added after the log was written (e.g. the decode
-            # fields of schema v3 replaying a v2 log): a zero/absent value
-            # reconstructed from a log that never recorded the field is
-            # forward-compatibility, not a mismatch.
-            continue
         if got != want:
             mismatches.append(f"{field_name}: replayed {got!r} != recorded {want!r}")
     return mismatches

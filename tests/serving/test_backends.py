@@ -86,22 +86,23 @@ class TestSimulatorBackend:
         )
         np.testing.assert_allclose(output, expected, atol=1e-9)
         cost = backend.step([(request, 0, backend.request_rows(request))], primed=False)
-        assert cost.cycles > 0
-        assert cost.seconds > 0
-        assert cost.energy_joules > 0
+        assert cost.ticks > 0
+        assert cost.energy_ticks == cost.ticks
+        assert backend.time_base.joules(cost.energy_ticks) > 0
 
     def test_analytical_request_yields_no_output_but_is_priced(self):
         backend = create_backend("simulator", config=_config())
         request = AttentionRequest(seq_len=32)
         assert backend.compute_outputs([request]) == (None,)
-        assert backend.step([(request, 0, 32)], primed=False).cycles > 0
+        assert backend.step([(request, 0, 32)], primed=False).ticks > 0
 
     def test_whole_request_step_equals_estimate(self):
         config = _config()
         backend = create_backend("analytical", config=config)
         estimate = SWATSimulator(config).estimate(96)
         cost = backend.step([(AttentionRequest(seq_len=96), 0, 96)], primed=False)
-        assert cost.cycles == estimate.cycles
+        assert cost.ticks == estimate.cycles
+        assert backend.time_base.seconds(cost.ticks) == estimate.cycles * config.clock_period_s
 
 
 def _whole(backend, request):
@@ -118,8 +119,8 @@ class TestIterationAmortisation:
         requests = [AttentionRequest(seq_len=64) for _ in range(4)]
         together = backend.step([(request, 0, 64) for request in requests], primed=False)
         apart = [_whole(backend, request) for request in requests]
-        assert together.cycles == apart[0].cycles
-        assert together.cycles < sum(cost.cycles for cost in apart)
+        assert together.ticks == apart[0].ticks
+        assert together.ticks < sum(cost.ticks for cost in apart)
 
     def test_iteration_cycles_follow_the_gating_slice(self):
         config = _config()
@@ -130,8 +131,8 @@ class TestIterationAmortisation:
         assert gate == 2 * 48  # one pipeline: the heads stream back to back
         cost = backend.step([(short, 0, 32), (multi_head, 0, gate)], primed=False)
         assert cost.gate_rows == gate
-        assert cost.cycles == backend.simulator.pipeline.cycles_for_rows(gate)
-        assert cost.seconds == cost.cycles * config.clock_period_s
+        assert cost.ticks == backend.simulator.pipeline.cycles_for_rows(gate)
+        assert backend.time_base.tick_seconds == config.clock_period_s
 
     def test_primed_iteration_pays_no_fill(self):
         backend = create_backend("analytical", config=_config())
@@ -140,8 +141,8 @@ class TestIterationAmortisation:
         ii = pipeline.initiation_interval
         for rows in (1, 17, 64):
             slices = [(AttentionRequest(seq_len=64), 0, rows)]
-            cold = backend.step(slices, primed=False).cycles
-            primed = backend.step(slices, primed=True).cycles
+            cold = backend.step(slices, primed=False).ticks
+            primed = backend.step(slices, primed=True).ticks
             assert primed == rows * ii
             assert cold - primed == fill - ii
 
@@ -155,8 +156,9 @@ class TestAnalyticalOnlyBackends:
         assert backend.compute_outputs(requests) == (None, None)
         slices = [(request, 0, backend.request_rows(request)) for request in requests]
         burst = backend.step_burst(slices, False, 64)
-        assert np.all(burst.seconds > 0)
-        assert np.all(burst.energy_joules > 0)
+        assert np.all(burst.ticks > 0)
+        assert np.all(burst.energy_ticks > 0)
+        assert backend.time_base.power_w > 0
 
     def test_gpu_heads_scale_cost_when_launches_not_amortised(self):
         """launch_amortisation=0 reprices the looped per-head dispatch exactly."""
@@ -164,13 +166,15 @@ class TestAnalyticalOnlyBackends:
 
         backend = GPUDenseBackend(config=_config(), launch_amortisation=0.0)
 
-        def burst_seconds(request):
+        def burst_ticks(request):
             slices = [(request, 0, backend.request_rows(request))]
-            return float(np.sum(backend.step_burst(slices, False, 64).seconds))
+            return int(np.sum(backend.step_burst(slices, False, 64).ticks))
 
-        one = burst_seconds(AttentionRequest(seq_len=256))
-        four = burst_seconds(AttentionRequest(seq_len=256, num_heads=4))
-        assert four == pytest.approx(4 * one)
+        one = burst_ticks(AttentionRequest(seq_len=256))
+        four = burst_ticks(AttentionRequest(seq_len=256, num_heads=4))
+        # Each shape's report rounds up to a tick once: four heads cost four
+        # times one head's seconds, up to that rounding.
+        assert 0 <= 4 * one - four < 4
 
     def test_gpu_batching_amortises_launches(self):
         """The default batched pricing beats the looped baseline, bounded below
@@ -183,12 +187,12 @@ class TestAnalyticalOnlyBackends:
         batched = GPUDenseBackend(config=config)  # launch_amortisation=1.0
         looped = GPUDenseBackend(config=config, launch_amortisation=0.0)
         request = AttentionRequest(seq_len=256, num_heads=8)
-        batched_s = _whole(batched, request).seconds
-        looped_s = _whole(looped, request).seconds
-        assert batched_s < looped_s
+        batched_ticks = _whole(batched, request).ticks
+        looped_ticks = _whole(looped, request).ticks
+        assert batched_ticks < looped_ticks
         # Same arithmetic either way: only the launch/floor overhead shrinks.
-        one_body = _whole(batched, AttentionRequest(seq_len=256)).seconds
-        assert batched_s > 0.5 * one_body
+        one_body = _whole(batched, AttentionRequest(seq_len=256)).ticks
+        assert batched_ticks > 0.5 * one_body
 
     def test_dense_fpga_prices_off_its_cycle_domain(self):
         config = _config()
@@ -196,7 +200,7 @@ class TestAnalyticalOnlyBackends:
         request = AttentionRequest(seq_len=64)
         cycles = backend.baseline.run(64, num_heads=1).cycles
         assert cycles > 0
-        assert _whole(backend, request).seconds == pytest.approx(cycles * config.clock_period_s)
+        assert _whole(backend, request).ticks == cycles
 
 
 class TestStepBurst:
@@ -219,13 +223,19 @@ class TestStepBurst:
     @staticmethod
     def _assert_bursts_equal(vectorized, looped):
         assert vectorized.iterations == looped.iterations
-        assert np.array_equal(vectorized.seconds, looped.seconds)
-        assert np.array_equal(vectorized.energy_joules, looped.energy_joules)
+        assert np.array_equal(vectorized.ticks, looped.ticks)
+        assert np.array_equal(vectorized.energy_ticks, looped.energy_ticks)
         assert np.array_equal(vectorized.gate_rows, looped.gate_rows)
-        if looped.cycles is None:
-            assert vectorized.cycles is None
-        else:
-            assert np.array_equal(vectorized.cycles, looped.cycles)
+        # Both scheduler questions agree with the looped arrays' prefix sums.
+        starts = np.concatenate([[0], np.cumsum(looped.ticks)])
+        energy = np.concatenate([[0], np.cumsum(looped.energy_ticks)])
+        for count in range(looped.iterations + 1):
+            assert vectorized.ticks_through(count) == starts[count]
+            assert vectorized.energy_through(count) == energy[count]
+        offsets = {int(start) + delta for start in starts for delta in (-1, 0, 1)}
+        for offset in sorted(offsets):
+            expected = min(int(np.searchsorted(starts, offset, side="left")), looped.iterations)
+            assert vectorized.first_start_at(offset) == expected
 
     @pytest.mark.parametrize("name", CONTINUOUS_BACKENDS)
     @pytest.mark.parametrize("primed", [False, True])
@@ -310,7 +320,7 @@ class TestStepBurst:
 
         monkeypatch.setattr(backend, "step", _no_step)
         burst = backend.step_burst(slices, False, 16)
-        assert burst.iterations == len(burst.seconds)
+        assert burst.iterations == len(burst.ticks)
 
     @pytest.mark.parametrize("name", CONTINUOUS_BACKENDS)
     def test_burst_validation(self, name):

@@ -163,8 +163,8 @@ class TestDeclaredHeads:
         assert result.completed[0].output.shape == (16, HEAD_DIM)
         assert result.stats.total_head_rows == 3 * 16
         pipeline = create_backend("analytical", config=config).simulator.pipeline
-        cycles = sum(record.cycles for record in result.iterations)
-        assert cycles == pipeline.cycles_for_rows(3 * 16)
+        ticks = sum(record.ticks for record in result.iterations)
+        assert ticks == pipeline.cycles_for_rows(3 * 16)
 
 
 class TestGPUShapeReports:

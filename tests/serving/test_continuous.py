@@ -8,8 +8,10 @@ The load-bearing contracts of iteration-level scheduling:
   and retirement).
 * **Conservation** — every admitted request retires exactly once, occupancy
   never exceeds ``max_batch_size``, rows advanced sum to each request's
-  total, and per-iteration priced cycles sum to the batch total a drained
-  stream of the same gating rows would cost (no double-charged fill).
+  total, per-iteration priced ticks sum to the batch total a drained
+  stream of the same gating rows would cost (no double-charged fill), and
+  every request's device ticks and every shard's busy ticks are exactly the
+  ticks of the iterations they cover.
 * **Determinism** — the same seeded trace replays the same iterations,
   clocks and stats bit-for-bit; no scheduling decision reads the wall clock.
 """
@@ -148,22 +150,73 @@ class TestConservation:
         for request in requests:
             assert rows_advanced[request.request_id] == backend.request_rows(request)
 
-        # No double-charged fill: per busy period, the per-iteration cycles
-        # sum bit-exactly to what one drained stream of the same gating rows
-        # would cost (fill + (rows - 1) * II).
+        # No double-charged fill: per busy period, the per-iteration ticks
+        # (SWAT cycles) sum exactly to what one drained stream of the same
+        # gating rows would cost (fill + (rows - 1) * II).
         for shard in range(num_shards):
-            period_cycles = 0
+            period_ticks = 0
             period_rows = 0
             for record in result.iterations:
                 if record.shard != shard:
                     continue
                 if not record.primed and period_rows:
-                    assert period_cycles == pipeline.cycles_for_rows(period_rows)
-                    period_cycles = period_rows = 0
-                period_cycles += record.cycles
+                    assert period_ticks == pipeline.cycles_for_rows(period_rows)
+                    period_ticks = period_rows = 0
+                period_ticks += record.ticks
                 period_rows += record.gate_rows
             if period_rows:
-                assert period_cycles == pipeline.cycles_for_rows(period_rows)
+                assert period_ticks == pipeline.cycles_for_rows(period_rows)
+
+        # Tick conservation.  ``first_tick`` inverts the one seconds
+        # conversion exactly, so these compare integer ticks.
+        time_base = result.time_base
+        for done in result.completed:
+            resident_ticks = sum(
+                record.ticks
+                for record in result.iterations
+                if done.request.request_id in dict(record.resident)
+            )
+            assert time_base.first_tick(done.device_seconds) == resident_ticks
+            assert done.arrival_time <= done.admit_time
+        for shard in range(num_shards):
+            shard_ticks = sum(
+                record.ticks for record in result.iterations if record.shard == shard
+            )
+            assert time_base.first_tick(result.stats.shard_busy_seconds[shard]) == shard_ticks
+        energy_ticks = sum(record.energy_ticks for record in result.iterations)
+        assert result.stats.total_energy_joules == time_base.joules(energy_ticks)
+
+    @settings(deadline=None, max_examples=25)
+    @given(
+        gaps=st.lists(st.floats(0.0, 1.0, allow_nan=False), min_size=1, max_size=8),
+        seq_len=st.sampled_from([5, 16, 48]),
+        backend=st.sampled_from(["analytical", "gpu-dense", "dense-fpga"]),
+    )
+    def test_idle_shard_admits_within_one_tick_of_arrival(self, gaps, seq_len, backend):
+        """An arrival finding the pool idle is admitted at its first tick."""
+        config = _config()
+        solo = serve_continuous(
+            [AttentionRequest(seq_len=seq_len)], config=config, backend=backend
+        ).completed[0]
+        # Space arrivals past one solo service so every request finds the
+        # pool idle; the gap fractions put arrivals at arbitrary floats.
+        spacing = 2.0 * solo.latency_seconds
+        arrivals = []
+        instant = 0.0
+        for gap in gaps:
+            instant += spacing * (1.0 + gap)
+            arrivals.append(instant)
+        requests = make_requests(
+            [seq_len] * len(arrivals), config.head_dim, functional=False, arrival_times=arrivals
+        )
+        result = serve_continuous(requests, config=config, backend=backend)
+        time_base = result.time_base
+        for done in result.completed:
+            # At or after the arrival, with no tick in between.
+            assert done.arrival_time <= done.admit_time
+            assert time_base.first_tick(done.admit_time) == time_base.first_tick(
+                done.arrival_time
+            )
 
     def test_solo_request_costs_exactly_one_dispatch(self):
         # Slicing a lone request across iterations must not change its
@@ -176,10 +229,27 @@ class TestConservation:
             [request], config=config, backend="analytical", iteration_rows=17
         )
         pipeline = SWATPipelineModel(config)
-        total_cycles = sum(record.cycles for record in result.iterations)
-        assert total_cycles == pipeline.batch_attention_cycles(
+        total_ticks = sum(record.ticks for record in result.iterations)
+        assert total_ticks == pipeline.batch_attention_cycles(
             [(request.seq_len, request.num_heads)]
         )
+        assert result.time_base.tick_seconds == config.clock_period_s
+
+    @pytest.mark.parametrize("backend", ["gpu-dense", "gpu-chunked", "dense-fpga"])
+    @pytest.mark.parametrize("iteration_rows", [1, 7, 17, 64, 10_000])
+    def test_solo_rate_request_slices_sum_to_its_one_shot_ticks(self, backend, iteration_rows):
+        """Positional slices of a lone request sum to exactly ``R`` ticks."""
+        config = _config()
+        request = AttentionRequest(seq_len=100, num_heads=3, arrival_time=0.0)
+        pool = create_backend(backend, config=config)
+        one_shot, rate_rows = pool._rate(request)
+        assert rate_rows == pool.request_rows(request)
+        result = serve_continuous(
+            [request], config=config, backend=backend, iteration_rows=iteration_rows
+        )
+        assert sum(record.ticks for record in result.iterations) == one_shot
+        (done,) = result.completed
+        assert result.time_base.first_tick(done.device_seconds) == one_shot
 
 
 class TestDeterminism:
@@ -204,7 +274,7 @@ class TestDeterminism:
         assert len(first.iterations) == len(second.iterations)
         for record_a, record_b in zip(first.iterations, second.iterations):
             assert record_a.shard == record_b.shard
-            assert record_a.cycles == record_b.cycles
+            assert record_a.ticks == record_b.ticks
             assert record_a.gate_rows == record_b.gate_rows
             assert [rows for _, rows in record_a.resident] == [
                 rows for _, rows in record_b.resident
@@ -351,16 +421,19 @@ class TestSchedulerEquivalence:
         num_shards=st.integers(1, 3),
         policy=st.sampled_from(["fcfs", "sjf"]),
         admission=st.sampled_from(["continuous", "drain"]),
+        backend=st.sampled_from(["analytical", "gpu-dense", "dense-fpga"]),
     )
     def test_event_scheduler_matches_reference_bitwise(
-        self, trace, num_shards, policy, admission
+        self, trace, num_shards, policy, admission, backend
     ):
+        # The GPU and dense-FPGA backends answer the burst questions off
+        # int64 prefix sums, SWAT attention bursts in closed form.
         seq_lens, arrival_seed, max_batch_size, iteration_rows = trace
         config = _config()
         event_run, reference_run = self._run_both(
             _trace_requests(seq_lens, arrival_seed, functional=False),
             config=config,
-            backend="analytical",
+            backend=backend,
             num_shards=num_shards,
             max_batch_size=max_batch_size,
             iteration_rows=iteration_rows,
@@ -490,14 +563,14 @@ class TestEngineMode:
 class TestClockAndLatency:
     def test_clock_only_moves_forward(self):
         clock = ServingClock()
-        clock.advance(1.5)
-        clock.jump_to(1.0)  # already past: no-op
-        assert clock.now == 1.5
-        clock.jump_to(2.0)
-        assert clock.now == 2.0
-        assert clock.busy_seconds == 1.5
+        clock.advance(15)
+        clock.jump_to(10)  # already past: no-op
+        assert clock.now == 15
+        clock.jump_to(20)
+        assert clock.now == 20
+        assert clock.busy_ticks == 15
         with pytest.raises(ValueError):
-            clock.advance(-1.0)
+            clock.advance(-1)
 
     def test_latency_accounting_orders_sanely(self):
         config = _config()
@@ -543,23 +616,23 @@ class TestContinuousBatcher:
         early = AttentionRequest(seq_len=8, arrival_time=0.0)
         late = AttentionRequest(seq_len=8, arrival_time=5.0)
         batcher.submit([late, early])
-        admitted = batcher.admit(0, now=1.0, rows_of=lambda request: request.seq_len)
+        admitted = batcher.admit(0, now=1, rows_of=lambda request: request.seq_len)
         assert [inflight.request.request_id for inflight in admitted] == [early.request_id]
-        assert batcher.next_arrival_time() == 5.0
+        assert batcher.next_arrival_tick() == 5  # one-second ticks by default
         assert not batcher.done
 
     def test_drain_admission_waits_for_empty_shard(self):
         batcher = ContinuousBatcher(max_batch_size=2, admission="drain")
         requests = [AttentionRequest(seq_len=8) for _ in range(4)]
         batcher.submit(requests)
-        first = batcher.admit(0, now=0.0, rows_of=lambda request: request.seq_len)
+        first = batcher.admit(0, now=0, rows_of=lambda request: request.seq_len)
         assert len(first) == 2
         # Mid-batch: no admission even though slots could hold more work.
-        assert batcher.admit(0, now=0.0, rows_of=lambda request: request.seq_len) == []
+        assert batcher.admit(0, now=0, rows_of=lambda request: request.seq_len) == []
         for inflight in first:
             inflight.rows_done = inflight.rows_total
-        batcher.retire_finished(0, now=1.0)
-        second = batcher.admit(0, now=1.0, rows_of=lambda request: request.seq_len)
+        batcher.retire_finished(0, now=1)
+        second = batcher.admit(0, now=1, rows_of=lambda request: request.seq_len)
         assert len(second) == 2
 
     def test_invalid_parameters_rejected(self):
@@ -577,6 +650,39 @@ class TestContinuousBatcher:
                 num_shards=2,
                 backends=[create_backend("analytical", config=_config())],
             )
+        with pytest.raises(ValueError, match="num_shards"):
+            serve_continuous([], config=_config(), backend="analytical", num_shards=0)
+
+    @pytest.mark.parametrize(
+        "names", [("analytical", "gpu-dense"), ("gpu-dense", "analytical")]
+    )
+    def test_mixed_backend_pool_rejected(self, names):
+        # Shard 0's row model would price every shard (a GPU shard streaming
+        # a quarter of its rows, or an analytical one four times too many),
+        # and the shards would not share one tick: refuse, say why.
+        config = _config(num_pipelines=2)
+        requests = [AttentionRequest(seq_len=256, num_heads=4) for _ in range(2)]
+        pool = [create_backend(name, config=config) for name in names]
+        with pytest.raises(ValueError, match="same backend on the same config"):
+            serve_continuous(
+                requests,
+                config=config,
+                backend=names[0],
+                num_shards=2,
+                max_batch_size=1,
+                backends=pool,
+            )
+
+    def test_mixed_config_pool_and_mislabelled_pool_rejected(self):
+        pool = [
+            create_backend("analytical", config=_config()),
+            create_backend("analytical", config=_config(clock_mhz=200.0)),
+        ]
+        with pytest.raises(ValueError, match="same backend on the same config"):
+            serve_continuous([], backend="analytical", num_shards=2, backends=pool)
+        same = [create_backend("analytical", config=_config()) for _ in range(2)]
+        with pytest.raises(ValueError, match="pass backend='analytical'"):
+            serve_continuous([], backend="simulator", num_shards=2, backends=same)
 
     def test_free_slots_tracks_admission_policy(self):
         continuous = ContinuousBatcher(max_batch_size=3)
@@ -584,7 +690,7 @@ class TestContinuousBatcher:
         for batcher in (continuous, drain):
             batcher.submit([AttentionRequest(seq_len=8) for _ in range(2)])
             assert batcher.free_slots(0) == 3
-            batcher.admit(0, now=0.0, rows_of=lambda request: request.seq_len)
+            batcher.admit(0, now=0, rows_of=lambda request: request.seq_len)
         assert continuous.free_slots(0) == 1
         assert drain.free_slots(0) == 0  # mid-batch: membership is fixed
 
@@ -597,12 +703,13 @@ class TestAccounting:
             requests, config=config, backend="analytical", max_batch_size=2, iteration_rows=8
         )
         for done in result.completed:
-            resident_seconds = sum(
-                record.seconds
+            resident_ticks = sum(
+                record.ticks
                 for record in result.iterations
                 if done.request.request_id in dict(record.resident)
             )
-            assert done.device_seconds == pytest.approx(resident_seconds)
+            assert done.device_seconds == result.time_base.seconds(resident_ticks)
+            assert result.time_base.first_tick(done.device_seconds) == resident_ticks
             assert done.device_seconds > 0
 
     def test_engine_continuous_mode_reuses_its_shards(self):
@@ -716,7 +823,7 @@ class TestAdmissionPolicy:
         short_late = AttentionRequest(seq_len=8, arrival_time=1.0)
         not_arrived = AttentionRequest(seq_len=2, arrival_time=9.0)
         batcher.submit([long_early, short_late, not_arrived])
-        admitted = batcher.admit(0, now=2.0, rows_of=lambda request: request.seq_len)
+        admitted = batcher.admit(0, now=2, rows_of=lambda request: request.seq_len)
         assert [inflight.request.request_id for inflight in admitted] == [
             short_late.request_id
         ]

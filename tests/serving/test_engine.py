@@ -68,7 +68,6 @@ class TestAccounting:
         engine = ServingEngine(config=_config(), backend="analytical")
         result = engine.serve([])
         assert result.stats.num_requests == 0
-        assert result.stats.num_batches == 0
         assert result.stats.requests_per_second == 0.0
         assert result.stats.device_makespan_seconds == 0.0
 
@@ -81,7 +80,7 @@ class TestAccounting:
         stats = result.stats
         # Each shard admits one full batch of four and streams it in one
         # iteration of the default quantum.
-        assert stats.num_iterations == stats.num_batches == 2
+        assert stats.num_iterations == 2
         assert stats.mean_occupancy == 1.0
         assert len(stats.shard_busy_seconds) == 2
         # Two equal batches on two shards: both busy, perfectly balanced.
@@ -114,7 +113,8 @@ class TestAccounting:
         assert result.stats.shard_busy_seconds[1] == 0.0
         # Sliced into quanta or not, a lone request costs its solo estimate.
         estimate = SWATSimulator(config).estimate(96)
-        assert done.device_seconds == pytest.approx(estimate.seconds)
+        assert done.device_seconds == result.time_base.seconds(estimate.cycles)
+        assert result.time_base.first_tick(done.device_seconds) == estimate.cycles
         assert result.stats.device_makespan_seconds == done.finish_time
 
     def test_total_head_rows_accounts_heads(self):
@@ -229,8 +229,8 @@ class TestArrivals:
         assert result.stats.device_makespan_seconds > arrivals[-1]
         # Busy time excludes the gaps, and the pipeline drains between
         # requests, so every request pays its own fill.
-        cold = SWATSimulator(config).pipeline.cycles_for_rows(24) * config.clock_period_s
-        assert result.stats.shard_busy_seconds[0] == pytest.approx(4 * cold)
+        cold = SWATSimulator(config).pipeline.cycles_for_rows(24)
+        assert result.time_base.first_tick(result.stats.shard_busy_seconds[0]) == 4 * cold
 
     @pytest.mark.parametrize("mode", ["drain", "continuous"])
     def test_staggered_run_reports_latency_percentiles(self, mode):

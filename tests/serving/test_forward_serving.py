@@ -154,8 +154,8 @@ class TestDrainServing:
         backend = create_backend("analytical", config=config, plan_cache=PlanCache())
         plan = backend.model_plan(request)
         cost = backend.step([(request, 0, plan.total_rows)], primed=False)
-        assert cost.cycles == plan.total_cycles
-        assert cost.seconds == plan.total_cycles * config.clock_period_s
+        assert cost.ticks == plan.total_cycles
+        assert backend.time_base.seconds(cost.ticks) == plan.total_cycles * config.clock_period_s
 
     def test_model_registry_memoises_per_spec(self):
         config = _config()
@@ -204,7 +204,7 @@ class TestContinuousServing:
                 max_batch_size=2,
                 iteration_rows=iteration_rows,
             )
-            assert sum(record.cycles for record in result.iterations) == plan.total_cycles
+            assert sum(record.ticks for record in result.iterations) == plan.total_cycles
 
     def test_forward_lifecycle_and_gpu_backends(self):
         config = _config()

@@ -7,6 +7,7 @@ from repro.serving.continuous import poisson_arrivals, serve_continuous
 from repro.serving.request import make_requests
 from repro.telemetry import EventBus, MetricsAggregator
 from repro.telemetry.events import (
+    IterationAdvanced,
     PlanCacheLookup,
     QueueDepth,
     RequestAdmitted,
@@ -107,26 +108,43 @@ class TestSnapshot:
         assert aggregator.retired == len(seq_lens)
         snapshot = aggregator.snapshot()
         assert snapshot["status"] == "finished"
-        assert snapshot["engine"] == "continuous (analytical)"
+        assert snapshot["run"] == "continuous (analytical)"
         assert snapshot["arrived / admitted / retired"] == "12 / 12 / 12"
         assert snapshot["rolling req/s"] > 0
         assert "shard 0 occupancy" in snapshot and "shard 1 occupancy" in snapshot
         rendered = aggregator.to_table().render()
         assert "rolling req/s" in rendered
 
-    def test_run_started_shapes_engine_label(self):
+    def test_run_started_shapes_run_label(self):
         aggregator = MetricsAggregator()
-        assert aggregator.snapshot()["engine"] == "?"
+        assert aggregator.snapshot()["run"] == "?"
         aggregator.feed(
             RunStarted(
-                engine="drain",
                 backend="simulator",
                 num_shards=1,
                 max_batch_size=8,
                 num_requests=4,
+                tick_seconds=0.5,
+                power_w=10.0,
+                mode="drain",
             )
         )
-        assert aggregator.snapshot()["engine"] == "drain (simulator)"
+        assert aggregator.snapshot()["run"] == "drain (simulator)"
+        # Iteration ends convert through the run's tick.
+        aggregator.feed(
+            IterationAdvanced(
+                index=0,
+                shard=0,
+                start_tick=2,
+                ticks=6,
+                energy_ticks=6,
+                gate_rows=1,
+                primed=False,
+                num_resident=1,
+                occupancy=0.125,
+            )
+        )
+        assert aggregator.last_time == 4.0
 
     def test_run_finished_flips_status(self):
         aggregator = MetricsAggregator()

@@ -21,11 +21,12 @@ from repro.telemetry.events import (
 
 EXAMPLES = [
     RunStarted(
-        engine="continuous",
         backend="analytical",
         num_shards=2,
         max_batch_size=8,
         num_requests=32,
+        tick_seconds=1.0 / 300e6,
+        power_w=12.5,
         mode="continuous",
         policy="sjf",
         iteration_rows=128,
@@ -52,10 +53,9 @@ EXAMPLES = [
     IterationAdvanced(
         index=11,
         shard=1,
-        start_seconds=0.25,
-        seconds=0.125,
-        cycles=12345,
-        energy_joules=2e-4,
+        start_tick=75_000_000,
+        ticks=12345,
+        energy_ticks=12345,
         gate_rows=64,
         primed=True,
         num_resident=5,
@@ -104,20 +104,24 @@ class TestRoundTrip:
         assert isinstance(restored.block_sizes, tuple)
         assert isinstance(restored.block_times, tuple)
 
-    def test_none_cycles_survive(self):
+    def test_integer_ticks_survive_json_as_ints(self):
+        import json
+
+        # Ticks past 2**53 would lose bits as floats; JSON keeps them ints.
         event = IterationAdvanced(
             index=0,
             shard=0,
-            start_seconds=0.0,
-            seconds=1.0,
-            cycles=None,
-            energy_joules=0.0,
+            start_tick=2**60 + 1,
+            ticks=3,
+            energy_ticks=7,
             gate_rows=1,
             primed=False,
             num_resident=1,
             occupancy=0.5,
         )
-        assert from_record(to_record(event)).cycles is None
+        restored = from_record(json.loads(json.dumps(to_record(event))))
+        assert restored == event
+        assert type(restored.start_tick) is int
 
 
 class TestValidation:
@@ -125,6 +129,27 @@ class TestValidation:
         record = to_record(QueueDepth(depth=1, time=0.0))
         record["v"] = SCHEMA_VERSION + 1
         with pytest.raises(ValueError, match="schema version"):
+            from_record(record)
+
+    @pytest.mark.parametrize("version", [1, 2, 3])
+    def test_pre_tick_schema_rejected_with_a_remedy(self, version):
+        # A v3 iteration carried float seconds/cycles/joules; replaying it as
+        # ticks would be wrong, so the reader refuses and says what to do.
+        record = {
+            "v": version,
+            "kind": "iteration_advanced",
+            "index": 0,
+            "shard": 0,
+            "start_seconds": 0.0,
+            "seconds": 1e-6,
+            "cycles": 300,
+            "energy_joules": 1e-5,
+            "gate_rows": 32,
+            "primed": False,
+            "num_resident": 1,
+            "occupancy": 0.25,
+        }
+        with pytest.raises(ValueError, match="integer-tick schema.*re-record"):
             from_record(record)
 
     def test_unknown_kind_rejected(self):

@@ -189,7 +189,7 @@ class TestDrainReplay:
         writer.close()
         replayed = replay_stats(path)
         _assert_stats_identical(result.stats, replayed)
-        assert replayed.num_batches == result.stats.num_batches > 0
+        assert replayed.num_iterations == result.stats.num_iterations > 0
         assert verify_log(path) == []
 
     def test_paced_drain_run_replays(self, tmp_path):
