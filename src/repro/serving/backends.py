@@ -26,7 +26,9 @@ when the pipeline was idle before the iteration, so the per-iteration ticks
 :meth:`~repro.core.pipeline.SWATPipelineModel.batch_attention_cycles` would
 charge for the same rows streamed as one batch.
 :meth:`AttentionBackend.step_burst` prices every iteration over a fixed
-resident set in one call.  The GPU backends price off one memoised
+resident set in one call, reading the residents as lockstep columns
+(:class:`Residents`: one row counter plus each resident's start and finish
+row).  The GPU backends price off one memoised
 ``run_batch`` report per distinct ``(seq_len, items)`` shape, rounded up to
 a tick, with the launch-amortisation knob of :mod:`repro.gpu` deciding how
 much of the per-kernel launch cost the batch hides; they and the
@@ -96,6 +98,7 @@ __all__ = [
     "StepCost",
     "StepBurst",
     "StreamBurst",
+    "Residents",
     "AttentionBackend",
     "BackendRegistry",
     "REGISTRY",
@@ -142,7 +145,8 @@ class StepBurst:
     is constant, so every iteration of the burst advances the same slices —
     the whole burst is a closed-form function of the residents' remaining
     rows.  :meth:`AttentionBackend.step_burst` prices all of them in one
-    call; iteration ``j`` is bit-identical to what the corresponding
+    call from the shard's :class:`Residents` columns; iteration ``j`` is
+    bit-identical to what the corresponding
     :meth:`~AttentionBackend.step` call would have returned.
 
     The scheduler asks a burst two questions, both in integer ticks:
@@ -299,8 +303,8 @@ class StreamBurst(StepBurst):
             return self._first
         return self._first + (self.iterations - 2) * self._body + self._last
 
-    def energy_through(self, count: int) -> int:
-        return self.ticks_through(count)
+    # The energy rule charges the busy ticks.
+    energy_through = ticks_through
 
     def first_start_at(self, offset: int) -> int:
         if offset <= 0:
@@ -319,6 +323,87 @@ class StreamBurst(StepBurst):
         return StreamBurst(
             left, first, self._body, self._last, first_rows, self._body_rows, self._last_rows
         )
+
+
+#: Request kinds priced positionally along a compiled plan's row axis.
+_POSITIONAL_KINDS = (DecodeRequest, ForwardRequest)
+
+
+class Residents:
+    """A shard's resident set as columns: the input of ``step_burst``.
+
+    Residents stream in lockstep (every iteration advances each of them by
+    the same ``iteration_rows`` until one retires), so one row counter
+    ``row`` places them all.  Resident ``i`` joined at row ``starts[i]`` and
+    retires once ``row`` reaches ``finishes[i]``: it has streamed
+    ``row - starts[i]`` rows and has ``finishes[i] - row`` left.  Advancing
+    a burst moves ``row`` alone and touches no resident.
+
+    ``positional`` counts the residents priced positionally (forwards and
+    decodes); at zero a SWAT burst needs only the fewest and the most rows
+    left.  :meth:`add` and :meth:`retire` keep it current, so no burst
+    scans the residents' kinds.
+    """
+
+    __slots__ = ("requests", "starts", "finishes", "row", "positional")
+
+    def __init__(self) -> None:
+        self.requests: "list[AttentionRequest]" = []
+        self.starts: "list[int]" = []
+        self.finishes: "list[int]" = []
+        self.row = 0
+        self.positional = 0
+
+    @classmethod
+    def from_slices(cls, slices: "list[tuple[AttentionRequest, int, int]]") -> "Residents":
+        """Columns of ``(request, rows_done, rows_left)`` slices, in slot order."""
+        residents = cls()
+        residents.row = max((rows_done for _, rows_done, _ in slices), default=0)
+        for request, rows_done, rows_left in slices:
+            residents.add(request, rows_done + rows_left, rows_done)
+        return residents
+
+    def add(self, request: AttentionRequest, rows_total: int, rows_done: int = 0) -> None:
+        """Seat ``request``, ``rows_done`` of its ``rows_total`` rows already streamed."""
+        start = self.row - rows_done
+        self.requests.append(request)
+        self.starts.append(start)
+        self.finishes.append(start + rows_total)
+        if isinstance(request, _POSITIONAL_KINDS):
+            self.positional += 1
+
+    def retire(self) -> "list[int]":
+        """Drop every resident whose finish row ``row`` has reached.
+
+        Returns their slot indices, ascending.
+        """
+        row = self.row
+        gone = []
+        for slot, finish in enumerate(self.finishes):
+            if finish <= row:
+                gone.append(slot)
+        for slot in reversed(gone):
+            if self.positional and isinstance(self.requests[slot], _POSITIONAL_KINDS):
+                self.positional -= 1
+            del self.requests[slot], self.starts[slot], self.finishes[slot]
+        return gone
+
+    def fewest_left(self) -> int:
+        """Rows left to the first retirement (validated positive)."""
+        if not self.finishes:
+            raise ValueError("a burst needs at least one resident slice")
+        fewest = min(self.finishes) - self.row
+        if fewest <= 0:
+            raise ValueError(f"remaining rows must be positive, got {fewest}")
+        return fewest
+
+    def slices(self) -> "list[tuple[AttentionRequest, int, int]]":
+        """``(request, rows_done, rows_left)`` per resident, in slot order."""
+        row = self.row
+        return [
+            (request, row - start, finish - row)
+            for request, start, finish in zip(self.requests, self.starts, self.finishes)
+        ]
 
 
 class AttentionBackend(ABC):
@@ -462,21 +547,17 @@ class AttentionBackend(ABC):
         admissions instead of being re-charged per dispatch.
         """
 
-    def step_burst(
-        self,
-        slices: "list[tuple[AttentionRequest, int, int]]",
-        primed: bool,
-        iteration_rows: int,
-    ) -> StepBurst:
+    def step_burst(self, residents: Residents, primed: bool, iteration_rows: int) -> StepBurst:
         """Price every iteration until the first resident retires, in one call.
 
-        ``slices`` holds ``(request, rows_done, remaining_rows)`` per
-        resident — note the third element is the rows *left to stream*, not
-        one iteration's slice: the burst derives each iteration's slices
-        itself (``min(iteration_rows, remaining)``, shrinking only on the
-        final iteration).  ``primed`` applies to the first iteration; later
-        iterations of a burst are primed by construction (the shard streamed
-        in the immediately preceding iteration).
+        ``residents`` is the shard's resident set as lockstep columns
+        (:class:`Residents`): each resident's rows done and rows *left to
+        stream* — not one iteration's slice: the burst derives each
+        iteration's slices itself (``min(iteration_rows, remaining)``,
+        shrinking only on the final iteration).  ``primed`` applies to the
+        first iteration; later iterations of a burst are primed by
+        construction (the shard streamed in the immediately preceding
+        iteration).
 
         The default implementation loops :meth:`step` once per iteration —
         bit-identical to the quantum-stepped scheduler by definition, and
@@ -484,12 +565,8 @@ class AttentionBackend(ABC):
         price the same integer ticks closed-form (:class:`StreamBurst`) or
         as int64 rows (:class:`StepBurst`) without the Python loop.
         """
-        if not slices:
-            raise ValueError("a burst needs at least one resident slice")
-        remaining = [rows_left for _, _, rows_left in slices]
-        if min(remaining) <= 0:
-            raise ValueError(f"remaining rows must be positive, got {min(remaining)}")
-        iterations = -(-min(remaining) // iteration_rows)
+        iterations = -(-residents.fewest_left() // iteration_rows)
+        slices = residents.slices()
         ticks = np.empty(iterations, dtype=np.int64)
         energy = np.empty(iterations, dtype=np.int64)
         gate_rows = np.empty(iterations, dtype=np.int64)
@@ -592,10 +669,6 @@ def available_backends() -> "tuple[str, ...]":
     return REGISTRY.names()
 
 
-#: Request kinds priced positionally along a compiled plan's row axis.
-_POSITIONAL_KINDS = (DecodeRequest, ForwardRequest)
-
-
 def batch_head_rows(batch: "list[AttentionRequest]") -> int:
     """Accounted head-row units of a batch (``num_heads * seq_len`` per
     attention request, summed over layers for forwards).
@@ -665,6 +738,8 @@ class _SWATBackendBase(AttentionBackend):
         # functions of the frozen config.
         self._initiation_interval = self.simulator.pipeline.initiation_interval
         self._total_power_w = self.simulator.power_model.total_power_w
+        # Plain-attention pipeline rows per (seq_len, num_heads).
+        self._attention_rows: "dict[tuple[int, int], int]" = {}
 
     @property
     def power_w(self) -> float:
@@ -703,13 +778,20 @@ class _SWATBackendBase(AttentionBackend):
         streams that many rows per layer
         (:attr:`~repro.model.plan.ModelPlan.total_rows`); a decode streams
         only its new rows, block-major
-        (:attr:`~repro.model.plan.DecodePlan.total_rows`).
+        (:attr:`~repro.model.plan.DecodePlan.total_rows`).  Plain-attention
+        rows are memoised per ``(seq_len, num_heads)``.
         """
         if isinstance(request, DecodeRequest):
             return self.decode_plan(request).total_rows
         if isinstance(request, ForwardRequest):
             return self.model_plan(request).total_rows
-        return ceil(request.num_heads / self.config.num_pipelines) * request.seq_len
+        key = (request.seq_len, request.num_heads)
+        rows = self._attention_rows.get(key)
+        if rows is None:
+            rows = self._attention_rows[key] = (
+                ceil(request.num_heads / self.config.num_pipelines) * request.seq_len
+            )
+        return rows
 
     def _positional_plan(self, request: AttentionRequest) -> "DecodePlan | ModelPlan | None":
         """The row-span pricing plan of ``request``, or ``None`` for plain
@@ -759,19 +841,15 @@ class _SWATBackendBase(AttentionBackend):
                 gate_rows = rows
         return StepCost(ticks=cycles, energy_ticks=cycles, gate_rows=gate_rows)
 
-    def step_burst(
-        self,
-        slices: "list[tuple[AttentionRequest, int, int]]",
-        primed: bool,
-        iteration_rows: int,
-    ) -> StepBurst:
+    def step_burst(self, residents: Residents, primed: bool, iteration_rows: int) -> StepBurst:
         """Closed-form SWAT burst: the pipeline streams one row per II.
 
         With the resident set fixed, every iteration before the last
         advances exactly ``iteration_rows`` gating rows, so an attention-only
         burst is a :class:`StreamBurst` — ``[fill-or-primed first, (K - 2)
-        primed full slices, one primed remainder]`` — built in O(residents)
-        with no per-iteration array at all.  Forward and decode slices are
+        primed full slices, one primed remainder]`` — priced from two ints,
+        the fewest and the most rows left, with no per-resident work and no
+        per-iteration array at all.  Forward and decode slices are
         priced positionally: each resident's int64 cycle row is a slice of
         its plan's memoised
         :meth:`~repro.model.plan._RowSpanPricing.primed_grid` for
@@ -782,22 +860,13 @@ class _SWATBackendBase(AttentionBackend):
         first-strict-max gating — no looped-``step`` fallback on any slice
         kind.
         """
-        if not slices:
-            raise ValueError("a burst needs at least one resident slice")
-        remaining = [rows_left for _, _, rows_left in slices]
-        min_remaining = min(remaining)
-        if min_remaining <= 0:
-            raise ValueError(f"remaining rows must be positive, got {min_remaining}")
-        iterations = -(-min_remaining // iteration_rows)
+        iterations = -(-residents.fewest_left() // iteration_rows)
         streamed = (iterations - 1) * iteration_rows
         ii = self._initiation_interval
-        for request, _, _ in slices:
-            if isinstance(request, _POSITIONAL_KINDS):
-                break
-        else:
+        if not residents.positional:
             # Attention only.  The final iteration is gated by the resident
             # with the most rows left.
-            last_rows = min(iteration_rows, max(remaining) - streamed)
+            last_rows = min(iteration_rows, max(residents.finishes) - residents.row - streamed)
             first_rows = iteration_rows if iterations > 1 else last_rows
             return StreamBurst(
                 iterations,
@@ -808,6 +877,7 @@ class _SWATBackendBase(AttentionBackend):
                 iteration_rows,
                 last_rows,
             )
+        slices = residents.slices()
         plans = [self._positional_plan(request) for request, _, _ in slices]
         cycle_rows = np.empty((len(slices), iterations), dtype=np.int64)
         last_slice_rows = np.empty(len(slices), dtype=np.int64)
@@ -948,12 +1018,7 @@ class _RateBackendBase(AttentionBackend):
             gate_rows=gate_rows,
         )
 
-    def step_burst(
-        self,
-        slices: "list[tuple[AttentionRequest, int, int]]",
-        primed: bool,
-        iteration_rows: int,
-    ) -> StepBurst:
+    def step_burst(self, residents: Residents, primed: bool, iteration_rows: int) -> StepBurst:
         """The burst as int64 rows: every resident's slice ticks at once.
 
         Row ``r``, column ``j`` is resident ``r``'s positional slice of
@@ -961,16 +1026,12 @@ class _RateBackendBase(AttentionBackend):
         reference loop's first-strict-max gating.
         """
         del primed  # no streaming fill to amortise
-        if not slices:
-            raise ValueError("a burst needs at least one resident slice")
-        remaining = np.array([rows_left for _, _, rows_left in slices], dtype=np.int64)
-        if int(remaining.min()) <= 0:
-            raise ValueError(f"remaining rows must be positive, got {int(remaining.min())}")
-        iterations = -(-int(remaining.min()) // iteration_rows)
+        iterations = -(-residents.fewest_left() // iteration_rows)
+        remaining = np.array(residents.finishes, dtype=np.int64) - residents.row
         # Per resident (rows): R, T and rows_done as int64 columns.
-        rates = np.array([self._rate(request) for request, _, _ in slices], dtype=np.int64)
+        rates = np.array([self._rate(request) for request in residents.requests], dtype=np.int64)
         total, rate_rows = rates[:, :1], rates[:, 1:]
-        rows_done = np.array([[rows_done] for _, rows_done, _ in slices], dtype=np.int64)
+        rows_done = residents.row - np.array(residents.starts, dtype=np.int64)[:, None]
         # Rows each resident has streamed at every iteration boundary.
         streamed = np.minimum(
             np.arange(iterations + 1, dtype=np.int64) * iteration_rows, remaining[:, None]

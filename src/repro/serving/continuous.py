@@ -41,12 +41,17 @@ Two scheduler implementations produce bit-identical results
     *burst* of iterations in one
     :meth:`~repro.serving.backends.AttentionBackend.step_burst` call, and
     the loop folds it into the accounting with integer prefix sums (an
-    attention-only SWAT burst answers them in closed form, so a burst costs
-    O(residents), not O(iterations)).  A burst cut short by an arrival or
-    by another shard's activation is resumed, not repriced, at the shard's
-    next activation unless that activation admits.  Pricing cost scales
-    with *resident-set changes*, not iterations or activations: a
-    100k-request diurnal trace replays in seconds.
+    attention-only SWAT burst answers them in closed form from two ints,
+    the fewest and the most rows left).  The shard, not the resident, is
+    what the loop advances: residents stream in lockstep, so each shard
+    keeps one row counter, a burst moves only that counter, and a
+    resident's rows and device ticks are stamped once, at retirement (its
+    device ticks are the shard's busy ticks over its residency).  A burst
+    cut short by an arrival or by another shard's activation is resumed,
+    not repriced, at the shard's next activation unless that activation
+    admits.  Pricing cost scales with *resident-set changes*, not
+    iterations or activations: a 100k-request diurnal trace replays in
+    about a second.
 
 ``"reference"``
     The retained quantum-stepped loop: one Python iteration per priced
@@ -80,15 +85,17 @@ from __future__ import annotations
 
 import heapq
 import time
-from collections import Counter, deque
+from array import array
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
+from operator import attrgetter
 from statistics import mean
 
 from repro.core.config import SWATConfig
 from repro.core.pipeline import SWATPipelineModel
-from repro.serving.backends import StepBurst, batch_head_rows, create_backend
+from repro.serving.backends import Residents, StepBurst, batch_head_rows, create_backend
 from repro.serving.cache import KVResidency, PlanCache
 from repro.serving.request import (
     AttentionRequest,
@@ -142,6 +149,32 @@ SCHEDULERS = ("event", "reference")
 DEFAULT_ITERATION_ROWS = 128
 
 
+#: Why each size knob must be a whole number, for :func:`check_count`.
+_WHOLE_COUNTS = {
+    "max_batch_size": (
+        "a shard seats whole residents, and a fractional width seats one more than "
+        "it has room for (occupancy above 1)"
+    ),
+    "iteration_rows": "every resident advances the same whole rows per iteration, in lockstep",
+    "num_shards": "the pool runs one clock per shard",
+}
+
+
+def check_count(name: str, value) -> None:
+    """Reject a size knob that is not a positive ``int`` (a ``bool`` included).
+
+    ``name`` is ``"max_batch_size"``, ``"iteration_rows"`` or
+    ``"num_shards"``.
+    """
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(
+            f"{name} must be an int, got {value!r} ({type(value).__name__}): "
+            f"{_WHOLE_COUNTS[name]}"
+        )
+    if value <= 0:
+        raise ValueError(f"{name} must be positive, got {value}")
+
+
 class ServingClock:
     """One shard's simulated device clock, in integer ticks.
 
@@ -180,6 +213,13 @@ class InFlightRequest:
     Clock stamps are integer ticks; ``admit_time`` is the admit instant in
     seconds, converted once per admitting activation and shared by that
     activation's admits.
+
+    The reference scheduler advances ``rows_done`` and ``device_ticks``
+    every iteration.  The event scheduler advances its shard's lockstep row
+    counter instead and stamps both once, at retirement: ``rows_done`` is
+    then ``rows_total``, and ``device_ticks`` is the shard's busy ticks at
+    retirement minus ``busy_at_admit``.  Mid-flight they read as unstamped
+    on that path.
     """
 
     request: AttentionRequest
@@ -205,6 +245,9 @@ class InFlightRequest:
     #: Decode requests only: clock tick each block completed at, appended
     #: as the row stream crosses ``token_boundaries``.
     block_ticks: "list[int] | None" = None
+    #: Event scheduler only: the shard's busy ticks when this request was
+    #: admitted.
+    busy_at_admit: int = 0
 
     @property
     def remaining_rows(self) -> int:
@@ -300,7 +343,12 @@ class ContinuousBatcher:
     Clock instants (``now``) are integer ticks of ``time_base`` (by default
     one-second ticks, so plain seconds work too).  A request is admissible
     at ``now`` when ``arrival_time <= time_base.seconds(now)``, i.e. from
-    :meth:`next_arrival_tick` on.
+    its first tick on; :meth:`submit` computes every request's first tick
+    once.  Admission instants never decrease (both schedulers activate
+    shards in tick order), and :meth:`admit` rejects one that does: under
+    SJF each request is ranked once, when the admission clock first reaches
+    its arrival, and kept in a heap keyed ``(work, arrival_time,
+    request_id)``.
     """
 
     def __init__(
@@ -312,10 +360,8 @@ class ContinuousBatcher:
         kv_residency: "KVResidency | None" = None,
         time_base: "TimeBase | None" = None,
     ):
-        if max_batch_size <= 0:
-            raise ValueError(f"max_batch_size must be positive, got {max_batch_size}")
-        if num_shards <= 0:
-            raise ValueError(f"num_shards must be positive, got {num_shards}")
+        check_count("max_batch_size", max_batch_size)
+        check_count("num_shards", num_shards)
         if admission not in ADMISSION_MODES:
             raise ValueError(f"admission must be one of {ADMISSION_MODES}, got {admission!r}")
         if policy not in QUEUE_POLICIES:
@@ -326,26 +372,40 @@ class ContinuousBatcher:
         self.policy = policy
         self.kv_residency = kv_residency
         self.time_base = time_base if time_base is not None else TimeBase(1.0)
-        self._waiting: "deque[AttentionRequest]" = deque()
         self.running: "list[list[InFlightRequest]]" = [[] for _ in range(num_shards)]
         self._admission_ids = 0
-        # The queue head and its first tick, recomputed only when the head
-        # changes (no tick is stored per request).
-        self._head: "AttentionRequest | None" = None
-        self._head_tick = 0
+        # The last admission instant: instants never decrease.
+        self._now = 0
+        # Submitted requests in (arrival_time, request_id) order, with their
+        # first ticks.  The admission clock has reached the first ``_next``
+        # of them: FCFS admitted them, SJF moved them into ``_arrived``.
+        # ``_oldest`` is the first one still waiting, ``_taken`` the indices
+        # past it SJF already admitted.
+        self._queue: "list[AttentionRequest]" = []
+        self._queue_ticks: "array[int] | list[int]" = []
+        self._next = 0
+        self._oldest = 0
+        self._taken: "set[int]" = set()
+        self._arrived: "list[tuple]" = []
+        self._waiting = 0
 
     def submit(self, requests: "list[AttentionRequest]") -> None:
         """Queue ``requests``; admission order is ``(arrival_time, submit order)``."""
-        ordered = sorted(
-            list(self._waiting) + list(requests),
-            key=lambda request: (request.arrival_time, request.request_id),
-        )
-        self._waiting = deque(ordered)
+        waiting = [entry[-1] for entry in self._arrived] + self._queue[self._next :]
+        self._queue = sorted(waiting + list(requests), key=attrgetter("arrival_time", "request_id"))
+        ticks = self.time_base.first_ticks([request.arrival_time for request in self._queue])
+        # Eight bytes a tick, not one int object each (the queue is sorted,
+        # so its last tick is the largest; ticks past int64 stay a list).
+        self._queue_ticks = array("q", ticks) if not ticks or ticks[-1] < 1 << 63 else ticks
+        self._next = self._oldest = 0
+        self._taken = set()
+        self._arrived = []
+        self._waiting = len(self._queue)
 
     @property
     def waiting_count(self) -> int:
         """Requests queued but not yet admitted."""
-        return len(self._waiting)
+        return self._waiting
 
     @property
     def done(self) -> bool:
@@ -354,13 +414,9 @@ class ContinuousBatcher:
 
     def next_arrival_tick(self) -> "int | None":
         """First tick at or after the earliest waiting arrival (``None`` if empty)."""
-        if not self._waiting:
-            return None
-        head = self._waiting[0]
-        if head is not self._head:
-            self._head = head
-            self._head_tick = self.time_base.first_tick(head.arrival_time)
-        return self._head_tick
+        if self._oldest < len(self._queue):
+            return self._queue_ticks[self._oldest]
+        return None
 
     def free_slots(self, shard: int) -> int:
         """Slots a shard could still fill under its admission policy.
@@ -374,28 +430,37 @@ class ContinuousBatcher:
             return 0
         return self.max_batch_size - resident
 
-    def _pop_next(self, now_seconds: float, work_of) -> "AttentionRequest | None":
-        """Remove and return the next admissible waiting request, if any.
+    def _rank_arrived(self, now: int, work_of) -> None:
+        """SJF: move every request arrived by ``now`` into the work heap.
 
-        The queue is kept in ``(arrival_time, request_id)`` order, so the
-        arrived candidates are its leading run.  FCFS takes the front; SJF
-        scans that run for the smallest ``(work_of, arrival_time, id)``.
+        Each request is ranked once, as the admission clock reaches its
+        first tick; the heap pops the smallest ``(work, arrival_time,
+        request_id)``, ties broken by queue order.
         """
-        if not self._waiting or self._waiting[0].arrival_time > now_seconds:
-            return None
-        if self.policy == "fcfs":
-            return self._waiting.popleft()
-        best_index = 0
-        best_key = None
-        for index, request in enumerate(self._waiting):
-            if request.arrival_time > now_seconds:
-                break
-            key = (work_of(request), request.arrival_time, request.request_id)
-            if best_key is None or key < best_key:
-                best_index, best_key = index, key
-        request = self._waiting[best_index]
-        del self._waiting[best_index]
-        return request
+        queue = self._queue
+        ticks = self._queue_ticks
+        index = self._next
+        while index < len(queue) and ticks[index] <= now:
+            request = queue[index]
+            heapq.heappush(
+                self._arrived,
+                (work_of(request), request.arrival_time, request.request_id, index, request),
+            )
+            index += 1
+        self._next = index
+
+    def _take_ranked(self, now: int, slots: int, work_of) -> "list[AttentionRequest]":
+        """SJF: remove and return up to ``slots`` arrived requests, least work first."""
+        self._rank_arrived(now, work_of)
+        taken = []
+        while self._arrived and len(taken) < slots:
+            *_, index, request = heapq.heappop(self._arrived)
+            taken.append(request)
+            self._taken.add(index)
+        while self._oldest in self._taken:
+            self._taken.discard(self._oldest)
+            self._oldest += 1
+        return taken
 
     def admit(self, shard: int, now: int, rows_of, work_of=None) -> "list[InFlightRequest]":
         """Admit arrived waiting requests into ``shard``'s free slots at tick ``now``.
@@ -407,26 +472,47 @@ class ContinuousBatcher:
         defaults to ``rows_of`` — on every current backend the two coincide.
         Returns the newly admitted in-flight records; occupancy never
         exceeds ``max_batch_size``.  The admits share one ``admit_time``
-        float, ``now`` converted once.
+        float, ``now`` converted once.  ``now`` must not be earlier than
+        the previous call's.
         """
-        admitted: "list[InFlightRequest]" = []
+        if now < self._now:
+            raise ValueError(
+                f"admission instants must not decrease: tick {now} after tick {self._now} "
+                "(SJF ranks a request once, when the admission clock reaches it)"
+            )
+        self._now = now
         slots = self.free_slots(shard)
         if slots <= 0 or not self._waiting:
-            return admitted
+            return []
+        if self.policy == "fcfs":
+            # The queue is in (arrival_time, request_id) order, so the
+            # arrived requests are the leading run of what is left of it.
+            first = stop = self._next
+            limit = min(len(self._queue), first + slots)
+            ticks = self._queue_ticks
+            while stop < limit and ticks[stop] <= now:
+                stop += 1
+            if stop == first:
+                return []
+            self._next = self._oldest = stop
+            chosen = self._queue[first:stop]
+        else:
+            chosen = self._take_ranked(now, slots, work_of if work_of is not None else rows_of)
+            if not chosen:
+                return []
+        self._waiting -= len(chosen)
         now_seconds = self.time_base.seconds(now)
-        while slots > 0:
-            request = self._pop_next(now_seconds, work_of if work_of is not None else rows_of)
-            if request is None:
-                break
-            slots -= 1
+        running = self.running[shard]
+        admitted: "list[InFlightRequest]" = []
+        for request in chosen:
             inflight = InFlightRequest(
-                request=request,
-                shard=shard,
-                rows_total=rows_of(request),
-                admit_tick=now,
-                admit_time=now_seconds,
-                admission_id=self._admission_ids,
-                residency_at_admit=len(self.running[shard]) + 1,
+                request,
+                shard,
+                rows_of(request),
+                now,
+                now_seconds,
+                self._admission_ids,
+                len(running) + 1,
             )
             if isinstance(request, DecodeRequest):
                 # The decode's row axis is uniform per token on every
@@ -444,7 +530,7 @@ class ContinuousBatcher:
                 if self.kv_residency is not None:
                     self.kv_residency.admit(request.request_id, request.kv_resident_bytes)
             self._admission_ids += 1
-            self.running[shard].append(inflight)
+            running.append(inflight)
             admitted.append(inflight)
         return admitted
 
@@ -456,24 +542,31 @@ class ContinuousBatcher:
         ]
 
     def retire_finished(self, shard: int, now: int) -> "list[InFlightRequest]":
-        """Remove finished residents, stamping their completion tick.
+        """Remove the :attr:`~InFlightRequest.finished` residents (see :meth:`retire_slots`)."""
+        return self.retire_slots(
+            shard,
+            [slot for slot, inflight in enumerate(self.running[shard]) if inflight.finished],
+            now,
+        )
 
-        Retiring a decode settles its KV residency: every block after the
-        first re-read the resident cache (one hit each), and the request's
-        bytes leave device memory.
+    def retire_slots(self, shard: int, slots: "list[int]", now: int) -> "list[InFlightRequest]":
+        """Remove the residents at ``slots`` (ascending), stamping their completion tick.
+
+        Returns them in slot order.  Retiring a decode settles its KV
+        residency: every block after the first re-read the resident cache
+        (one hit each), and the request's bytes leave device memory.
         """
+        running = self.running[shard]
         retired = []
-        staying = []
-        for inflight in self.running[shard]:
-            (retired if inflight.finished else staying).append(inflight)
-        if retired:
-            self.running[shard] = staying
-            for inflight in retired:
-                inflight.finish_tick = now
+        for slot in reversed(slots):
+            retired.append(running.pop(slot))
+        retired.reverse()
+        for inflight in retired:
+            inflight.finish_tick = now
+            if inflight.token_boundaries is not None and self.kv_residency is not None:
                 request = inflight.request
-                if inflight.token_boundaries is not None and self.kv_residency is not None:
-                    self.kv_residency.touch(request.request_id, len(request.block_schedule) - 1)
-                    self.kv_residency.release(request.request_id)
+                self.kv_residency.touch(request.request_id, len(request.block_schedule) - 1)
+                self.kv_residency.release(request.request_id)
         return retired
 
 
@@ -637,13 +730,25 @@ def serve_continuous(
     collapses to one branch.  ``record_iterations=False`` skips building the
     per-iteration :class:`IterationRecord` tuple — stats are unchanged, and
     large traces avoid materialising millions of records.
+
+    Every request of a serve needs its own ``request_id``, and
+    ``num_shards``, ``max_batch_size`` and ``iteration_rows`` must be
+    positive ints; anything else is rejected before the run starts.
     """
-    if iteration_rows <= 0:
-        raise ValueError(f"iteration_rows must be positive, got {iteration_rows}")
+    check_count("iteration_rows", iteration_rows)
+    check_count("num_shards", num_shards)
+    check_count("max_batch_size", max_batch_size)
     if scheduler not in SCHEDULERS:
         raise ValueError(f"scheduler must be one of {SCHEDULERS}, got {scheduler!r}")
-    if num_shards <= 0:
-        raise ValueError(f"num_shards must be positive, got {num_shards}")
+    position = {request.request_id: index for index, request in enumerate(requests)}
+    if len(position) != len(requests):
+        counts = Counter(request.request_id for request in requests)
+        duplicate = next(request_id for request_id, count in counts.items() if count > 1)
+        raise ValueError(
+            f"request_id {duplicate} appears more than once in one serve: completions, "
+            "outputs and KV residency are keyed by request_id, so give every request of "
+            "a serve its own id"
+        )
     config = config if config is not None else SWATConfig()
     bus = bus if bus is not None else NULL_BUS
     if plan_cache is None:
@@ -715,11 +820,13 @@ def serve_continuous(
     wall_seconds = time.perf_counter() - start_wall
     cache_after = plan_cache.counters()
     completed = state.completed
-    position = {request.request_id: index for index, request in enumerate(requests)}
     completed.sort(key=lambda done: position[done.request.request_id])
     makespan = max((done.finish_time for done in completed), default=0.0)
     queue_waits = [done.queue_seconds for done in completed]
     latencies = [done.latency_seconds for done in completed]
+    # Sorted once: each percentile's own sort is then a linear pass.
+    for samples in (queue_waits, latencies, state.ttfts, state.token_gaps):
+        samples.sort()
     stats = ServingStats(
         backend=backend,
         num_requests=len(requests),
@@ -844,6 +951,20 @@ def _event_loop(state: _RunState) -> None:
     queue head re-versions every empty shard, since their activations quote
     the old head's arrival tick.
 
+    The shard, not the resident, is the unit the loop advances.  Residents
+    stream in lockstep, so each shard keeps one row counter
+    (:class:`~repro.serving.backends.Residents`).  Admission stamps a
+    resident's finish row (counter plus its rows) and the shard's busy
+    ticks; a burst adds ``length * iteration_rows`` to the counter and
+    touches no resident; a resident retires once the counter reaches its
+    finish row, and only then are its ``rows_done`` and its
+    ``device_ticks`` (busy ticks now minus at admission) stamped.  Both
+    equal the reference loop's per-iteration sums exactly: every resident
+    advances the same rows until the burst's first retirement ends it, and
+    a request's device ticks are the ticks of the shard's iterations it was
+    resident in.  Only decode residents are visited per activation, to
+    stamp the blocks the burst completed.
+
     After admitting at the popped shard the resident set is fixed until the
     next retirement, so the backend prices the whole run of iterations to
     that retirement in one
@@ -856,8 +977,8 @@ def _event_loop(state: _RunState) -> None:
     :meth:`~repro.serving.backends.StepBurst.tail`, and the shard's next
     activation continues from it unless it admits — only a retirement ends a
     burst, so the residents are the ones it was priced for, and its primed
-    entries are the ticks a fresh call would return.  Clock, busy time,
-    energy and per-resident device time add the burst's integer
+    entries are the ticks a fresh call would return.  Clock, busy time and
+    energy add the burst's integer
     :meth:`~repro.serving.backends.StepBurst.ticks_through` sums, so they
     equal the reference loop's one-at-a-time additions exactly.
     """
@@ -870,6 +991,12 @@ def _event_loop(state: _RunState) -> None:
     # Per shard: its last burst and the iterations consumed of it, or None
     # once a retirement ended it.
     pending: "list[tuple[StepBurst, int] | None]" = [None] * num_shards
+    # Per shard: the residents as lockstep columns, slot-aligned with
+    # ``batcher.running``; the decode residents with their start rows; the
+    # other shards.
+    lanes = [Residents() for _ in range(num_shards)]
+    decoding: "list[list[tuple[InFlightRequest, int]]]" = [[] for _ in range(num_shards)]
+    peers = [[other for other in range(num_shards) if other != one] for one in range(num_shards)]
     # Hot-loop locals: the while body below runs once per shard activation,
     # up to hundreds of thousands of times per serve.
     shards = state.shards
@@ -884,7 +1011,7 @@ def _event_loop(state: _RunState) -> None:
     next_arrival_tick = batcher.next_arrival_tick
     admit = batcher.admit
     free_slots = batcher.free_slots
-    retire_finished = batcher.retire_finished
+    retire_slots = batcher.retire_slots
     heappush = heapq.heappush
     heappop = heapq.heappop
 
@@ -901,16 +1028,21 @@ def _event_loop(state: _RunState) -> None:
 
     for shard in range(num_shards):
         push(shard)
+    # Run totals, written back to the state once the loop ends.
+    energy_ticks = state.energy_ticks
+    num_iterations = state.num_iterations
 
-    while not batcher.done:
-        while True:
-            _, shard, entry_version = heappop(heap)
-            if entry_version == version[shard]:
-                break
+    # Every shard with residents, and every empty one while requests wait,
+    # holds a current heap entry: the heap runs dry exactly when the
+    # batcher is done.
+    while heap:
+        _, shard, entry_version = heappop(heap)
+        if entry_version != version[shard]:
+            continue
         clock = clocks[shard]
-        residents = running[shard]
+        lane = lanes[shard]
         head_before = next_arrival_tick()
-        if not residents and head_before is not None and head_before > clock.now:
+        if not running[shard] and head_before is not None and head_before > clock.now:
             clock.now = head_before
         admitted = admit(shard, clock.now, rows_of, work_of)
         residents = running[shard]
@@ -919,23 +1051,22 @@ def _event_loop(state: _RunState) -> None:
             continue
         head_now = next_arrival_tick()
         if admitted:
+            busy = clock.busy_ticks
+            for inflight in admitted:
+                inflight.busy_at_admit = busy
+                if inflight.token_boundaries is not None:
+                    decoding[shard].append((inflight, lane.row))
+                lane.add(inflight.request, inflight.rows_total)
             if head_now != head_before:
                 # The queue head moved: empty shards' queued activations
                 # quoted the old head and must be re-versioned.
-                for other in range(num_shards):
-                    if other != shard and not running[other]:
+                for other in peers[shard]:
+                    if not running[other]:
                         push(other)
             if bus.active:
                 _emit_admissions(state, shard, admitted, batcher.waiting_count)
         if admitted or pending[shard] is None:
-            burst = shards[shard].step_burst(
-                [
-                    (inflight.request, inflight.rows_done, inflight.rows_total - inflight.rows_done)
-                    for inflight in residents
-                ],
-                primed[shard],
-                quantum,
-            )
+            burst = shards[shard].step_burst(lane, primed[shard], quantum)
         else:
             cut, consumed = pending[shard]
             burst = cut.tail(consumed)
@@ -960,26 +1091,25 @@ def _event_loop(state: _RunState) -> None:
                 length = first if first > 1 else 1
         retiring = length == burst.iterations
         pending[shard] = None if retiring else (burst, length)
+        row = lane.row
         if slow:
             resident = [
-                (inflight.request.request_id, inflight.rows_total - inflight.rows_done)
-                for inflight in residents
+                (request.request_id, finish - row)
+                for request, finish in zip(lane.requests, lane.finishes)
             ]
         ticks = burst.ticks_through(length)
         clock.now = start + ticks
         clock.busy_ticks += ticks
-        state.energy_ticks += burst.energy_through(length)
-        advanced = length * quantum
-        for inflight in residents:
-            start_rows = inflight.rows_done
-            inflight.rows_done = min(start_rows + advanced, inflight.rows_total)
-            inflight.device_ticks += ticks
-            if inflight.token_boundaries is not None:
-                _mark_blocks_burst(inflight, start_rows, burst, start, quantum)
+        energy_ticks += burst.energy_through(length)
+        lane.row = row + length * quantum
+        for inflight, row_start in decoding[shard]:
+            _mark_blocks_burst(
+                inflight, row - row_start, lane.row - row_start, burst, start, quantum
+            )
         occupancy = len(residents) / max_batch_size
         occupancy_counts[occupancy] += length
-        base_index = state.num_iterations
-        state.num_iterations += length
+        base_index = num_iterations
+        num_iterations += length
         if slow:
             if length > 1:
                 # Non-final iterations record/emit before retirement, matching
@@ -989,15 +1119,35 @@ def _event_loop(state: _RunState) -> None:
                     state, shard, resident, burst, start, occupancy, base_index,
                     admitted, 0, length - 1, length, retiring, (), (),
                 )
-        retired = retire_finished(shard, clock.now) if retiring else ()
+        if retiring:
+            retired = retire_slots(shard, lane.retire(), clock.now)
+            busy = clock.busy_ticks
+            for inflight in retired:
+                inflight.rows_done = inflight.rows_total
+                inflight.device_ticks = busy - inflight.busy_at_admit
+            if decoding[shard]:
+                decoding[shard] = [
+                    entry for entry in decoding[shard] if entry[0].finish_tick is None
+                ]
+        else:
+            retired = ()
         done = _complete(state, shard, retired)
         if slow:
             _record_iterations(
                 state, shard, resident, burst, start, occupancy, base_index,
                 admitted, length - 1, length, length, retiring, retired, done,
             )
-        primed[shard] = bool(running[shard])
-        push(shard)
+        if residents:
+            primed[shard] = True
+            version[shard] += 1
+            heappush(heap, (clock.now, shard, version[shard]))
+        else:
+            primed[shard] = False
+            push(shard)
+    state.energy_ticks = energy_ticks
+    state.num_iterations = num_iterations
+    if not batcher.done:  # pragma: no cover - defensive
+        raise RuntimeError("the event scheduler ran out of activations with requests unserved")
 
 
 def _record_iterations(
@@ -1143,17 +1293,19 @@ def _mark_blocks(inflight: InFlightRequest, now: int) -> None:
 
 
 def _mark_blocks_burst(
-    inflight: InFlightRequest, start_rows: int, burst, start: int, quantum: int
+    inflight: InFlightRequest, start_rows: int, streamed: int, burst, start: int, quantum: int
 ) -> None:
     """Burst-path block stamping: boundaries map to burst iteration ends.
 
-    A boundary crossed in the burst's iteration ``j`` (1-based) completes at
-    ``start + burst.ticks_through(j)`` — the tick the reference loop's clock
-    shows after that iteration.
+    The decode had streamed ``start_rows`` rows when the burst started and
+    ``streamed`` when it ended (past its ``rows_total`` if it retires: the
+    lockstep counter runs on).  A boundary crossed in the burst's iteration
+    ``j`` (1-based) completes at ``start + burst.ticks_through(j)`` — the
+    tick the reference loop's clock shows after that iteration.
     """
     boundaries = inflight.token_boundaries
     blocks = inflight.block_ticks
-    while len(blocks) < len(boundaries) and inflight.rows_done >= boundaries[len(blocks)]:
+    while len(blocks) < len(boundaries) and streamed >= boundaries[len(blocks)]:
         iteration = -(-(boundaries[len(blocks)] - start_rows) // quantum)
         blocks.append(start + burst.ticks_through(iteration))
 
@@ -1169,22 +1321,27 @@ def _complete(state: _RunState, shard: int, retired) -> "list[CompletedRequest]"
         return []
     time_base = state.time_base
     finish_time = time_base.seconds(retired[0].finish_tick)
-    outputs = _retirement_outputs(state.shards[shard], retired)
+    backend = state.shards[shard]
+    if backend.functional:
+        outputs = backend.compute_outputs([inflight.request for inflight in retired])
+    else:
+        outputs = (None,) * len(retired)
     done = []
     for inflight, output in zip(retired, outputs):
         request = inflight.request
-        completion = CompletedRequest(
-            request=request,
-            output=output,
-            shard=inflight.shard,
-            batch_id=inflight.admission_id,
-            batch_size=inflight.residency_at_admit,
-            device_seconds=time_base.seconds(inflight.device_ticks),
-            arrival_time=request.arrival_time,
-            admit_time=inflight.admit_time,
-            finish_time=finish_time,
+        done.append(
+            CompletedRequest(
+                request,
+                output,
+                inflight.shard,
+                inflight.admission_id,
+                inflight.residency_at_admit,
+                time_base.seconds(inflight.device_ticks),
+                request.arrival_time,
+                inflight.admit_time,
+                finish_time,
+            )
         )
-        done.append(completion)
         if inflight.token_boundaries is not None:
             state.num_decode += 1
             state.decode_tokens += request.new_tokens
@@ -1264,15 +1421,6 @@ def _next_active_shard(batcher: ContinuousBatcher, clocks: "list[ServingClock]")
             best_shard, best_time = shard, activation
     assert best_shard is not None  # batcher.done guards the loop
     return best_shard
-
-
-def _retirement_outputs(backend, retired: "list[InFlightRequest]"):
-    """Functional outputs for this iteration's retirees (one stacked pass)."""
-    if not retired:
-        return ()
-    if not backend.functional:
-        return (None,) * len(retired)
-    return backend.compute_outputs([inflight.request for inflight in retired])
 
 
 def swat_request_rate(

@@ -23,7 +23,12 @@ from __future__ import annotations
 from repro.core.config import SWATConfig
 from repro.serving.backends import AttentionBackend, create_backend
 from repro.serving.cache import PlanCache
-from repro.serving.continuous import DEFAULT_ITERATION_ROWS, ServingResult, serve_continuous
+from repro.serving.continuous import (
+    DEFAULT_ITERATION_ROWS,
+    ServingResult,
+    check_count,
+    serve_continuous,
+)
 from repro.serving.request import AttentionRequest
 from repro.telemetry.bus import NULL_BUS
 
@@ -49,8 +54,8 @@ class ServingEngine:
         bus=None,
         run_id: int = 0,
     ):
-        if num_shards <= 0:
-            raise ValueError(f"num_shards must be positive, got {num_shards}")
+        # The pool is built here; the other size knobs are checked by each serve.
+        check_count("num_shards", num_shards)
         if mode not in self.MODES:
             raise ValueError(f"mode must be one of {self.MODES}, got {mode!r}")
         self.config = config if config is not None else SWATConfig()

@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from math import ceil, isfinite
 
+import numpy as np
+
 from repro.analysis.report import Table
 
 __all__ = ["ServingStats", "TimeBase", "decode_token_intervals", "percentile"]
@@ -69,6 +71,31 @@ class TimeBase:
         while tick > 0 and (tick - 1) * self.tick_seconds >= seconds:
             tick -= 1
         return tick
+
+    def first_ticks(self, seconds: "list[float]") -> "list[int]":
+        """:meth:`first_tick` of every instant in ``seconds``, in one numpy pass.
+
+        The same ceiling and the same monotone fix-up, vectorized: an int64
+        tick times the tick length is the same IEEE float64 product as the
+        scalar path's, so every entry equals ``first_tick`` exactly.
+        Instants too far out for int64 ticks take the scalar path.
+        """
+        instants = np.asarray(seconds, dtype=np.float64)
+        quotients = np.ceil(instants / self.tick_seconds)
+        if instants.size and not quotients.max() < 2.0**62:
+            return [self.first_tick(instant) for instant in seconds]
+        ticks = np.maximum(quotients, 0.0).astype(np.int64)
+        while True:
+            low = ticks * self.tick_seconds < instants
+            if not low.any():
+                break
+            ticks[low] += 1
+        while True:
+            high = (ticks > 0) & ((ticks - 1) * self.tick_seconds >= instants)
+            if not high.any():
+                break
+            ticks[high] -= 1
+        return ticks.tolist()
 
 
 def percentile(values: "list[float]", q: float) -> float:

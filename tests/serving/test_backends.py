@@ -11,6 +11,7 @@ from repro.serving.backends import (
     REGISTRY,
     AttentionBackend,
     BackendRegistry,
+    Residents,
     available_backends,
     create_backend,
 )
@@ -105,6 +106,15 @@ class TestSimulatorBackend:
         assert backend.time_base.seconds(cost.ticks) == estimate.cycles * config.clock_period_s
 
 
+def _both_bursts(backend, slices, primed, iteration_rows):
+    """The override's burst and the looped-``step`` oracle's, on the same columns."""
+    residents = Residents.from_slices(slices)
+    return (
+        backend.step_burst(residents, primed, iteration_rows),
+        AttentionBackend.step_burst(backend, residents, primed, iteration_rows),
+    )
+
+
 def _whole(backend, request):
     """One iteration streaming all of ``request``'s rows from a cold pipeline."""
     return backend.step([(request, 0, backend.request_rows(request))], primed=False)
@@ -155,7 +165,7 @@ class TestAnalyticalOnlyBackends:
         requests = [AttentionRequest(seq_len=128), AttentionRequest(seq_len=256)]
         assert backend.compute_outputs(requests) == (None, None)
         slices = [(request, 0, backend.request_rows(request)) for request in requests]
-        burst = backend.step_burst(slices, False, 64)
+        burst = backend.step_burst(Residents.from_slices(slices), False, 64)
         assert np.all(burst.ticks > 0)
         assert np.all(burst.energy_ticks > 0)
         assert backend.time_base.power_w > 0
@@ -168,7 +178,7 @@ class TestAnalyticalOnlyBackends:
 
         def burst_ticks(request):
             slices = [(request, 0, backend.request_rows(request))]
-            return int(np.sum(backend.step_burst(slices, False, 64).ticks))
+            return int(np.sum(backend.step_burst(Residents.from_slices(slices), False, 64).ticks))
 
         one = burst_ticks(AttentionRequest(seq_len=256))
         four = burst_ticks(AttentionRequest(seq_len=256, num_heads=4))
@@ -250,8 +260,7 @@ class TestStepBurst:
             (request, rows_done, backend.request_rows(request) - rows_done)
             for request, rows_done in zip(requests, (0, 16, 5))
         ]
-        vectorized = backend.step_burst(slices, primed, iteration_rows)
-        looped = AttentionBackend.step_burst(backend, slices, primed, iteration_rows)
+        vectorized, looped = _both_bursts(backend, slices, primed, iteration_rows)
         self._assert_bursts_equal(vectorized, looped)
 
     @staticmethod
@@ -287,8 +296,7 @@ class TestStepBurst:
         backend = create_backend(name, config=config, plan_cache=PlanCache())
         for rows_done in ((0, 16, 5, 0), (3, 16, 5, 2)):
             slices = self._mixed_slices(backend, config, rows_done)
-            vectorized = backend.step_burst(slices, primed, iteration_rows)
-            looped = AttentionBackend.step_burst(backend, slices, primed, iteration_rows)
+            vectorized, looped = _both_bursts(backend, slices, primed, iteration_rows)
             self._assert_bursts_equal(vectorized, looped)
 
     @pytest.mark.parametrize("name", CONTINUOUS_BACKENDS)
@@ -304,8 +312,7 @@ class TestStepBurst:
             (request, rows_done, rows_left - 3)
             for request, rows_done, rows_left in self._mixed_slices(backend, config, (3, 16, 5, 2))
         ]
-        vectorized = backend.step_burst(slices, primed, iteration_rows)
-        looped = AttentionBackend.step_burst(backend, slices, primed, iteration_rows)
+        vectorized, looped = _both_bursts(backend, slices, primed, iteration_rows)
         self._assert_bursts_equal(vectorized, looped)
 
     @pytest.mark.parametrize("name", CONTINUOUS_BACKENDS)
@@ -319,13 +326,75 @@ class TestStepBurst:
             raise AssertionError("step_burst fell back to a looped step()")
 
         monkeypatch.setattr(backend, "step", _no_step)
-        burst = backend.step_burst(slices, False, 16)
+        burst = backend.step_burst(Residents.from_slices(slices), False, 16)
         assert burst.iterations == len(burst.ticks)
+
+    @pytest.mark.parametrize("name", ["simulator", "analytical"])
+    @pytest.mark.parametrize("primed", [False, True])
+    def test_plain_swat_burst_is_priced_from_two_ints(self, name, primed, monkeypatch):
+        """All-attention SWAT residents: no slice tuple, no per-resident kind check."""
+        backend = create_backend(name, config=_config())
+        requests = [AttentionRequest(seq_len=seq_len) for seq_len in (48, 96, 33)]
+        residents = Residents.from_slices(
+            [
+                (request, rows_done, backend.request_rows(request) - rows_done)
+                for request, rows_done in zip(requests, (0, 16, 5))
+            ]
+        )
+        looped = AttentionBackend.step_burst(backend, residents, primed, 16)
+
+        def _per_resident(*args, **kwargs):  # pragma: no cover - the assertion
+            raise AssertionError("a plain SWAT burst visited its residents")
+
+        monkeypatch.setattr(Residents, "slices", _per_resident)
+        monkeypatch.setattr(backend, "_positional_plan", _per_resident)
+        self._assert_bursts_equal(backend.step_burst(residents, primed, 16), looped)
 
     @pytest.mark.parametrize("name", CONTINUOUS_BACKENDS)
     def test_burst_validation(self, name):
         backend = create_backend(name, config=_config())
         with pytest.raises(ValueError, match="at least one resident"):
-            backend.step_burst([], False, 16)
+            backend.step_burst(Residents(), False, 16)
         with pytest.raises(ValueError, match="remaining rows"):
-            backend.step_burst([(AttentionRequest(seq_len=32), 32, 0)], True, 16)
+            backend.step_burst(
+                Residents.from_slices([(AttentionRequest(seq_len=32), 32, 0)]), True, 16
+            )
+
+
+class TestResidents:
+    """The lockstep columns ``step_burst`` reads: one row counter per shard."""
+
+    def test_one_counter_places_every_resident(self):
+        residents = Residents()
+        first, second = AttentionRequest(seq_len=40), AttentionRequest(seq_len=16)
+        residents.add(first, 40)
+        residents.row += 8
+        residents.add(second, 16)
+        assert residents.slices() == [(first, 8, 32), (second, 0, 16)]
+        assert residents.fewest_left() == 16
+        residents.row += 16
+        assert residents.retire() == [1]
+        assert residents.slices() == [(first, 24, 16)]
+        residents.row += 16
+        assert residents.retire() == [0]
+        assert residents.slices() == []
+
+    def test_from_slices_round_trips(self):
+        slices = [(AttentionRequest(seq_len=48), 16, 32), (AttentionRequest(seq_len=33), 5, 28)]
+        assert Residents.from_slices(slices).slices() == slices
+
+    def test_positional_count_follows_add_and_retire(self):
+        from repro.model import ModelSpec
+        from repro.serving.request import make_forward_request
+
+        spec = ModelSpec.uniform(2, 24, window_tokens=8, num_heads=2, head_dim=16)
+        residents = Residents()
+        residents.add(AttentionRequest(seq_len=8), 8)
+        residents.add(make_forward_request(spec, functional=False), 96)
+        assert residents.positional == 1
+        residents.row = 8
+        assert residents.retire() == [0]
+        assert residents.positional == 1
+        residents.row = 96
+        assert residents.retire() == [0]
+        assert residents.positional == 0

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from repro.core.config import SWATConfig
 from repro.core.plan import execute_plan_attention
 from repro.serving.backends import (
+    Residents,
     available_backends,
     batch_head_rows,
     create_backend,
@@ -192,7 +193,7 @@ class TestGPUShapeReports:
                 for request in requests
             ]
             for primed in (False, True):
-                backend.step_burst(slices, primed, 16)
+                backend.step_burst(Residents.from_slices(slices), primed, 16)
         assert calls == [(128, 2), (256, 1), (128, 3)]
 
 

@@ -684,6 +684,49 @@ class TestContinuousBatcher:
         with pytest.raises(ValueError, match="pass backend='analytical'"):
             serve_continuous([], backend="simulator", num_shards=2, backends=same)
 
+    @pytest.mark.parametrize(
+        "knob, value",
+        [
+            ("max_batch_size", 2.5),
+            ("max_batch_size", True),
+            ("iteration_rows", True),
+            ("iteration_rows", 16.0),
+            ("num_shards", 2.5),
+            ("num_shards", True),
+        ],
+    )
+    def test_non_integer_sizes_rejected(self, knob, value):
+        # A 2.5-slot shard used to seat 3 residents (occupancy 1.2), a True
+        # quantum streamed 1-row iterations and 2.5 shards died in range().
+        requests = [AttentionRequest(seq_len=8) for _ in range(3)]
+        with pytest.raises(TypeError, match=f"{knob} must be an int"):
+            serve_continuous(requests, config=_config(), backend="analytical", **{knob: value})
+        with pytest.raises(TypeError, match=f"{knob} must be an int"):
+            ServingEngine(config=_config(), backend="analytical", **{knob: value}).serve(
+                requests
+            )
+        if knob != "iteration_rows":
+            with pytest.raises(TypeError, match=f"{knob} must be an int"):
+                ContinuousBatcher(**{"max_batch_size": 2, knob: value})
+
+    def test_duplicate_request_ids_rejected(self):
+        # Both twins used to be served, sorted onto one position, and
+        # output_for found only the first.
+        first = AttentionRequest(seq_len=8)
+        twin = AttentionRequest(seq_len=16, request_id=first.request_id)
+        with pytest.raises(ValueError, match=f"request_id {first.request_id} appears more"):
+            serve_continuous([first, twin], config=_config(), backend="analytical")
+        with pytest.raises(ValueError, match=f"request_id {first.request_id} appears more"):
+            ServingEngine(config=_config(), backend="analytical").serve([twin, first])
+
+    def test_admission_instants_must_not_decrease(self):
+        batcher = ContinuousBatcher(max_batch_size=2)
+        batcher.submit([AttentionRequest(seq_len=8) for _ in range(2)])
+        batcher.admit(0, now=5, rows_of=lambda request: request.seq_len)
+        batcher.admit(0, now=5, rows_of=lambda request: request.seq_len)
+        with pytest.raises(ValueError, match="must not decrease"):
+            batcher.admit(0, now=4, rows_of=lambda request: request.seq_len)
+
     def test_free_slots_tracks_admission_policy(self):
         continuous = ContinuousBatcher(max_batch_size=3)
         drain = ContinuousBatcher(max_batch_size=3, admission="drain")
@@ -828,3 +871,44 @@ class TestAdmissionPolicy:
             short_late.request_id
         ]
         assert batcher.waiting_count == 2
+        # The earliest waiting arrival is the passed-over long job, not the
+        # heap's next pick or the queue's not-yet-arrived tail.
+        assert batcher.next_arrival_tick() == 0
+        admitted[0].rows_done = admitted[0].rows_total
+        batcher.retire_finished(0, now=3)
+        assert [
+            inflight.request.request_id
+            for inflight in batcher.admit(0, now=3, rows_of=lambda request: request.seq_len)
+        ] == [long_early.request_id]
+        assert batcher.next_arrival_tick() == 9
+
+    def test_sjf_ranks_each_request_once(self):
+        # Rescanning the arrived backlog at every admission made SJF
+        # quadratic in it: each request's work is now computed exactly once.
+        requests = self._straggler_trace(count=64)
+        backend = create_backend("analytical", config=SWATConfig.longformer(window_tokens=128))
+        ranked = []
+        request_work = backend.request_work
+
+        def counted_work(request):
+            ranked.append(request.request_id)
+            return request_work(request)
+
+        backend.request_work = counted_work
+        for scheduler in SCHEDULERS:
+            ranked.clear()
+            result = serve_continuous(
+                list(requests),
+                config=backend.config,
+                backend="analytical",
+                max_batch_size=4,
+                iteration_rows=128,
+                policy="sjf",
+                scheduler=scheduler,
+                backends=[backend],
+            )
+            assert sorted(ranked) == sorted(request.request_id for request in requests)
+            baseline = self._policy_run(requests, "sjf").stats
+            for spec in fields(ServingStats):
+                if spec.name != "wall_seconds":
+                    assert getattr(result.stats, spec.name) == getattr(baseline, spec.name)

@@ -24,6 +24,8 @@ from repro.serving.backends import create_backend
 from repro.serving.cache import KVResidency, PlanCache
 from repro.serving.continuous import ContinuousBatcher, poisson_arrivals, serve_continuous
 from repro.serving.request import (
+    CompletedRequest,
+    DecodeRequest,
     decode_block_schedule,
     make_decode_request,
     make_forward_request,
@@ -269,16 +271,28 @@ carry_over_strategy = st.tuples(
 )
 
 
-def _kind_trace(kinds, seed, rate):
-    """One request per kind entry, on a seeded Poisson arrival trace."""
+def _kind_trace(kinds, seed, rate, functional=False):
+    """One request per kind entry, on a seeded Poisson arrival trace.
+
+    ``functional`` gives the attentions Q/K/V and the forwards embeddings
+    (decodes are analytical either way).
+    """
     arrivals = poisson_arrivals(len(kinds), rate=rate, seed=seed)
     spec = _spec(seq_len=16)
     requests = []
-    for kind, arrival in zip(kinds, arrivals):
+    for index, (kind, arrival) in enumerate(zip(kinds, arrivals)):
         if kind == "attention":
-            requests.append(make_requests([24], 16, functional=False, arrival_times=[arrival])[0])
+            requests.append(
+                make_requests(
+                    [24], 16, seed=seed + index, functional=functional, arrival_times=[arrival]
+                )[0]
+            )
         elif kind == "forward":
-            requests.append(make_forward_request(spec, functional=False, arrival_time=arrival))
+            requests.append(
+                make_forward_request(
+                    spec, seed=seed + index, functional=functional, arrival_time=arrival
+                )
+            )
         else:
             requests.append(
                 make_decode_request(
@@ -378,6 +392,71 @@ class TestBurstCarryOver:
         monkeypatch.setattr(ContinuousBatcher, "admit", counted_admit)
         _, _, calls = _serve_spied(requests, "event", num_shards=2, quantum=7)
         assert calls < activations[0]
+
+
+class TestFastPath:
+    """The branch every large serve takes: no bus and no iteration records.
+
+    Every other equivalence test serves with a bus or with records, which
+    sends the event scheduler down its per-iteration slow path; this one
+    pins the lockstep fast path against the reference loop on every stat
+    and every completion field, outputs included.
+    """
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        trace=carry_over_strategy,
+        max_batch_size=st.integers(1, 4),
+        policy=st.sampled_from(["fcfs", "sjf"]),
+        admission=st.sampled_from(["continuous", "drain"]),
+        backend=st.sampled_from(["analytical", "gpu-dense", "dense-fpga", "simulator"]),
+    )
+    def test_fast_path_matches_reference(self, trace, max_batch_size, policy, admission, backend):
+        kinds, seed, rate, num_shards, quantum = trace
+        requests = _kind_trace(kinds, seed, rate, functional=backend == "simulator")
+        results = {
+            scheduler: serve_continuous(
+                requests,
+                config=_config(),
+                backend=backend,
+                num_shards=num_shards,
+                max_batch_size=max_batch_size,
+                iteration_rows=quantum,
+                admission=admission,
+                policy=policy,
+                scheduler=scheduler,
+                record_iterations=scheduler == "reference",
+            )
+            for scheduler in ("event", "reference")
+        }
+        event, reference = results["event"], results["reference"]
+        assert event.iterations == ()
+        for spec in fields(ServingStats):
+            if spec.name != "wall_seconds":
+                assert getattr(event.stats, spec.name) == getattr(
+                    reference.stats, spec.name
+                ), spec.name
+        assert len(event.completed) == len(reference.completed) == len(requests)
+        for event_done, reference_done in zip(event.completed, reference.completed):
+            for spec in fields(CompletedRequest):
+                event_value = getattr(event_done, spec.name)
+                reference_value = getattr(reference_done, spec.name)
+                if spec.name == "output" and event_value is not None:
+                    assert np.array_equal(event_value, reference_value)
+                else:
+                    assert event_value is reference_value or event_value == reference_value, (
+                        spec.name
+                    )
+        if backend == "simulator" and "attention" in kinds:
+            assert any(done.output is not None for done in event.completed)
+
+
+def test_duplicate_decode_ids_rejected_up_front():
+    # Two decodes sharing an id used to die inside KVResidency.admit.
+    first = make_decode_request(_spec(), new_tokens=4)
+    twin = DecodeRequest(spec=_spec(), new_tokens=2, request_id=first.request_id)
+    with pytest.raises(ValueError, match=f"request_id {first.request_id} appears more"):
+        serve_continuous([first, twin], config=_config(), backend="analytical")
 
 
 class TestDecodeReplay:
