@@ -1,6 +1,6 @@
 """Benchmark: telemetry instrumentation must be free when nobody listens.
 
-The hot paths (the iteration loop and the plan-cache lookup) are instrumented
+The hot paths (the scheduler loop and the plan-cache lookup) are instrumented
 behind ``if bus.active`` guards, so a run with zero event subscribers pays one
 branch per would-be event and never constructs the event object.  This suite
 holds that property structurally: every event class the engine and the plan
@@ -96,7 +96,7 @@ def test_zero_subscriber_instrumentation_is_free(benchmark, monkeypatch):
     listening = EventBus()
     listening.subscribe(lambda event: None)
     serve(listening)
-    assert constructed["iteration_advanced"] > 0 and constructed["run_finished"] == 1
+    assert constructed["burst_advanced"] > 0 and constructed["run_finished"] == 1
 
     # Interleave the timed rounds so drift (CPU frequency, page cache) hits
     # both variants equally; the ratio is recorded, not asserted.
@@ -151,4 +151,4 @@ def test_subscribed_bus_actually_collects(benchmark):
     )
     assert len(result.completed) == 32
     kinds = {type(event).kind for event in events}
-    assert {"run_started", "request_retired", "iteration_advanced", "run_finished"} <= kinds
+    assert {"run_started", "request_retired", "burst_advanced", "run_finished"} <= kinds

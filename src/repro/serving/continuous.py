@@ -88,7 +88,6 @@ import time
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from math import ceil
 from operator import attrgetter
 from statistics import mean
@@ -105,10 +104,16 @@ from repro.serving.request import (
     diurnal_arrivals,
     poisson_arrivals,
 )
-from repro.serving.stats import ServingStats, TimeBase, decode_token_intervals, percentile
+from repro.serving.stats import (
+    ServingStats,
+    TimeBase,
+    decode_token_intervals,
+    occupancy_mean,
+    percentile,
+)
 from repro.telemetry.bus import NULL_BUS
 from repro.telemetry.events import (
-    IterationAdvanced,
+    BurstAdvanced,
     QueueDepth,
     RequestAdmitted,
     RequestArrived,
@@ -116,7 +121,6 @@ from repro.telemetry.events import (
     RequestRetired,
     RunFinished,
     RunStarted,
-    ShardOccupancy,
 )
 
 __all__ = [
@@ -622,8 +626,7 @@ class _RunState:
         self.run_id = run_id
         self.record_iterations = record_iterations
         self.records: "list[IterationRecord]" = []
-        #: occupancy value -> iteration count; the exact-rational mean over
-        #: this multiset equals ``statistics.mean`` over the expanded list.
+        #: occupancy value -> iteration count (see :func:`occupancy_mean`).
         self.occupancy_counts: "Counter[float]" = Counter()
         self.num_iterations = 0
         self.completed: "list[CompletedRequest]" = []
@@ -632,21 +635,6 @@ class _RunState:
         self.decode_tokens = 0
         self.ttfts: "list[float]" = []
         self.token_gaps: "list[float]" = []
-
-
-def _occupancy_mean(counts: "Counter[float]") -> float:
-    """Exact-rational mean of an occupancy multiset.
-
-    ``statistics.mean`` sums exact ``Fraction`` conversions of its float
-    inputs and rounds once at the end; summing ``Fraction(value) * count``
-    per distinct value is the same exact rational, so the rounded float is
-    identical — without materialising one list entry per iteration.
-    """
-    total = sum(counts.values())
-    if not total:
-        return 0.0
-    exact = sum(Fraction(value) * count for value, count in counts.items())
-    return float(exact / total)
 
 
 def _check_pool(shards, backend: str) -> None:
@@ -712,8 +700,9 @@ def serve_continuous(
     ahead between scheduling events and prices whole iteration bursts with
     one :meth:`~repro.serving.backends.AttentionBackend.step_burst` call;
     ``"reference"`` steps one Python loop per iteration.  Both produce
-    bit-identical results (stats, records, completions and telemetry) — the
-    property tests pin them against each other.
+    bit-identical results (stats, records, completions, and telemetry once
+    the reference's one-iteration bursts are coalesced) — the property tests
+    pin them against each other.
 
     ``admission="drain"`` runs the same clock with static batching (a shard
     refills only once empty), so drain and continuous numbers differ by
@@ -724,12 +713,14 @@ def serve_continuous(
     ``plan_cache`` for the cache counters to mean anything); by default one
     is created per shard.  Every shard must be the same backend on the same
     config, named by ``backend``.  ``bus`` (an
-    :class:`~repro.telemetry.bus.EventBus`) streams the run's lifecycle,
-    iteration and occupancy events, all stamped with ``run_id`` (multi-run
-    logs replay one run at a time); with no bus (or no sinks) every emission
-    collapses to one branch.  ``record_iterations=False`` skips building the
-    per-iteration :class:`IterationRecord` tuple — stats are unchanged, and
-    large traces avoid materialising millions of records.
+    :class:`~repro.telemetry.bus.EventBus`) streams the run's lifecycle
+    events and one :class:`~repro.telemetry.events.BurstAdvanced` per priced
+    burst (the reference scheduler's bursts are one iteration long), all
+    stamped with ``run_id`` (multi-run logs replay one run at a time); with
+    no bus (or no sinks) every emission collapses to one branch.
+    ``record_iterations=False`` skips building the per-iteration
+    :class:`IterationRecord` tuple — stats are unchanged, and large traces
+    avoid materialising millions of records.
 
     Every request of a serve needs its own ``request_id``, and
     ``num_shards``, ``max_batch_size`` and ``iteration_rows`` must be
@@ -842,7 +833,7 @@ def serve_continuous(
         mode=admission,
         policy=policy,
         num_iterations=state.num_iterations,
-        mean_occupancy=_occupancy_mean(state.occupancy_counts),
+        mean_occupancy=occupancy_mean(state.occupancy_counts),
         queue_p50_seconds=percentile(queue_waits, 50.0),
         queue_p95_seconds=percentile(queue_waits, 95.0),
         latency_p50_seconds=percentile(latencies, 50.0),
@@ -872,8 +863,9 @@ def _reference_loop(state: _RunState) -> None:
     The executable specification of the continuous engine — the event
     scheduler below must reproduce its every accounting bit.  Each loop
     iteration picks the earliest-activating shard by linear scan, admits,
-    prices one :meth:`~repro.serving.backends.AttentionBackend.step`,
-    advances residents and retires the finished.
+    prices one :meth:`~repro.serving.backends.AttentionBackend.step` (a
+    one-iteration burst on the bus), advances residents and retires the
+    finished.
     """
     batcher = state.batcher
     bus = state.bus
@@ -899,6 +891,11 @@ def _reference_loop(state: _RunState) -> None:
         start = clock.now
         clock.advance(cost.ticks)
         state.energy_ticks += cost.energy_ticks
+        was_primed = state.primed[shard]
+        if bus.active:
+            _emit_burst(
+                state, shard, start, 1, cost.ticks, cost.energy_ticks, was_primed, len(slices)
+            )
         for inflight, rows in slices:
             inflight.rows_done += rows
             inflight.device_ticks += cost.ticks
@@ -913,7 +910,6 @@ def _reference_loop(state: _RunState) -> None:
         state.num_iterations += 1
         occupancy = len(slices) / state.max_batch_size
         state.occupancy_counts[occupancy] += 1
-        was_primed = state.primed[shard]
         if state.record_iterations:
             state.records.append(
                 IterationRecord(
@@ -931,11 +927,6 @@ def _reference_loop(state: _RunState) -> None:
                     retired=tuple(inflight.request.request_id for inflight in retired),
                     occupancy=occupancy,
                 )
-            )
-        if bus.active:
-            _emit_iteration(
-                state, index, shard, start, cost.ticks, cost.energy_ticks, cost.gate_rows,
-                was_primed, len(slices), occupancy,
             )
         # The pipeline stays primed only while the shard keeps streaming.
         state.primed[shard] = bool(batcher.running[shard])
@@ -981,6 +972,13 @@ def _event_loop(state: _RunState) -> None:
     energy add the burst's integer
     :meth:`~repro.serving.backends.StepBurst.ticks_through` sums, so they
     equal the reference loop's one-at-a-time additions exactly.
+
+    With a listening bus, each priced burst is one
+    :class:`~repro.telemetry.events.BurstAdvanced`, cut segments and all:
+    the shard's open burst keeps its start tick, primed flag and residents
+    and sums the iterations and energy of each segment consumed, and is
+    emitted when something ends it — ahead of the retirement at its last
+    iteration, or of an admission that re-prices the shard.
     """
     batcher = state.batcher
     clocks = state.clocks
@@ -991,6 +989,9 @@ def _event_loop(state: _RunState) -> None:
     # Per shard: its last burst and the iterations consumed of it, or None
     # once a retirement ended it.
     pending: "list[tuple[StepBurst, int] | None]" = [None] * num_shards
+    # Per shard, while a bus listens: the burst priced but not yet emitted,
+    # as [start tick, iterations, energy ticks, primed, residents].
+    open_bursts: "list[list | None]" = [None] * num_shards
     # Per shard: the residents as lockstep columns, slot-aligned with
     # ``batcher.running``; the decode residents with their start rows; the
     # other shards.
@@ -1003,8 +1004,8 @@ def _event_loop(state: _RunState) -> None:
     primed = state.primed
     rows_of = state.rows_of
     work_of = state.work_of
-    bus = state.bus
-    slow = state.record_iterations or bus.active
+    listening = state.bus.active
+    record = state.record_iterations
     occupancy_counts = state.occupancy_counts
     max_batch_size = state.max_batch_size
     running = batcher.running
@@ -1014,6 +1015,12 @@ def _event_loop(state: _RunState) -> None:
     retire_slots = batcher.retire_slots
     heappush = heapq.heappush
     heappop = heapq.heappop
+
+    def emit_open_burst(shard: int) -> None:
+        start_tick, iterations, energy, was_primed, count = open_bursts[shard]
+        open_bursts[shard] = None
+        ticks = clocks[shard].now - start_tick
+        _emit_burst(state, shard, start_tick, iterations, ticks, energy, was_primed, count)
 
     def push(shard: int) -> None:
         version[shard] += 1
@@ -1063,10 +1070,15 @@ def _event_loop(state: _RunState) -> None:
                 for other in peers[shard]:
                     if not running[other]:
                         push(other)
-            if bus.active:
+            if listening:
+                if open_bursts[shard] is not None:
+                    # This admission ends the cut burst: it is re-priced below.
+                    emit_open_burst(shard)
                 _emit_admissions(state, shard, admitted, batcher.waiting_count)
         if admitted or pending[shard] is None:
             burst = shards[shard].step_burst(lane, primed[shard], quantum)
+            if listening:
+                open_bursts[shard] = [clock.now, 0, 0, primed[shard], len(residents)]
         else:
             cut, consumed = pending[shard]
             burst = cut.tail(consumed)
@@ -1092,7 +1104,7 @@ def _event_loop(state: _RunState) -> None:
         retiring = length == burst.iterations
         pending[shard] = None if retiring else (burst, length)
         row = lane.row
-        if slow:
+        if record:
             resident = [
                 (request.request_id, finish - row)
                 for request, finish in zip(lane.requests, lane.finishes)
@@ -1100,7 +1112,8 @@ def _event_loop(state: _RunState) -> None:
         ticks = burst.ticks_through(length)
         clock.now = start + ticks
         clock.busy_ticks += ticks
-        energy_ticks += burst.energy_through(length)
+        energy = burst.energy_through(length)
+        energy_ticks += energy
         lane.row = row + length * quantum
         for inflight, row_start in decoding[shard]:
             _mark_blocks_burst(
@@ -1110,15 +1123,13 @@ def _event_loop(state: _RunState) -> None:
         occupancy_counts[occupancy] += length
         base_index = num_iterations
         num_iterations += length
-        if slow:
-            if length > 1:
-                # Non-final iterations record/emit before retirement, matching
-                # the reference loop's event interleaving (retirement may emit
-                # plan-cache lookups of its own).
-                _record_iterations(
-                    state, shard, resident, burst, start, occupancy, base_index,
-                    admitted, 0, length - 1, length, retiring, (), (),
-                )
+        if listening:
+            this_burst = open_bursts[shard]
+            this_burst[1] += length
+            this_burst[2] += energy
+            if retiring:
+                # Emitted ahead of the retirement's lookups and events.
+                emit_open_burst(shard)
         if retiring:
             retired = retire_slots(shard, lane.retire(), clock.now)
             busy = clock.busy_ticks
@@ -1132,10 +1143,12 @@ def _event_loop(state: _RunState) -> None:
         else:
             retired = ()
         done = _complete(state, shard, retired)
-        if slow:
+        if listening:
+            for inflight, completion in zip(retired, done):
+                _emit_retired(state, inflight, completion)
+        if record:
             _record_iterations(
-                state, shard, resident, burst, start, occupancy, base_index,
-                admitted, length - 1, length, length, retiring, retired, done,
+                state, shard, resident, burst, start, base_index, admitted, length, retired
             )
         if residents:
             primed[shard] = True
@@ -1156,109 +1169,73 @@ def _record_iterations(
     resident,
     burst,
     start: int,
-    occupancy: float,
     base_index: int,
     admitted,
-    first: int,
-    stop: int,
     length: int,
-    retiring: bool,
     retired,
-    done,
 ) -> None:
-    """Expand burst iterations ``[first, stop)`` into records and events.
+    """Expand the activation's ``length`` burst iterations into records.
 
-    The slow path of the event scheduler, entered only when iteration
-    records or an active bus ask for per-iteration granularity.
-    ``resident`` holds ``(request_id, rows_left)`` per resident as the
-    activation found them.  The caller splits the
-    burst around retirement so emission order matches the reference loop
-    exactly: non-final iterations first, then retirement (whose functional
-    pass may emit plan-cache lookups), then the retired events ahead of the
-    final iteration's advancement events.
+    The event scheduler's records path, entered only when the run keeps
+    per-iteration records.  ``resident`` holds ``(request_id, rows_left)``
+    per resident as the activation found them; ``retired`` is empty unless
+    the activation's last iteration retires.
     """
-    bus = state.bus
     quantum = state.iteration_rows
+    occupancy = len(resident) / state.max_batch_size
     full_resident = tuple((request_id, quantum) for request_id, _ in resident)
     admitted_ids = tuple(inflight.request.request_id for inflight in admitted)
     retired_ids = tuple(inflight.request.request_id for inflight in retired)
     ticks = burst.ticks
     energy_ticks = burst.energy_ticks
     gate_rows = burst.gate_rows
-    for index in range(first, stop):
+    for index in range(length):
         final = index == length - 1
-        if final and retiring:
+        if final and retired:
             resident_rows = tuple(
                 (request_id, min(quantum, rows_left - (length - 1) * quantum))
                 for request_id, rows_left in resident
             )
         else:
             resident_rows = full_resident
-        was_primed = state.primed[shard] if index == 0 else True
-        start_tick = start + burst.ticks_through(index)
-        iteration_ticks = int(ticks[index])
-        iteration_energy = int(energy_ticks[index])
-        gate_value = int(gate_rows[index])
-        if state.record_iterations:
-            state.records.append(
-                IterationRecord(
-                    index=base_index + index,
-                    shard=shard,
-                    start_tick=start_tick,
-                    ticks=iteration_ticks,
-                    energy_ticks=iteration_energy,
-                    gate_rows=gate_value,
-                    primed=was_primed,
-                    resident=resident_rows,
-                    admitted=admitted_ids if index == 0 else (),
-                    retired=retired_ids if final else (),
-                    occupancy=occupancy,
-                )
+        state.records.append(
+            IterationRecord(
+                index=base_index + index,
+                shard=shard,
+                start_tick=start + burst.ticks_through(index),
+                ticks=int(ticks[index]),
+                energy_ticks=int(energy_ticks[index]),
+                gate_rows=int(gate_rows[index]),
+                primed=state.primed[shard] if index == 0 else True,
+                resident=resident_rows,
+                admitted=admitted_ids if index == 0 else (),
+                retired=retired_ids if final else (),
+                occupancy=occupancy,
             )
-        if bus.active:
-            if final:
-                for inflight, completion in zip(retired, done):
-                    _emit_retired(state, inflight, completion)
-            _emit_iteration(
-                state, base_index + index, shard, start_tick, iteration_ticks,
-                iteration_energy, gate_value, was_primed, len(resident), occupancy,
-            )
+        )
 
 
-def _emit_iteration(
+def _emit_burst(
     state: _RunState,
-    index: int,
     shard: int,
     start_tick: int,
+    iterations: int,
     ticks: int,
     energy_ticks: int,
-    gate_rows: int,
     primed: bool,
     residents: int,
-    occupancy: float,
 ) -> None:
-    """One iteration's advancement and occupancy events, in reference order."""
+    """One priced burst of ``iterations`` over ``residents`` on ``shard``."""
     state.bus.emit(
-        IterationAdvanced(
-            index=index,
+        BurstAdvanced(
             shard=shard,
             start_tick=start_tick,
+            iterations=iterations,
             ticks=ticks,
             energy_ticks=energy_ticks,
-            gate_rows=gate_rows,
             primed=primed,
-            num_resident=residents,
-            occupancy=occupancy,
-            run_id=state.run_id,
-        )
-    )
-    state.bus.emit(
-        ShardOccupancy(
-            shard=shard,
             residents=residents,
-            slots=state.max_batch_size,
-            occupancy=occupancy,
-            time=state.time_base.seconds(start_tick),
+            occupancy=residents / state.max_batch_size,
             run_id=state.run_id,
         )
     )

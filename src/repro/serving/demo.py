@@ -396,6 +396,8 @@ def _run_continuous(args, config: SWATConfig, bus=None) -> int:
         policy=args.policy,
         plan_cache=PlanCache(bus=bus),
         bus=bus,
+        # Only the stats are printed: skip the per-iteration records.
+        record_iterations=False,
     )
     print(result.stats.to_table("Continuous admission").render())
     return 0

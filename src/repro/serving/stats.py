@@ -11,14 +11,16 @@ with the paper-table reports.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, fields
+from fractions import Fraction
 from math import ceil, isfinite
 
 import numpy as np
 
 from repro.analysis.report import Table
 
-__all__ = ["ServingStats", "TimeBase", "decode_token_intervals", "percentile"]
+__all__ = ["ServingStats", "TimeBase", "decode_token_intervals", "occupancy_mean", "percentile"]
 
 
 @dataclass(frozen=True)
@@ -119,6 +121,24 @@ def percentile(values: "list[float]", q: float) -> float:
     position = q / 100.0 * len(ordered) - 1.0  # float, exactly as numpy evaluates it
     rank = min(len(ordered) - 1, max(0, ceil(position)))
     return ordered[rank]
+
+
+def occupancy_mean(counts: "Counter[float]") -> float:
+    """Exact-rational mean of an occupancy multiset (value -> iterations).
+
+    ``statistics.mean`` sums exact ``Fraction`` conversions of its float
+    inputs and rounds once at the end; summing ``Fraction(value) * count``
+    per distinct value is the same exact rational, so the rounded float is
+    identical — without materialising one list entry per iteration.  The
+    engine and :class:`~repro.telemetry.replay.TraceReplayer` both fold
+    through it, so live and replayed ``mean_occupancy`` agree bit for bit.
+    Returns 0.0 for an empty multiset.
+    """
+    total = sum(counts.values())
+    if not total:
+        return 0.0
+    exact = sum(Fraction(value) * count for value, count in counts.items())
+    return float(exact / total)
 
 
 def decode_token_intervals(

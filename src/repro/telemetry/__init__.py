@@ -1,12 +1,13 @@
 """Observability layer: typed event stream, JSONL logs, replay, live metrics.
 
 The serving engine (:mod:`repro.serving.continuous`) emits typed events at
-its accounting points onto an :class:`EventBus`.  With zero sinks subscribed
-the cost is a single branch per would-be event (the benchmark guard asserts
-no event object is built); with an :class:`EventLogWriter` subscribed every
-event lands as one JSON line in an append-only log that
-:class:`EventLogReader` (and ``repro-trace``) can read back — including
-bit-exact :class:`TraceReplayer` reconstruction of the
+its accounting points onto an :class:`EventBus`: lifecycle events per
+request and one ``burst_advanced`` per priced burst of device iterations.
+With zero sinks subscribed the cost is a single branch per would-be event
+(the benchmark guard asserts no event object is built); with an
+:class:`EventLogWriter` subscribed every event lands as one JSON line in an
+append-only log that :class:`EventLogReader` (and ``repro-trace``) can read
+back — including bit-exact :class:`TraceReplayer` reconstruction of the
 run's :class:`~repro.serving.stats.ServingStats` from the log alone.
 """
 
@@ -16,8 +17,8 @@ from repro.telemetry.bus import NULL_BUS, EventBus
 from repro.telemetry.events import (
     EVENT_TYPES,
     SCHEMA_VERSION,
+    BurstAdvanced,
     Event,
-    IterationAdvanced,
     PlanCacheLookup,
     QueueDepth,
     RequestAdmitted,
@@ -25,7 +26,6 @@ from repro.telemetry.events import (
     RequestRetired,
     RunFinished,
     RunStarted,
-    ShardOccupancy,
     from_record,
     to_record,
 )
@@ -41,8 +41,7 @@ __all__ = [
     "RequestArrived",
     "RequestAdmitted",
     "RequestRetired",
-    "IterationAdvanced",
-    "ShardOccupancy",
+    "BurstAdvanced",
     "QueueDepth",
     "PlanCacheLookup",
     "to_record",

@@ -7,17 +7,22 @@ percentiles (through the engine's own nearest-rank
 :func:`repro.serving.stats.percentile`), instantaneous queue depth and
 per-shard slot occupancy.  It is the model behind both ``repro-trace watch``
 renderings (textual and plain-ANSI) and ``repro-trace summarize``.
+
+Like the replayer, the aggregator binds to the first ``run_started`` it sees
+and skips every other run's events, so a multi-run log (a
+:func:`~repro.serving.continuous.compare_modes` log holds two) is summarised
+as its first run rather than a blend of both.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 
 from repro.analysis.report import Table
 from repro.serving.stats import TimeBase, percentile
 from repro.telemetry.events import (
+    BurstAdvanced,
     Event,
-    IterationAdvanced,
     PlanCacheLookup,
     QueueDepth,
     RequestAdmitted,
@@ -25,7 +30,6 @@ from repro.telemetry.events import (
     RequestRetired,
     RunFinished,
     RunStarted,
-    ShardOccupancy,
 )
 
 __all__ = ["MetricsAggregator"]
@@ -41,7 +45,8 @@ class MetricsAggregator:
         self.run: "RunStarted | None" = None
         self.time_base: "TimeBase | None" = None
         self.finished = False
-        self.events_seen = 0
+        #: Folded events per kind (other runs' events are not counted).
+        self.event_counts: "Counter[str]" = Counter()
         self.arrived = 0
         self.admitted = 0
         self.retired = 0
@@ -55,11 +60,15 @@ class MetricsAggregator:
         self._shard_occupancy: "dict[int, float]" = {}
 
     def feed(self, event: Event) -> None:
-        """Fold one event into the live metrics."""
-        self.events_seen += 1
+        """Fold one event into the live metrics (skipping other runs)."""
+        run = self.run
+        if run is not None and event.run_id != run.run_id:
+            return
+        self.event_counts[event.kind] += 1
         if isinstance(event, RunStarted):
-            self.run = event
-            self.time_base = TimeBase(event.tick_seconds, event.power_w)
+            if run is None:
+                self.run = event
+                self.time_base = TimeBase(event.tick_seconds, event.power_w)
         elif isinstance(event, RequestArrived):
             self.arrived += 1
             self.last_time = max(self.last_time, event.arrival_time)
@@ -71,13 +80,12 @@ class MetricsAggregator:
             self.last_time = max(self.last_time, event.finish_time)
             self._latencies.append(event.finish_time - event.arrival_time)
             self._queue_waits.append(event.admit_time - event.arrival_time)
-        elif isinstance(event, IterationAdvanced):
-            self.iterations += 1
+        elif isinstance(event, BurstAdvanced):
+            self.iterations += event.iterations
+            self._shard_occupancy[event.shard] = event.occupancy
             if self.time_base is not None:
                 end = self.time_base.seconds(event.start_tick + event.ticks)
                 self.last_time = max(self.last_time, end)
-        elif isinstance(event, ShardOccupancy):
-            self._shard_occupancy[event.shard] = event.occupancy
         elif isinstance(event, QueueDepth):
             self.queue_depth = event.depth
         elif isinstance(event, PlanCacheLookup):
@@ -93,6 +101,11 @@ class MetricsAggregator:
         for event in events:
             self.feed(event)
         return self
+
+    @property
+    def events_seen(self) -> int:
+        """Events folded so far (the bound run's, once one started)."""
+        return sum(self.event_counts.values())
 
     @property
     def requests_per_second(self) -> float:

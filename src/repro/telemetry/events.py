@@ -24,17 +24,28 @@ decode (block completion times on the simulated clock), from which the
 replayer reconstructs TTFT/inter-token percentiles, token counts and the
 KV-residency hit/miss split.
 
-Schema version 4 puts the engine's integer time base on the wire.
-:class:`RunStarted` carries ``tick_seconds`` (the pool's kernel-clock
-period) and ``power_w`` (the power its energy rule charges per energy
-tick), and :class:`IterationAdvanced` carries the iteration's integer
-``start_tick``, ``ticks`` and ``energy_ticks`` instead of float seconds,
-cycles and joules.  The replayer sums those integers per shard and converts
-once through :class:`~repro.serving.stats.TimeBase`, exactly as the engine
-does.  Lifecycle instants (arrival, admit, finish, block times) stay
-seconds.  Version 4 also drops ``RunStarted.engine``: every run comes from
-the one continuous engine.  Logs of versions 1-3 are rejected with a
-message to re-record them.
+Schema version 5 streams device time per *burst*, not per iteration.
+Between an admission and the next retirement a shard's resident set is
+fixed, and the engine prices that whole stretch of iterations at once; one
+:class:`BurstAdvanced` carries it: the shard, the burst's integer
+``start_tick``, ``iterations``, ``ticks`` and ``energy_ticks``, the first
+iteration's ``primed`` flag, and the residents with their slot
+``occupancy``.  The event is emitted once, when something ends the burst:
+ahead of the retirement at its last iteration (before that retirement's
+plan-cache lookups, ``request_decoded`` and ``request_retired`` events), or
+ahead of an admission that re-prices the shard (before its
+``request_admitted`` and ``queue_depth`` events).  A burst cut short by
+another shard or an arrival and resumed later is still one event.  The
+reference scheduler emits a one-iteration burst per priced iteration;
+coalescing a shard's consecutive bursts between admissions and retirements
+gives the event scheduler's stream.  The replayer sums the integer ticks per
+shard and converts once through :class:`~repro.serving.stats.TimeBase`,
+exactly as the engine does, and folds ``occupancy`` weighted by
+``iterations`` into the same exact-rational mean.  :class:`RunStarted`
+carries ``tick_seconds`` (the pool's kernel-clock period) and ``power_w``
+(the power its energy rule charges per energy tick).  Lifecycle instants
+(arrival, admit, finish, block times) stay seconds.  Logs of versions 1-4
+are rejected with a message to re-record them.
 """
 
 from __future__ import annotations
@@ -53,8 +64,7 @@ __all__ = [
     "RequestAdmitted",
     "RequestDecoded",
     "RequestRetired",
-    "IterationAdvanced",
-    "ShardOccupancy",
+    "BurstAdvanced",
     "QueueDepth",
     "PlanCacheLookup",
     "to_record",
@@ -62,10 +72,10 @@ __all__ = [
 ]
 
 #: Version stamped into every serialised record; bumped on any field change.
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 #: Schema versions :func:`from_record` can still deserialise.
-SUPPORTED_VERSIONS = (4,)
+SUPPORTED_VERSIONS = (5,)
 
 
 @dataclass(frozen=True)
@@ -172,36 +182,27 @@ class RequestRetired(Event):
 
 
 @dataclass(frozen=True)
-class IterationAdvanced(Event):
-    """One priced iteration of the continuous engine advanced a shard.
+class BurstAdvanced(Event):
+    """A priced burst of iterations over one fixed resident set of a shard.
 
     ``start_tick``, ``ticks`` and ``energy_ticks`` are integer ticks of the
-    run's ``tick_seconds`` (see :class:`RunStarted`).
+    run's ``tick_seconds`` (see :class:`RunStarted`), summed over the
+    burst's ``iterations``; the burst streamed without a gap, so it ends at
+    ``start_tick + ticks``.
     """
 
-    kind: ClassVar[str] = "iteration_advanced"
-    index: int
+    kind: ClassVar[str] = "burst_advanced"
     shard: int
     start_tick: int
+    iterations: int
     ticks: int
-    #: The ticks the backend's energy rule charged for the iteration.
+    #: The ticks the backend's energy rule charged for the burst.
     energy_ticks: int
-    gate_rows: int
+    #: Whether the burst's first iteration found the pipeline primed.
     primed: bool
-    num_resident: int
-    occupancy: float
-
-
-@dataclass(frozen=True)
-class ShardOccupancy(Event):
-    """Instantaneous slot occupancy of one shard."""
-
-    kind: ClassVar[str] = "shard_occupancy"
-    shard: int
     residents: int
-    slots: int
+    #: Residents as a fraction of ``max_batch_size`` slots.
     occupancy: float
-    time: float
 
 
 @dataclass(frozen=True)
@@ -248,8 +249,7 @@ EVENT_TYPES: "dict[str, type[Event]]" = {
         RequestAdmitted,
         RequestDecoded,
         RequestRetired,
-        IterationAdvanced,
-        ShardOccupancy,
+        BurstAdvanced,
         QueueDepth,
         PlanCacheLookup,
         RunFinished,
@@ -271,9 +271,9 @@ def from_record(record: "dict[str, object]") -> Event:
     if version not in SUPPORTED_VERSIONS:
         if isinstance(version, int) and version < SCHEMA_VERSION:
             raise ValueError(
-                f"event schema version {version} predates the integer-tick schema "
-                f"(version {SCHEMA_VERSION}): its iterations carry float seconds, not ticks; "
-                "re-record the log with this version (repro-serve ... --events PATH)"
+                f"event schema version {version} predates the burst schema "
+                f"(version {SCHEMA_VERSION}): its device time comes per iteration, not per "
+                "burst; re-record the log with this version (repro-serve ... --events PATH)"
             )
         raise ValueError(
             f"unsupported event schema version {version!r} (expected one of {SUPPORTED_VERSIONS})"

@@ -76,14 +76,12 @@ class EventLogReader:
     def __init__(self, path: "str | Path"):
         self.path = Path(path)
 
-    def records(self) -> "list[dict]":
-        """Every line parsed to its raw dict (schema not interpreted)."""
-        with open(self.path, encoding="utf-8") as handle:
-            return [json.loads(line) for line in handle if line.strip()]
-
     def __iter__(self):
-        for record in self.records():
-            yield from_record(record)
+        """Yield the log's events one line at a time (the file is never held whole)."""
+        with open(self.path, encoding="utf-8") as handle:
+            for line in handle:
+                if line.strip():
+                    yield from_record(json.loads(line))
 
     def tail(self, poll_interval: float = 0.2, stop=None):
         """Yield events as they are appended (a ``tail -f`` generator).

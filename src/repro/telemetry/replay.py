@@ -11,8 +11,10 @@ the same floats through the same aggregation functions in the same sequence:
 - makespan is the ``max`` retirement instant (order-free);
 - queue/latency percentiles go through the engine's own
   :func:`repro.serving.stats.percentile` (it sorts, so order-free);
-- mean occupancy goes through :func:`statistics.mean` (exact rational
-  arithmetic, same as the engine).
+- mean occupancy goes through :func:`repro.serving.stats.occupancy_mean`
+  over the same occupancy multiset the engine counts: each
+  ``burst_advanced`` adds its ``occupancy`` ``iterations`` times (exact
+  rational arithmetic, so burst boundaries cannot move a bit).
 
 The only field a log cannot reproduce is the measured ``wall_seconds``; the
 ``run_finished`` event carries it (plus the engine's own stats dict, used by
@@ -21,12 +23,18 @@ The only field a log cannot reproduce is the measured ``wall_seconds``; the
 
 from __future__ import annotations
 
-from statistics import mean
+from collections import Counter
 
-from repro.serving.stats import ServingStats, TimeBase, decode_token_intervals, percentile
+from repro.serving.stats import (
+    ServingStats,
+    TimeBase,
+    decode_token_intervals,
+    occupancy_mean,
+    percentile,
+)
 from repro.telemetry.events import (
+    BurstAdvanced,
     Event,
-    IterationAdvanced,
     PlanCacheLookup,
     RequestArrived,
     RequestDecoded,
@@ -46,9 +54,11 @@ class TraceReplayer:
     :func:`~repro.serving.continuous.compare_modes` log holds the continuous
     run as 0 and the drain run as 1); events of other runs are skipped.
     With the default ``run_id=None`` the replayer binds to the first
-    ``run_started`` event it sees and then insists the log is single-run —
-    feeding a second run without selecting one is an error, not a silent
-    blend of two runs' accounting.
+    ``run_started`` event it sees and skips every event of another run, so
+    a bare replay of a multi-run log folds its first run.  Two
+    ``run_started`` events under the bound ``run_id`` are an error (two runs
+    streamed with one id cannot be told apart), not a silent blend of two
+    runs' accounting.
     """
 
     def __init__(self, run_id: "int | None" = None) -> None:
@@ -60,7 +70,8 @@ class TraceReplayer:
         self._energy_ticks = 0
         self._num_iterations = 0
         self._arrived_head_rows = 0
-        self._occupancies: "list[float]" = []
+        #: occupancy value -> iterations, the engine's multiset.
+        self._occupancy_counts: "Counter[float]" = Counter()
         self._queue_waits: "list[float]" = []
         self._latencies: "list[float]" = []
         self._finish_times: "list[float]" = []
@@ -79,11 +90,6 @@ class TraceReplayer:
             return
         if isinstance(event, RunStarted):
             if self.run is not None:
-                if self.run_id is None:
-                    raise ValueError(
-                        "log contains more than one run_started event; select one "
-                        "with run_id= (repro-trace: --run-id)"
-                    )
                 raise ValueError(
                     f"log contains more than one run_started event for run_id={self.run_id}"
                 )
@@ -96,11 +102,11 @@ class TraceReplayer:
             self._shard_busy = [0] * event.num_shards
         elif isinstance(event, RequestArrived):
             self._arrived_head_rows += event.head_rows
-        elif isinstance(event, IterationAdvanced):
-            self._num_iterations += 1
+        elif isinstance(event, BurstAdvanced):
+            self._num_iterations += event.iterations
             self._shard_busy[event.shard] += event.ticks
             self._energy_ticks += event.energy_ticks
-            self._occupancies.append(event.occupancy)
+            self._occupancy_counts[event.occupancy] += event.iterations
         elif isinstance(event, RequestDecoded):
             self._num_decodes += 1
             self._decode_tokens += event.new_tokens
@@ -136,6 +142,26 @@ class TraceReplayer:
         """Measured wall clock carried by ``run_finished`` (0.0 if absent)."""
         return self.finished.wall_seconds if self.finished is not None else 0.0
 
+    def mismatches(self) -> "list[str]":
+        """Fields where the reconstruction differs from the recorded stats.
+
+        Compares every field of :meth:`stats` against the ``run_finished``
+        event's recorded :meth:`ServingStats.to_dict` and returns one
+        human-readable line per difference (empty when the reconstruction
+        is bit-identical).
+        """
+        reconstructed = self.stats().to_dict()
+        if self.finished is None:
+            return ["log has no run_finished event; recorded stats unavailable"]
+        recorded = self.finished.stats
+        mismatches = []
+        for field_name in sorted(set(recorded) | set(reconstructed)):
+            got = reconstructed.get(field_name)
+            want = recorded.get(field_name)
+            if got != want:
+                mismatches.append(f"{field_name}: replayed {got!r} != recorded {want!r}")
+        return mismatches
+
     def stats(self) -> ServingStats:
         """The reconstructed :class:`ServingStats` of the replayed run."""
         run = self.run
@@ -157,7 +183,7 @@ class TraceReplayer:
             mode=run.mode,
             policy=run.policy,
             num_iterations=self._num_iterations,
-            mean_occupancy=mean(self._occupancies) if self._occupancies else 0.0,
+            mean_occupancy=occupancy_mean(self._occupancy_counts),
             queue_p50_seconds=percentile(self._queue_waits, 50.0),
             queue_p95_seconds=percentile(self._queue_waits, 95.0),
             latency_p50_seconds=percentile(self._latencies, 50.0),
@@ -176,8 +202,8 @@ class TraceReplayer:
 def replay_stats(events, run_id: "int | None" = None) -> ServingStats:
     """Replay an iterable of events (or a log path) into :class:`ServingStats`.
 
-    ``run_id`` selects one run of a multi-run log; by default the log must
-    be single-run.
+    ``run_id`` selects one run of a multi-run log; by default the first run
+    is replayed.
     """
     if isinstance(events, (str, bytes)) or hasattr(events, "__fspath__"):
         events = EventLogReader(events)
@@ -187,21 +213,9 @@ def replay_stats(events, run_id: "int | None" = None) -> ServingStats:
 def verify_log(path, run_id: "int | None" = None) -> "list[str]":
     """Cross-check a log's reconstruction against its recorded stats.
 
-    Replays the log (one run of it, when ``run_id`` is given), compares
-    every field of the reconstructed stats against the ``run_finished``
-    event's recorded :meth:`ServingStats.to_dict`, and returns a list of
-    human-readable mismatch descriptions (empty when the reconstruction is
+    Replays the log (one run of it, when ``run_id`` is given) and returns
+    :meth:`TraceReplayer.mismatches`: one human-readable line per field
+    that differs from the recorded stats (empty when the reconstruction is
     bit-identical).
     """
-    replayer = TraceReplayer(run_id=run_id).feed_all(EventLogReader(path))
-    reconstructed = replayer.stats().to_dict()
-    if replayer.finished is None:
-        return ["log has no run_finished event; recorded stats unavailable"]
-    recorded = replayer.finished.stats
-    mismatches = []
-    for field_name in sorted(set(recorded) | set(reconstructed)):
-        got = reconstructed.get(field_name)
-        want = recorded.get(field_name)
-        if got != want:
-            mismatches.append(f"{field_name}: replayed {got!r} != recorded {want!r}")
-    return mismatches
+    return TraceReplayer(run_id=run_id).feed_all(EventLogReader(path)).mismatches()

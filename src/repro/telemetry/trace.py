@@ -3,7 +3,8 @@
 Subcommands over the JSONL logs ``repro-serve --events PATH`` writes:
 
 ``summarize``
-    Event-kind counts plus the streaming metrics snapshot of the whole log.
+    Event-kind counts plus the streaming metrics snapshot of one run: the
+    first run of the log, or the one ``--run-id`` selects.
 
 ``replay``
     Reconstruct the run's :class:`~repro.serving.stats.ServingStats` from
@@ -12,7 +13,7 @@ Subcommands over the JSONL logs ``repro-serve --events PATH`` writes:
     ``run_finished`` event, exiting non-zero on any mismatch — the CI smoke
     job's parity gate.  ``--run-id`` selects one run of a multi-run log
     (``repro-serve --compare`` logs the continuous run as 0 and the drain
-    run as 1).
+    run as 1); without it the first run is replayed.
 
 ``watch``
     Live console over a (possibly still growing) log: a textual DataTable
@@ -30,13 +31,12 @@ from __future__ import annotations
 
 import argparse
 import json
-from collections import Counter
 from pathlib import Path
 
 from repro.telemetry.aggregate import MetricsAggregator
 from repro.telemetry.console import watch
 from repro.telemetry.log import EventLogReader
-from repro.telemetry.replay import TraceReplayer, verify_log
+from repro.telemetry.replay import TraceReplayer
 
 __all__ = ["build_parser", "main"]
 
@@ -79,18 +79,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_summarize(args) -> int:
-    reader = EventLogReader(args.path)
-    counts = Counter(
-        record["kind"]
-        for record in reader.records()
-        if args.run_id is None or record.get("run_id", 0) == args.run_id
-    )
-    events = (
-        reader
-        if args.run_id is None
-        else (event for event in reader if event.run_id == args.run_id)
-    )
+    events = EventLogReader(args.path)
+    if args.run_id is not None:
+        events = (event for event in events if event.run_id == args.run_id)
+    # The aggregator binds to the first run it sees: the selected one.
     aggregator = MetricsAggregator().feed_all(events)
+    counts = aggregator.event_counts
     if args.json:
         snapshot = {
             key: value for key, value in aggregator.snapshot().items() if key != "status"
@@ -112,7 +106,7 @@ def _cmd_replay(args) -> int:
     print(stats.to_table(title=f"Replayed serving stats ({args.path})").render())
     if not args.strict:
         return 0
-    mismatches = verify_log(args.path, run_id=args.run_id)
+    mismatches = replayer.mismatches()
     if mismatches:
         print()
         print(f"replay mismatch: {len(mismatches)} field(s) differ from the recorded stats")

@@ -41,7 +41,7 @@ from repro.serving.engine import ServingEngine
 from repro.serving.request import AttentionRequest, make_requests
 from repro.serving.stats import ServingStats, percentile
 from repro.telemetry import EventBus
-from repro.telemetry.events import to_record
+from tests.event_streams import assert_streams_equivalent
 
 HEAD_DIM = 8
 
@@ -366,8 +366,8 @@ class TestSchedulerEquivalence:
     This is the tentpole contract of the vectorized scheduler: for any seeded
     trace it must reproduce the quantum-stepped reference loop's every
     accounting bit — the :class:`ServingStats` fields, the per-iteration
-    records, and the telemetry event stream (``wall_seconds`` excepted, since
-    it reads the host clock).
+    records, and the telemetry event stream in canonical form (its bursts
+    coalesced, ``wall_seconds`` excepted, since it reads the host clock).
     """
 
     def _run_both(self, requests, **kwargs):
@@ -379,7 +379,7 @@ class TestSchedulerEquivalence:
             result = serve_continuous(
                 list(requests), scheduler=scheduler, bus=bus, **kwargs
             )
-            runs[scheduler] = (result, [to_record(event) for event in events])
+            runs[scheduler] = (result, events)
         return runs["event"], runs["reference"]
 
     @staticmethod
@@ -402,18 +402,7 @@ class TestSchedulerEquivalence:
         assert [done.finish_time for done in event_result.completed] == [
             done.finish_time for done in reference_result.completed
         ]
-        assert len(event_log) == len(reference_log)
-        for event_record, reference_record in zip(event_log, reference_log):
-            if event_record["kind"] == "run_finished":
-                event_record, reference_record = (
-                    {
-                        **record,
-                        "wall_seconds": 0.0,
-                        "stats": {**record["stats"], "wall_seconds": 0.0},
-                    }
-                    for record in (event_record, reference_record)
-                )
-            assert event_record == reference_record
+        assert_streams_equivalent(event_log, reference_log)
 
     @settings(deadline=None, max_examples=30)
     @given(

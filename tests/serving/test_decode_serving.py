@@ -6,8 +6,9 @@ accounting on :class:`DecodeRequest`, positional pricing through
 equality), the :class:`~repro.serving.cache.KVResidency` counters, per-token
 latency stats, and the tentpole invariant: a mixed prefill+decode trace runs
 bit-identically through the ``"event"`` and ``"reference"`` continuous
-schedulers, stats and telemetry alike — including when the event scheduler
-resumes a cut burst instead of pricing its resident set again.
+schedulers, stats and telemetry (in canonical form) alike — including when
+the event scheduler resumes a cut burst instead of pricing its resident set
+again.
 """
 
 from dataclasses import fields
@@ -33,7 +34,7 @@ from repro.serving.request import (
 )
 from repro.serving.stats import ServingStats, decode_token_intervals
 from repro.telemetry.bus import EventBus
-from repro.telemetry.events import to_record
+from tests.event_streams import BURST, assert_streams_equivalent
 
 CONTINUOUS_BACKENDS = ["simulator", "analytical", "gpu-dense", "gpu-chunked", "dense-fpga"]
 
@@ -231,16 +232,13 @@ class TestMixedTraceSchedulerEquivalence:
 
     def test_telemetry_bit_identical(self):
         requests = _mixed_trace(_config(), functional=False)
-        records = {}
+        streams = {}
         for scheduler in ("event", "reference"):
             bus = EventBus()
-            seen = []
-            bus.subscribe(seen.append)
+            streams[scheduler] = []
+            bus.subscribe(streams[scheduler].append)
             _run(requests, "analytical", scheduler, bus=bus)
-            records[scheduler] = [
-                event for event in seen if event.kind != "run_finished"
-            ]
-        assert records["event"] == records["reference"]
+        assert_streams_equivalent(streams["event"], streams["reference"])
 
     def test_decode_stats_populated(self):
         requests = _mixed_trace(_config(), functional=False)
@@ -321,7 +319,7 @@ class _PricingSpy:
 def _serve_spied(requests, scheduler, num_shards, quantum):
     """Serve on the bus with every ``step_burst`` call counted.
 
-    Returns ``(result, telemetry records, pricing calls)``.
+    Returns ``(result, events, pricing calls)``.
     """
     cache = PlanCache()
     backends = []
@@ -343,24 +341,25 @@ def _serve_spied(requests, scheduler, num_shards, quantum):
         backends=backends,
         bus=bus,
     )
-    records = [to_record(event) for event in events if event.kind != "run_finished"]
-    return result, records, sum(backend.step_burst.calls for backend in backends)
+    return result, events, sum(backend.step_burst.calls for backend in backends)
 
 
 def _assert_schedulers_agree(requests, num_shards, quantum):
-    """Event and reference serves agree bit for bit.
+    """Event and reference serves agree bit for bit, telemetry in canonical form.
 
-    Returns the event serve's result and its pricing calls.
+    The event serve emits one ``burst_advanced`` per pricing call.  Returns
+    the event serve's result and its pricing calls.
     """
     event, event_log, calls = _serve_spied(requests, "event", num_shards, quantum)
     reference, reference_log, _ = _serve_spied(requests, "reference", num_shards, quantum)
+    assert sum(item.kind == BURST for item in event_log) == calls
     for spec in fields(ServingStats):
         if spec.name == "wall_seconds":
             continue
         event_value = getattr(event.stats, spec.name)
         assert event_value == getattr(reference.stats, spec.name), spec.name
     assert event.iterations == reference.iterations
-    assert event_log == reference_log
+    assert_streams_equivalent(event_log, reference_log)
     return event, calls
 
 
@@ -390,8 +389,13 @@ class TestBurstCarryOver:
             return admit(self, *args, **kwargs)
 
         monkeypatch.setattr(ContinuousBatcher, "admit", counted_admit)
-        _, _, calls = _serve_spied(requests, "event", num_shards=2, quantum=7)
+        result, events, calls = _serve_spied(requests, "event", num_shards=2, quantum=7)
         assert calls < activations[0]
+        # A resumed segment is no event of its own: one burst_advanced per
+        # pricing call, together covering every iteration.
+        bursts = [event for event in events if event.kind == BURST]
+        assert len(bursts) == calls
+        assert sum(burst.iterations for burst in bursts) == result.stats.num_iterations
 
 
 class TestFastPath:

@@ -142,6 +142,45 @@ class TestEventLogCli:
         snapshot = json.loads(capsys.readouterr().out)
         assert snapshot["event counts"]["run_finished"] == 1
 
+    def test_trace_summarize_binds_to_one_run_of_a_compare_log(self, tmp_path, capsys):
+        import json
+
+        # --compare logs 8 requests twice: continuous as run 0, drain as 1.
+        path = self._serve_with_events(tmp_path, extra=["--mode", "continuous", "--compare"])
+        capsys.readouterr()
+        snapshots = {}
+        for run_id in (None, 0, 1):
+            argv = ["summarize", str(path), "--json"]
+            if run_id is not None:
+                argv += ["--run-id", str(run_id)]
+            assert trace_main(argv) == 0
+            snapshots[run_id] = json.loads(capsys.readouterr().out)
+        assert snapshots[None] == snapshots[0]
+        assert snapshots[0]["run"] == "continuous (analytical)"
+        assert snapshots[1]["run"] == "drain (analytical)"
+        for snapshot in snapshots.values():
+            assert snapshot["arrived / admitted / retired"] == "8 / 8 / 8"
+            assert snapshot["event counts"]["run_started"] == 1
+            assert snapshot["event counts"]["request_arrived"] == 8
+
+    def test_trace_commands_read_the_log_once(self, tmp_path, capsys, monkeypatch):
+        import repro.telemetry.log as log_module
+
+        path = self._serve_with_events(tmp_path, extra=["--mode", "continuous"])
+        capsys.readouterr()
+        opened = []
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(file)
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(log_module, "open", counting_open, raising=False)
+        for argv in (["replay", str(path), "--strict"], ["summarize", str(path)]):
+            opened.clear()
+            assert trace_main(argv) == 0
+            assert opened == [path], argv
+        capsys.readouterr()
+
     def test_trace_watch_once_plain(self, tmp_path, capsys):
         path = self._serve_with_events(tmp_path, extra=["--mode", "continuous"])
         capsys.readouterr()

@@ -3,11 +3,11 @@
 import pytest
 
 from repro.core.config import SWATConfig
-from repro.serving.continuous import poisson_arrivals, serve_continuous
+from repro.serving.continuous import compare_modes, poisson_arrivals, serve_continuous
 from repro.serving.request import make_requests
 from repro.telemetry import EventBus, MetricsAggregator
 from repro.telemetry.events import (
-    IterationAdvanced,
+    BurstAdvanced,
     PlanCacheLookup,
     QueueDepth,
     RequestAdmitted,
@@ -15,8 +15,20 @@ from repro.telemetry.events import (
     RequestRetired,
     RunFinished,
     RunStarted,
-    ShardOccupancy,
 )
+
+
+def _burst(shard, start_tick, iterations, residents):
+    return BurstAdvanced(
+        shard=shard,
+        start_tick=start_tick,
+        iterations=iterations,
+        ticks=3 * iterations,
+        energy_ticks=3 * iterations,
+        primed=False,
+        residents=residents,
+        occupancy=residents / 4,
+    )
 
 
 def _retired(request_id, arrival, admit, finish):
@@ -71,10 +83,17 @@ class TestCounters:
 
     def test_shard_occupancy_sorted_and_latest(self):
         aggregator = MetricsAggregator()
-        aggregator.feed(ShardOccupancy(shard=1, residents=2, slots=4, occupancy=0.5, time=0.0))
-        aggregator.feed(ShardOccupancy(shard=0, residents=4, slots=4, occupancy=1.0, time=0.0))
-        aggregator.feed(ShardOccupancy(shard=1, residents=1, slots=4, occupancy=0.25, time=1.0))
+        aggregator.feed(_burst(shard=1, start_tick=0, iterations=2, residents=2))
+        aggregator.feed(_burst(shard=0, start_tick=0, iterations=5, residents=4))
+        aggregator.feed(_burst(shard=1, start_tick=6, iterations=1, residents=1))
         assert aggregator.shard_occupancy() == {0: 1.0, 1: 0.25}
+
+    def test_iterations_count_every_iteration_of_a_burst(self):
+        aggregator = MetricsAggregator()
+        aggregator.feed(_burst(shard=0, start_tick=0, iterations=5, residents=4))
+        aggregator.feed(_burst(shard=1, start_tick=0, iterations=1, residents=2))
+        aggregator.feed(_burst(shard=0, start_tick=15, iterations=3, residents=3))
+        assert aggregator.iterations == 9
 
 
 class TestWindowing:
@@ -130,17 +149,16 @@ class TestSnapshot:
             )
         )
         assert aggregator.snapshot()["run"] == "drain (simulator)"
-        # Iteration ends convert through the run's tick.
+        # Burst ends convert through the run's tick.
         aggregator.feed(
-            IterationAdvanced(
-                index=0,
+            BurstAdvanced(
                 shard=0,
                 start_tick=2,
+                iterations=3,
                 ticks=6,
                 energy_ticks=6,
-                gate_rows=1,
                 primed=False,
-                num_resident=1,
+                residents=1,
                 occupancy=0.125,
             )
         )
@@ -152,3 +170,35 @@ class TestSnapshot:
         aggregator.feed(RunFinished(wall_seconds=1.0, stats={}))
         assert aggregator.finished
         assert aggregator.snapshot()["status"] == "finished"
+
+
+class TestMultiRunLog:
+    def test_binds_to_the_first_run_of_a_compare_modes_log(self):
+        # compare_modes streams its continuous run (run_id 0), then its
+        # drain run (run_id 1), onto one bus.
+        config = SWATConfig(head_dim=16, window_tokens=8)
+        seq_lens = [24, 48, 32, 64] * 4
+        requests = make_requests(
+            seq_lens,
+            config.head_dim,
+            functional=False,
+            arrival_times=poisson_arrivals(len(seq_lens), 3000.0, seed=9),
+        )
+        bus = EventBus()
+        events = []
+        bus.subscribe(events.append)
+        comparison = compare_modes(
+            requests, config=config, backend="analytical", num_shards=2, max_batch_size=4, bus=bus
+        )
+        aggregator = MetricsAggregator(window=len(seq_lens)).feed_all(events)
+        continuous = comparison.continuous.stats
+        snapshot = aggregator.snapshot()
+        assert snapshot["run"] == "continuous (analytical)"
+        assert snapshot["arrived / admitted / retired"] == "16 / 16 / 16"
+        assert snapshot["events"] == sum(event.run_id == 0 for event in events)
+        assert aggregator.iterations == continuous.num_iterations
+        assert snapshot["latency p95 [s] (last 16)"] == continuous.latency_p95_seconds
+        # Selecting the second run (as repro-trace's --run-id does) binds to it.
+        drain = MetricsAggregator().feed_all(event for event in events if event.run_id == 1)
+        assert drain.snapshot()["run"] == "drain (analytical)"
+        assert drain.iterations == comparison.drain.stats.num_iterations

@@ -75,6 +75,17 @@ class TestEventLog:
             bus.emit(QueueDepth(depth=3, time=0.5))
         assert list(EventLogReader(path)) == [QueueDepth(depth=3, time=0.5)]
 
+    def test_reader_streams_one_line_at_a_time(self, tmp_path):
+        # The first event is yielded before later lines are parsed, so a
+        # large log is never held in memory whole.
+        path = tmp_path / "events.jsonl"
+        first = QueueDepth(depth=1, time=0.0)
+        path.write_text(json.dumps(to_record(first)) + "\n\nnot json\n")
+        events = iter(EventLogReader(path))
+        assert next(events) == first
+        with pytest.raises(json.JSONDecodeError):
+            next(events)
+
     def test_concurrent_writes_produce_whole_lines(self, tmp_path):
         path = tmp_path / "events.jsonl"
         with EventLogWriter(path) as writer:

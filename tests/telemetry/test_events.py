@@ -5,7 +5,7 @@ import pytest
 from repro.telemetry.events import (
     EVENT_TYPES,
     SCHEMA_VERSION,
-    IterationAdvanced,
+    BurstAdvanced,
     PlanCacheLookup,
     QueueDepth,
     RequestAdmitted,
@@ -14,7 +14,6 @@ from repro.telemetry.events import (
     RequestRetired,
     RunFinished,
     RunStarted,
-    ShardOccupancy,
     from_record,
     to_record,
 )
@@ -50,18 +49,16 @@ EXAMPLES = [
         admit_time=0.25,
         finish_time=0.5,
     ),
-    IterationAdvanced(
-        index=11,
+    BurstAdvanced(
         shard=1,
         start_tick=75_000_000,
-        ticks=12345,
-        energy_ticks=12345,
-        gate_rows=64,
+        iterations=7,
+        ticks=86415,
+        energy_ticks=86415,
         primed=True,
-        num_resident=5,
+        residents=5,
         occupancy=0.625,
     ),
-    ShardOccupancy(shard=0, residents=5, slots=8, occupancy=0.625, time=0.25),
     QueueDepth(depth=12, time=0.25),
     PlanCacheLookup(seq_len=256, hit=True, entries=3),
     RunFinished(wall_seconds=1.5, stats={"backend": "analytical", "num_requests": 32}),
@@ -108,15 +105,14 @@ class TestRoundTrip:
         import json
 
         # Ticks past 2**53 would lose bits as floats; JSON keeps them ints.
-        event = IterationAdvanced(
-            index=0,
+        event = BurstAdvanced(
             shard=0,
             start_tick=2**60 + 1,
+            iterations=2,
             ticks=3,
             energy_ticks=7,
-            gate_rows=1,
             primed=False,
-            num_resident=1,
+            residents=1,
             occupancy=0.5,
         )
         restored = from_record(json.loads(json.dumps(to_record(event))))
@@ -149,8 +145,30 @@ class TestValidation:
             "num_resident": 1,
             "occupancy": 0.25,
         }
-        with pytest.raises(ValueError, match="integer-tick schema.*re-record"):
+        with pytest.raises(ValueError, match=f"version {version} predates.*re-record"):
             from_record(record)
+
+    def test_per_iteration_v4_log_rejected_with_a_remedy(self):
+        # A v4 log carried device time per iteration; its iteration_advanced
+        # and shard_occupancy kinds are gone, so the reader names the version
+        # and asks for a re-record instead of failing on an unknown kind.
+        record = {
+            "v": 4,
+            "kind": "iteration_advanced",
+            "index": 0,
+            "shard": 0,
+            "start_tick": 0,
+            "ticks": 300,
+            "energy_ticks": 300,
+            "gate_rows": 32,
+            "primed": False,
+            "num_resident": 1,
+            "occupancy": 0.25,
+        }
+        with pytest.raises(ValueError, match="version 4 predates the burst schema.*re-record"):
+            from_record(record)
+        with pytest.raises(ValueError, match="version 4 predates"):
+            from_record({"v": 4, "kind": "queue_depth", "depth": 1, "time": 0.0})
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown event kind"):

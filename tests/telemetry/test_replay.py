@@ -9,6 +9,7 @@ bursty continuous traces and for drain-admission runs.
 """
 
 from dataclasses import fields
+from statistics import mean
 
 import pytest
 
@@ -170,6 +171,42 @@ class TestContinuousReplay:
             replay_stats(path)
         with pytest.raises(ValueError, match="more than one run_started"):
             replay_stats(path, run_id=0)
+
+
+class TestBurstFolding:
+    def test_multi_iteration_bursts_replay_mean_occupancy_exactly(self):
+        """Occupancy folds as occupancy x iterations, to the engine's bits.
+
+        Three slots make the occupancies thirds, which no float holds
+        exactly, so a mean that rounded per burst would drift.
+        """
+        config = _config()
+        seq_lens = [24, 96, 48, 160, 32, 64] * 5
+        arrivals = poisson_arrivals(len(seq_lens), 3e5, seed=21)
+        requests = make_requests(
+            seq_lens, config.head_dim, functional=False, arrival_times=arrivals
+        )
+        bus = EventBus()
+        events = []
+        bus.subscribe(events.append)
+        result = serve_continuous(
+            requests,
+            config=config,
+            backend="analytical",
+            num_shards=3,
+            max_batch_size=3,
+            iteration_rows=8,
+            bus=bus,
+        )
+        bursts = [event for event in events if event.kind == "burst_advanced"]
+        assert len({burst.shard for burst in bursts if burst.iterations > 1}) >= 2
+        assert len({burst.occupancy for burst in bursts}) == 3
+        replayed = TraceReplayer().feed_all(events).stats()
+        assert replayed.mean_occupancy == result.stats.mean_occupancy
+        assert replayed.num_iterations == result.stats.num_iterations == len(result.iterations)
+        # Both equal statistics.mean over one occupancy per iteration.
+        assert result.stats.mean_occupancy == mean(record.occupancy for record in result.iterations)
+        _assert_stats_identical(result.stats, replayed)
 
 
 class TestDrainReplay:
