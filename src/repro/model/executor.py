@@ -127,21 +127,37 @@ def _layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float) 
     """Numpy mirror of :class:`~repro.nn.layers.LayerNorm` (exact op order).
 
     ``Tensor.mean`` computes ``sum * (1 / n)`` — not ``np.mean``'s
-    ``sum / n`` — and the mirror must round identically.
+    ``sum / n`` — and the mirror must round identically.  The
+    element-wise tail runs in place on the centred copy; ``x`` is not
+    modified.
     """
     inv_n = 1.0 / x.shape[-1]
     mean = x.sum(axis=-1, keepdims=True) * inv_n
     centred = x - mean
     variance = (centred * centred).sum(axis=-1, keepdims=True) * inv_n
-    normalised = centred / ((variance + eps) ** 0.5)
-    return normalised * gamma + beta
+    centred /= (variance + eps) ** 0.5
+    centred *= gamma
+    centred += beta
+    return centred
 
 
 def _gelu(x: np.ndarray) -> np.ndarray:
-    """Numpy mirror of :func:`repro.nn.functional.gelu` (exact association)."""
-    cubic = x * x * x
-    inner = (x + cubic * 0.044715) * np.sqrt(2.0 / np.pi)
-    return x * (np.tanh(inner) + 1.0) * 0.5
+    """Numpy mirror of :func:`repro.nn.functional.gelu` (exact association).
+
+    Runs in one scratch array: IEEE addition and multiplication are
+    commutative, so ``cubic * c + x`` and ``t * x`` round exactly as the
+    reference's ``x + cubic * c`` and ``x * t``.
+    """
+    out = x * x
+    out *= x  # cubic
+    out *= 0.044715
+    out += x
+    out *= np.sqrt(2.0 / np.pi)  # inner
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= x
+    out *= 0.5
+    return out
 
 
 def _project(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -152,10 +168,12 @@ def _project(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
     round differently and break batch-vs-solo bit-identity.
     """
     if x.ndim == 2:
-        return x @ weight + bias
+        out = x @ weight
+        out += bias
+        return out
     out = np.empty(x.shape[:-1] + (weight.shape[1],), dtype=np.float64)
     for item in range(x.shape[0]):
-        out[item] = x[item] @ weight + bias
+        np.add(x[item] @ weight, bias, out=out[item])
     return out
 
 

@@ -656,6 +656,30 @@ def _check_pool(shards, backend: str) -> None:
         )
 
 
+def _check_head_dims(requests, pool) -> None:
+    """Reject functional attentions whose ``head_dim`` the pool does not run.
+
+    A functional pool executes every attention at its config's
+    ``1/sqrt(head_dim)`` scale and stacks same-``seq_len`` retirees into one
+    tensor, so foreign-width data would come back wrong when served alone
+    and fail to stack beside a matching request.  Forwards carry their own
+    :class:`~repro.model.spec.ModelSpec` and are exempt.
+    """
+    if not pool.functional:
+        return
+    head_dim = pool.config.head_dim
+    for request in requests:
+        if not isinstance(request, AttentionRequest) or not request.is_functional:
+            continue
+        data_dim = request.q.shape[-1]
+        if data_dim != head_dim:
+            raise ValueError(
+                f"request_id {request.request_id} carries head_dim {data_dim} data, but the "
+                f"{pool.name!r} pool runs head_dim {head_dim}; serve it on a pool whose "
+                f"config has head_dim {data_dim}"
+            )
+
+
 def serve_continuous(
     requests: "list[AttentionRequest]",
     config: "SWATConfig | None" = None,
@@ -722,7 +746,8 @@ def serve_continuous(
     :class:`IterationRecord` tuple — stats are unchanged, and large traces
     avoid materialising millions of records.
 
-    Every request of a serve needs its own ``request_id``, and
+    Every request of a serve needs its own ``request_id``, a functional
+    pool's attentions must carry data of its config's ``head_dim``, and
     ``num_shards``, ``max_batch_size`` and ``iteration_rows`` must be
     positive ints; anything else is rejected before the run starts.
     """
@@ -756,6 +781,7 @@ def serve_continuous(
             for _ in range(num_shards)
         ]
     _check_pool(shards, backend)
+    _check_head_dims(requests, shards[0])
     time_base = shards[0].time_base
 
     if bus.active:

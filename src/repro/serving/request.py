@@ -138,6 +138,11 @@ class AttentionRequest:
         if any(provided) and not all(provided):
             raise ValueError("q, k, v must be provided together or not at all")
         if self.is_functional:
+            if self.q.shape != self.k.shape or self.k.shape != self.v.shape:
+                raise ValueError(
+                    f"q, k, v shapes must match, got {self.q.shape}, {self.k.shape}, "
+                    f"{self.v.shape}"
+                )
             if self.q.ndim not in (2, 3):
                 raise ValueError(f"q must be 2-D or 3-D, got {self.q.ndim}-D")
             if self.q.shape[-2] != self.seq_len:

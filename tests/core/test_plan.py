@@ -250,6 +250,23 @@ class TestEventAccountingReference:
         assert compile_plan(config, seq_len).traffic_bytes() == expected
 
 
+def _count_exp_elements(monkeypatch):
+    """Route ``np.exp`` through a counter of the elements it exponentiates.
+
+    The executor exponentiates every score it computes exactly once, so the
+    count measures its work without a wall clock.
+    """
+    real_exp = np.exp
+    counted = [0]
+
+    def counting_exp(x, *args, **kwargs):
+        counted[0] += np.size(x)
+        return real_exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counting_exp)
+    return counted
+
+
 class TestExecutors:
     @pytest.mark.parametrize(
         "overrides",
@@ -301,17 +318,43 @@ class TestExecutors:
         with pytest.raises(ValueError):
             SWATSimulator(_config(window_tokens=8)).run(q, k, v, plan=foreign)
 
-    def test_blocked_executor_streams_in_small_chunks(self, monkeypatch):
-        """Chunk-size bounding splits the work without changing the result."""
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, {"num_global": 3}, {"num_random": 3}, {"num_global": 2, "num_random": 3}],
+        ids=["window", "global", "random", "bigbird"],
+    )
+    def test_blocked_executor_streams_in_small_chunks(self, monkeypatch, overrides):
+        """One plan re-executed at several chunk sizes matches the per-row reference.
+
+        48 rows in 32- or 5-row chunks leave a partial last chunk; 16-row
+        chunks divide evenly.  The score count proves each size took effect.
+        """
         import repro.core.plan as plan_module
 
-        config = _config(window_tokens=8, num_global=2, num_random=2)
-        plan = compile_plan(config, 48)
+        plan = compile_plan(_config(window_tokens=8, **overrides), 48)
         q, k, v = attention_inputs(48, 16, seed=4)
-        full = execute_plan_attention(plan, q, k, v)
-        monkeypatch.setattr(plan_module, "_CHUNK_ROWS", 5)
-        split = execute_plan_attention(plan, q, k, v)
-        np.testing.assert_allclose(full, split, atol=1e-12)
+        reference = execute_plan_attention_rows(plan, q, k, v)
+        extra_width = plan.extra_indices.shape[1]
+        scores = _count_exp_elements(monkeypatch)
+        for chunk_rows in (plan_module._CHUNK_ROWS, 5, 16):
+            monkeypatch.setattr(plan_module, "_CHUNK_ROWS", chunk_rows)
+            scores[0] = 0
+            blocked = execute_plan_attention(plan, q, k, v)
+            np.testing.assert_allclose(blocked, reference, atol=1e-12)
+            assert scores[0] <= 48 * (chunk_rows + 8 - 1 + extra_width)
+
+    def test_scores_stay_window_proportional(self, monkeypatch):
+        """A head scores at most ``N * (chunk + W - 1)`` pairs, never ``N * N``.
+
+        Counted, not timed: at seq_len 512 and W = 64 that is
+        ``512 * (32 + 64 - 1) = 48,640`` scores, where one 512-row chunk
+        would score all ``512 * 512 = 262,144`` pairs.
+        """
+        plan = compile_plan(_config(window_tokens=64), 512)
+        q, k, v = attention_inputs(512, 16, seed=0)
+        scores = _count_exp_elements(monkeypatch)
+        execute_plan_attention(plan, q, k, v)
+        assert 0 < scores[0] <= 48_640
 
 
 class TestBatchedExecutor:

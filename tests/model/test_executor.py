@@ -27,7 +27,7 @@ GEOMETRIES = (
 
 spec_strategy = st.builds(
     ModelSpec,
-    seq_len=st.sampled_from([5, 16, 24, 33]),
+    seq_len=st.sampled_from([5, 16, 24, 33, 70, 97]),
     layers=st.lists(st.sampled_from(GEOMETRIES), min_size=1, max_size=4).map(tuple),
     num_heads=st.integers(1, 3),
     head_dim=st.just(HEAD_DIM),

@@ -38,7 +38,7 @@ from repro.serving.continuous import (
     swat_request_rate,
 )
 from repro.serving.engine import ServingEngine
-from repro.serving.request import AttentionRequest, make_requests
+from repro.serving.request import AttentionRequest, make_request, make_requests
 from repro.serving.stats import ServingStats, percentile
 from repro.telemetry import EventBus
 from tests.event_streams import assert_streams_equivalent
@@ -707,6 +707,23 @@ class TestContinuousBatcher:
             serve_continuous([first, twin], config=_config(), backend="analytical")
         with pytest.raises(ValueError, match=f"request_id {first.request_id} appears more"):
             ServingEngine(config=_config(), backend="analytical").serve([twin, first])
+
+    def test_foreign_head_dim_rejected_when_served_alone(self):
+        # Used to run at the pool's 1/sqrt(64) scale and come back ~0.3 off.
+        narrow = make_request(16, 32, seed=1)
+        with pytest.raises(
+            ValueError, match=f"request_id {narrow.request_id} carries head_dim 32 .* head_dim 64"
+        ):
+            serve_continuous([narrow], config=_config(head_dim=64), backend="simulator")
+
+    def test_foreign_head_dim_rejected_beside_a_matching_request(self):
+        # Used to crash at retirement, stacking both into one PlanBatch.
+        wide = make_request(16, 64, seed=0)
+        narrow = make_request(16, 32, seed=1)
+        with pytest.raises(
+            ValueError, match=f"request_id {narrow.request_id} carries head_dim 32 .* head_dim 64"
+        ):
+            serve_continuous([wide, narrow], config=_config(head_dim=64), backend="simulator")
 
     def test_admission_instants_must_not_decrease(self):
         batcher = ContinuousBatcher(max_batch_size=2)

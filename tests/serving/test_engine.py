@@ -296,6 +296,12 @@ class TestRequestValidation:
         with pytest.raises(ValueError, match="seq_len"):
             AttentionRequest(seq_len=16, q=data, k=data, v=data)
 
+    def test_qkv_shape_mismatch_rejected(self):
+        # A short v used to be accepted and only fail at retirement.
+        data = np.zeros((128, 4))
+        with pytest.raises(ValueError, match="shapes must match"):
+            AttentionRequest(seq_len=128, q=data, k=data, v=np.zeros((64, 4)))
+
     def test_request_ids_monotonic(self):
         first = AttentionRequest(seq_len=8)
         second = AttentionRequest(seq_len=8)
