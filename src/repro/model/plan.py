@@ -31,6 +31,7 @@ capacity planning but contributes no accelerator cycles.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from math import ceil
@@ -47,6 +48,7 @@ __all__ = [
     "ModelShapeGroup",
     "ModelPlan",
     "DecodePlan",
+    "StreamPlan",
     "ModelPlanCompiler",
     "compile_decode_plan",
 ]
@@ -102,9 +104,15 @@ class _RowSpanPricing:
     and pipeline depth, cycles), ``switch_fill`` (per-segment refill charged
     when the segment's geometry differs from its predecessor's; segment 0
     always carries it) and ``total_rows``.  :class:`ModelPlan` uses one
-    segment per layer; :class:`DecodePlan` one per ``(block, layer)`` pair.
+    segment per layer; :class:`DecodePlan` one per ``(block, layer)`` pair;
+    :class:`StreamPlan` is the one-segment case, a plain attention.
     All arrays are int64, so every price below is exact integer arithmetic.
     """
+
+    #: Whether the row axis is laid out in segments of its own (a forward's
+    #: layers, a decode's blocks).  The serving engine prices a resident set
+    #: with no segmented program in closed form.
+    segmented = True
 
     def span_cycles(self, row_lo: int, row_hi: int, primed: bool) -> int:
         """Cycles to stream rows ``[row_lo, row_hi)`` in one iteration.
@@ -120,20 +128,21 @@ class _RowSpanPricing:
         therefore sums exactly to ``total_cycles`` (the conservation property
         the continuous-mode tests assert).
         """
-        if not 0 <= row_lo < row_hi <= self.total_rows:
+        cum_rows, layer_ii, layer_fill, switch_fill = self._segments
+        if not 0 <= row_lo < row_hi <= cum_rows[-1]:
             raise ValueError(
                 f"span [{row_lo}, {row_hi}) out of range [0, {self.total_rows}]"
             )
-        first = int(np.searchsorted(self.cum_rows, row_lo, side="right")) - 1
-        last = int(np.searchsorted(self.cum_rows, row_hi, side="left")) - 1
+        first = bisect_right(cum_rows, row_lo) - 1
+        last = bisect_left(cum_rows, row_hi) - 1
         cycles = 0
         start_fill_charged = False
         for layer in range(first, last + 1):
-            start = int(self.cum_rows[layer])
-            end = int(self.cum_rows[layer + 1])
+            start = cum_rows[layer]
+            end = cum_rows[layer + 1]
             covered = min(row_hi, end) - max(row_lo, start)
-            cycles += covered * int(self.layer_ii[layer])
-            fill = int(self.switch_fill[layer])
+            cycles += covered * layer_ii[layer]
+            fill = switch_fill[layer]
             if not fill or start < row_lo:
                 continue
             if layer == 0:
@@ -145,8 +154,18 @@ class _RowSpanPricing:
                 if start == row_lo:
                     start_fill_charged = True
         if not primed and not start_fill_charged:
-            cycles += int(self.layer_fill[first] - self.layer_ii[first])
+            cycles += layer_fill[first] - layer_ii[first]
         return cycles
+
+    @cached_property
+    def _segments(self) -> "tuple[list[int], list[int], list[int], list[int]]":
+        """The segment arrays as Python ints, for scalar :meth:`span_cycles`."""
+        return (
+            self.cum_rows.tolist(),
+            self.layer_ii.tolist(),
+            self.layer_fill.tolist(),
+            self.switch_fill.tolist(),
+        )
 
     @cached_property
     def _row_cycles_prefix(self) -> np.ndarray:
@@ -225,6 +244,24 @@ class _RowSpanPricing:
             grid.flags.writeable = False
             self._primed_grids[key] = grid
         return grid
+
+
+class StreamPlan(_RowSpanPricing):
+    """One attention's row axis: ``rows`` rows streamed as a single segment.
+
+    A cold span pays the pipeline fill once, ``depth + (rows - 1) * II``
+    (:meth:`~repro.core.pipeline.SWATPipelineModel.cycles_for_rows`), and a
+    primed one streams at ``rows * II``, wherever the span starts.
+    """
+
+    segmented = False
+
+    def __init__(self, rows: int, initiation_interval: int, depth: int):
+        self.total_rows = rows
+        self.cum_rows = np.array([0, rows], dtype=np.int64)
+        self.layer_ii = np.array([initiation_interval], dtype=np.int64)
+        self.layer_fill = np.array([depth], dtype=np.int64)
+        self.switch_fill = self.layer_fill - self.layer_ii
 
 
 @dataclass(frozen=True, eq=False)

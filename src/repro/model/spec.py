@@ -27,10 +27,42 @@ backends pass their own.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from operator import index
 
 from repro.core.config import SWATConfig
 
-__all__ = ["LayerGeometry", "ModelSpec"]
+__all__ = ["LayerGeometry", "ModelSpec", "whole_size"]
+
+#: Why each request-shape size must be a whole number, for :func:`whole_size`.
+_WHOLE_SIZES = {
+    "seq_len": "the pipeline streams whole token rows",
+    "num_heads": "every head is a whole stream of rows, spread over whole pipelines",
+    "head_dim": "a head vector holds whole elements",
+    "mlp_dim": "an MLP layer holds whole units",
+    "new_tokens": "a decode generates whole tokens",
+    "block_size": "a decode step finalises whole tokens",
+}
+
+
+def whole_size(name: str, value) -> int:
+    """``value`` as a plain ``int``, or a ``TypeError`` naming the size and why.
+
+    The one check every request shape runs on its sizes (``name`` is a key
+    of ``_WHOLE_SIZES``).  A ``bool`` or a non-integral value (``40.5``,
+    ``16.0``) is rejected; numpy integers are normalised with
+    :func:`operator.index`, so no numpy scalar reaches the modelled numbers.
+    """
+    if type(value) is int:
+        return value
+    if not isinstance(value, bool):
+        try:
+            return index(value)
+        except TypeError:
+            pass
+    raise TypeError(
+        f"{name} must be an integer, got {value!r} ({type(value).__name__}): "
+        f"{_WHOLE_SIZES[name]}"
+    )
 
 
 @dataclass(frozen=True)
@@ -91,6 +123,10 @@ class ModelSpec:
     mlp_dim: "int | None" = None
 
     def __post_init__(self) -> None:
+        for name in ("seq_len", "num_heads", "head_dim"):
+            object.__setattr__(self, name, whole_size(name, getattr(self, name)))
+        if self.mlp_dim is not None:
+            object.__setattr__(self, "mlp_dim", whole_size("mlp_dim", self.mlp_dim))
         if self.seq_len <= 0:
             raise ValueError(f"seq_len must be positive, got {self.seq_len}")
         if not self.layers:

@@ -1,4 +1,4 @@
-"""Pluggable pricing backends behind one iteration-level protocol.
+"""Pluggable pricing backends behind one row-program protocol.
 
 Every way this repository can price (and, for the simulator, execute) an
 attention computation is wrapped as an :class:`AttentionBackend` and
@@ -15,61 +15,63 @@ select execution paths with a string:
 ``dense-fpga``
     The dense-attention FPGA baseline of :mod:`repro.baselines.dense_fpga`.
 
-Every backend prices on a *modelled* clock for the simulated-clock engine of
-:mod:`repro.serving.continuous`, in integer ticks of the pool's kernel clock
-(``config.clock_period_s``; :attr:`AttentionBackend.time_base` converts
-ticks to seconds and energy ticks to joules at the backend's ``power_w``).
-:meth:`AttentionBackend.step` prices one iteration of
-``(request, rows_done, rows)`` slices: the pipeline fill is charged only
-when the pipeline was idle before the iteration, so the per-iteration ticks
-(SWAT cycles) of a busy period sum exactly to what
-:meth:`~repro.core.pipeline.SWATPipelineModel.batch_attention_cycles` would
-charge for the same rows streamed as one batch.
-:meth:`AttentionBackend.step_burst` prices every iteration over a fixed
-resident set in one call, reading the residents as lockstep columns
-(:class:`Residents`: one row counter plus each resident's start and finish
-row).  The GPU backends price off one memoised
-``run_batch`` report per distinct ``(seq_len, items)`` shape, rounded up to
-a tick, with the launch-amortisation knob of :mod:`repro.gpu` deciding how
-much of the per-kernel launch cost the batch hides; they and the
-dense-FPGA baseline spread a request's ticks over its rows positionally,
-so a solo request's slices sum to its one-shot ticks exactly.
+Row programs
+------------
+A backend prices a request through its *row program*, which the engine
+resolves once per request, at admission (when SJF ranks it, under SJF),
+with :meth:`AttentionBackend.program`.  A program is the request's row axis on
+that backend: ``total_rows`` rows to stream, ``span_cycles(lo, hi,
+primed)`` the integer ticks of streaming rows ``[lo, hi)`` in one iteration,
+and ``primed_grid(quantum, phase)`` the memoised primed ticks of every
+``quantum``-row span aligned at ``phase``.  Ticks are integer ticks of the
+pool's kernel clock (``config.clock_period_s``;
+:attr:`AttentionBackend.time_base` converts them to seconds, and energy
+ticks to joules at the backend's ``power_w``).  Each backend family has one
+``program()``, and it is the only place here, with :func:`split_batch`,
+that tests a request's kind:
+
+* SWAT (``simulator``, ``analytical``): a forward is its
+  :class:`~repro.model.plan.ModelPlan` and a decode its
+  :class:`~repro.model.plan.DecodePlan` — segmented row axes whose geometry
+  switches pay their refill exactly once, memoised per spec (and block
+  schedule) — and a plain attention a one-segment
+  :class:`~repro.model.plan.StreamPlan`, memoised per
+  ``(seq_len, num_heads)``.
+* The rate family (the GPU models and the dense-FPGA baseline): one
+  memoised :class:`_RateProgram` per shape, ``R`` one-shot ticks over ``T``
+  rate rows of which the request streams its ``head_rows``.  A decode is
+  priced off its full context's one-shot ticks, scaled to its new rows, so
+  per new token it still attends the whole context — the KV-cache advantage
+  the decode benchmark measures against re-prefilling.
+
+Pricing
+-------
+:meth:`AttentionBackend.step` and :meth:`AttentionBackend.step_burst` are
+derived from the programs, once, in the base class.  ``step`` prices one
+iteration of ``(program, rows_done, rows)`` slices — the reference
+scheduler's clock: residents stream in parallel slots, so an iteration
+lasts as long as its largest slice, and a primed pipeline pays no refill,
+so a busy period pays its fill once.  ``step_burst`` prices every iteration
+until the first retirement in one call, reading each resident's ticks off
+its program's ``primed_grid``.  The energy rule is one flag,
+:attr:`AttentionBackend.charges_slice_work`: the GPU models charge every
+slice's ticks (energy tracks work), SWAT and the dense-FPGA baseline the
+busy ticks.  Every kind's energy is its energy ticks times ``power_w``.
+
+The closed form is chosen off the programs, not the request types: when a
+shard's :class:`Residents` count no segmented program, every SWAT resident
+is one stream at the pipeline's initiation interval, and SWAT's
+``step_burst`` returns a :class:`StreamBurst` priced from two ints.
 
 Functional outputs are separate from pricing: at retirement the engine asks
 the backend for :meth:`AttentionBackend.compute_outputs`.  The ``simulator``
 partitions the retirees into ``(config, seq_len)`` groups and runs every
 group as ONE stacked tensor program (:class:`repro.core.plan.PlanBatch`) —
 the slab GEMMs and extras gathers vectorize over all ``B x H`` stacked heads,
-with per-head results bit-identical to per-request execution.
-
-Whole-model forwards
---------------------
-Every backend also serves :class:`~repro.serving.request.ForwardRequest`\\ s:
-a request carrying a :class:`~repro.model.spec.ModelSpec` instead of one
-attention's Q/K/V.  Backends memoise one compiled
-:class:`~repro.model.plan.ModelPlan` per spec (pricing: per-layer + total
-cycles/bytes/energy off the plan's model-wide prefix sums) and one
-:class:`~repro.model.executor.ModelExecutor` per ``(spec, weight_seed)``
-(functional execution: same-spec forwards of a retirement stack into one
-``(B, H, seq, head_dim)`` pass per layer) — the serving layer's model
-registry.  On the simulated clock a forward advances through its model-wide
-row axis; its slices are priced positionally
-(:meth:`~repro.model.plan.ModelPlan.span_cycles`), so layer-geometry switches
-pay their refill exactly once wherever the iteration boundaries fall.
-
-Autoregressive decode
----------------------
-A :class:`~repro.serving.request.DecodeRequest` is the prefill's tail: the
-prompt's K/V is already resident, and only the newly generated row(s) of
-each step stream through the device.  SWAT backends price decodes
-positionally off a :class:`~repro.model.plan.DecodePlan` (the model plan's
-per-layer pipelines laid out block-major along the decode's own row axis,
-memoised per ``(spec, block schedule)``); the GPU and dense-FPGA baselines
-scale their full-context reports to the generated rows — per new token they
-still attend the whole context, which is exactly the KV-cache advantage the
-decode benchmark measures against re-prefilling.  Decode steps are tiny, so
-every ``step_burst`` override prices them closed-form — no looped-``step``
-fallback anywhere on the continuous path.
+with per-head results bit-identical to per-request execution.  Forwards
+group by ``(spec, weight_seed)`` and run through one memoised
+:class:`~repro.model.executor.ModelExecutor` per group, the serving layer's
+model registry.
 """
 
 from __future__ import annotations
@@ -89,7 +91,13 @@ from repro.core.simulator import SWATSimulator
 from repro.gpu.chunked_runner import SlidingChunksAttentionGPU
 from repro.gpu.dense_runner import DenseAttentionGPU
 from repro.model.executor import ModelExecutor
-from repro.model.plan import DecodePlan, ModelPlan, ModelPlanCompiler, compile_decode_plan
+from repro.model.plan import (
+    DecodePlan,
+    ModelPlan,
+    ModelPlanCompiler,
+    StreamPlan,
+    compile_decode_plan,
+)
 from repro.serving.cache import PlanCache
 from repro.serving.request import AttentionRequest, DecodeRequest, ForwardRequest
 from repro.serving.stats import TimeBase
@@ -154,8 +162,7 @@ class StepBurst:
     :meth:`energy_through` the energy-rule counterpart) and
     :meth:`first_start_at` (the first iteration whose start reaches a given
     offset).  This class answers them off int64 per-iteration arrays and
-    their prefix sums — the positional (forward/decode) and flat-rate
-    bursts.  :class:`StreamBurst` answers them in closed form.
+    their prefix sums; :class:`StreamBurst` answers them in closed form.
 
     A burst may be consumed across several activations of its shard: when
     an arrival or another shard's activation cuts it short, the scheduler
@@ -163,7 +170,8 @@ class StepBurst:
     next activation unless that activation admits.  Every entry after the
     first is priced primed at the row offsets a fresh call would use, so the
     tail holds the same ticks a fresh :meth:`~AttentionBackend.step_burst`
-    call would return.
+    call would return.  A tail shares its parent's arrays and prefix sums
+    and reads them from an offset, so cutting a burst costs O(1).
 
     Attributes
     ----------
@@ -179,10 +187,20 @@ class StepBurst:
         remaining rows retires.
     """
 
-    __slots__ = ("iterations", "_ticks", "_energy_ticks", "_gate_rows", "_starts", "_energy_starts")
+    __slots__ = (
+        "iterations",
+        "_base",
+        "_ticks",
+        "_energy_ticks",
+        "_gate_rows",
+        "_starts",
+        "_energy_starts",
+    )
 
     def __init__(self, ticks, gate_rows, energy_ticks=None):
         self.iterations = len(ticks)
+        # The index of this burst's first iteration in the arrays below.
+        self._base = 0
         self._ticks = ticks
         self._gate_rows = gate_rows
         self._energy_ticks = ticks if energy_ticks is None else energy_ticks
@@ -197,23 +215,25 @@ class StepBurst:
 
     @property
     def ticks(self) -> np.ndarray:
-        return self._ticks
+        return self._ticks[self._base :]
 
     @property
     def energy_ticks(self) -> np.ndarray:
-        return self._energy_ticks
+        return self._energy_ticks[self._base :]
 
     @property
     def gate_rows(self) -> np.ndarray:
-        return self._gate_rows
+        return self._gate_rows[self._base :]
 
     def ticks_through(self, count: int) -> int:
         """Ticks of the burst's first ``count`` iterations."""
-        return int(self._starts[count])
+        base = self._base
+        return int(self._starts[base + count] - self._starts[base])
 
     def energy_through(self, count: int) -> int:
         """Energy-rule ticks of the burst's first ``count`` iterations."""
-        return int(self._energy_starts[count])
+        base = self._base
+        return int(self._energy_starts[base + count] - self._energy_starts[base])
 
     def first_start_at(self, offset: int) -> int:
         """The first iteration starting ``offset`` or more ticks into the burst.
@@ -221,7 +241,9 @@ class StepBurst:
         Iteration ``j`` starts ``ticks_through(j)`` ticks in; returns
         ``iterations`` when no iteration of the burst starts that late.
         """
-        return min(int(np.searchsorted(self._starts, offset, side="left")), self.iterations)
+        base = self._base
+        index = int(np.searchsorted(self._starts, self._starts[base] + offset, side="left"))
+        return min(max(index - base, 0), self.iterations)
 
     def _check_tail(self, offset: int) -> None:
         if not 0 < offset < self.iterations:
@@ -230,20 +252,21 @@ class StepBurst:
     def tail(self, offset: int) -> "StepBurst":
         """The burst after its first ``offset`` iterations."""
         self._check_tail(offset)
-        return StepBurst(
-            self._ticks[offset:],
-            self._gate_rows[offset:],
-            None if self._energy_ticks is self._ticks else self._energy_ticks[offset:],
-        )
+        tail = object.__new__(StepBurst)
+        for name in StepBurst.__slots__:
+            setattr(tail, name, getattr(self, name))
+        tail.iterations -= offset
+        tail._base += offset
+        return tail
 
 
 class StreamBurst(StepBurst):
     """A closed-form SWAT burst: one row per initiation interval.
 
-    With the resident set fixed and every slice a plain attention, a burst
-    is ``first`` (the fill-or-primed first iteration, ``first_rows`` gating
-    rows), then ``iterations - 2`` primed full iterations of ``body`` ticks
-    (``body_rows`` rows), then the primed remainder of ``last`` ticks
+    With the resident set fixed and every program a one-segment stream, a
+    burst is ``first`` (the fill-or-primed first iteration, ``first_rows``
+    gating rows), then ``iterations - 2`` primed full iterations of ``body``
+    ticks (``body_rows`` rows), then the primed remainder of ``last`` ticks
     (``last_rows`` rows); a one-iteration burst is ``first`` alone.  Both
     scheduler questions are O(1) arithmetic, and the per-iteration arrays
     are built only when iteration records or a telemetry bus ask for them.
@@ -325,52 +348,54 @@ class StreamBurst(StepBurst):
         )
 
 
-#: Request kinds priced positionally along a compiled plan's row axis.
-_POSITIONAL_KINDS = (DecodeRequest, ForwardRequest)
-
-
 class Residents:
     """A shard's resident set as columns: the input of ``step_burst``.
 
     Residents stream in lockstep (every iteration advances each of them by
     the same ``iteration_rows`` until one retires), so one row counter
-    ``row`` places them all.  Resident ``i`` joined at row ``starts[i]`` and
-    retires once ``row`` reaches ``finishes[i]``: it has streamed
-    ``row - starts[i]`` rows and has ``finishes[i] - row`` left.  Advancing
-    a burst moves ``row`` alone and touches no resident.
+    ``row`` places them all.  Resident ``i`` streams ``programs[i]``, joined
+    at row ``starts[i]`` and retires once ``row`` reaches ``finishes[i]``:
+    it has streamed ``row - starts[i]`` rows and has ``finishes[i] - row``
+    left.  Advancing a burst moves ``row`` alone and touches no resident.
 
-    ``positional`` counts the residents priced positionally (forwards and
-    decodes); at zero a SWAT burst needs only the fewest and the most rows
-    left.  :meth:`add` and :meth:`retire` keep it current, so no burst
-    scans the residents' kinds.
+    ``segmented`` counts the residents whose program is segmented (a
+    forward's or a decode's plan); at zero a SWAT burst needs only the
+    fewest and the most rows left.  :meth:`add` and :meth:`retire` keep it
+    current, so no burst scans the programs.
     """
 
-    __slots__ = ("requests", "starts", "finishes", "row", "positional")
+    __slots__ = ("programs", "starts", "finishes", "row", "segmented")
 
     def __init__(self) -> None:
-        self.requests: "list[AttentionRequest]" = []
+        self.programs: list = []
         self.starts: "list[int]" = []
         self.finishes: "list[int]" = []
         self.row = 0
-        self.positional = 0
+        self.segmented = 0
 
     @classmethod
-    def from_slices(cls, slices: "list[tuple[AttentionRequest, int, int]]") -> "Residents":
-        """Columns of ``(request, rows_done, rows_left)`` slices, in slot order."""
+    def from_slices(
+        cls, slices: "list[tuple[AttentionRequest, int, int]]", program_of
+    ) -> "Residents":
+        """Columns of ``(request, rows_done, rows_left)`` slices, in slot order.
+
+        ``program_of`` resolves each request to its row program (a backend's
+        :meth:`~AttentionBackend.program`).
+        """
         residents = cls()
         residents.row = max((rows_done for _, rows_done, _ in slices), default=0)
         for request, rows_done, rows_left in slices:
-            residents.add(request, rows_done + rows_left, rows_done)
+            residents.add(program_of(request), rows_done + rows_left, rows_done)
         return residents
 
-    def add(self, request: AttentionRequest, rows_total: int, rows_done: int = 0) -> None:
-        """Seat ``request``, ``rows_done`` of its ``rows_total`` rows already streamed."""
+    def add(self, program, rows_total: int, rows_done: int = 0) -> None:
+        """Seat a ``program`` resident, ``rows_done`` of its ``rows_total`` rows streamed."""
         start = self.row - rows_done
-        self.requests.append(request)
+        self.programs.append(program)
         self.starts.append(start)
         self.finishes.append(start + rows_total)
-        if isinstance(request, _POSITIONAL_KINDS):
-            self.positional += 1
+        if program.segmented:
+            self.segmented += 1
 
     def retire(self) -> "list[int]":
         """Drop every resident whose finish row ``row`` has reached.
@@ -383,9 +408,9 @@ class Residents:
             if finish <= row:
                 gone.append(slot)
         for slot in reversed(gone):
-            if self.positional and isinstance(self.requests[slot], _POSITIONAL_KINDS):
-                self.positional -= 1
-            del self.requests[slot], self.starts[slot], self.finishes[slot]
+            if self.segmented and self.programs[slot].segmented:
+                self.segmented -= 1
+            del self.programs[slot], self.starts[slot], self.finishes[slot]
         return gone
 
     def fewest_left(self) -> int:
@@ -397,27 +422,30 @@ class Residents:
             raise ValueError(f"remaining rows must be positive, got {fewest}")
         return fewest
 
-    def slices(self) -> "list[tuple[AttentionRequest, int, int]]":
-        """``(request, rows_done, rows_left)`` per resident, in slot order."""
+    def slices(self) -> "list[tuple[object, int, int]]":
+        """``(program, rows_done, rows_left)`` per resident, in slot order."""
         row = self.row
         return [
-            (request, row - start, finish - row)
-            for request, start, finish in zip(self.requests, self.starts, self.finishes)
+            (program, row - start, finish - row)
+            for program, start, finish in zip(self.programs, self.starts, self.finishes)
         ]
 
 
 class AttentionBackend(ABC):
-    """Common protocol of every pricing path: one modelled iteration clock.
+    """Common protocol of every pricing path: row programs on one tick clock.
 
     Subclasses declare ``name`` (the registry key) and ``functional``
     (whether functional requests get an output array back from
-    :meth:`compute_outputs`), and implement :meth:`step`, the iteration
-    price the simulated-clock engine of :mod:`repro.serving.continuous`
-    advances deterministically.
+    :meth:`compute_outputs`), and implement :meth:`program`.  The
+    simulated-clock engine of :mod:`repro.serving.continuous` advances by
+    :meth:`step` and :meth:`step_burst`, both derived from the programs here.
     """
 
     name: str = ""
     functional: bool = False
+    #: Whether the energy rule charges every slice's ticks (work-proportional
+    #: energy) instead of the iteration's busy ticks.
+    charges_slice_work: bool = False
 
     def __init__(self, config: "SWATConfig | None" = None, plan_cache: "PlanCache | None" = None):
         self.config = config if config is not None else SWATConfig()
@@ -505,84 +533,97 @@ class AttentionBackend(ABC):
     # Iteration-level protocol (continuous batching)
     # ------------------------------------------------------------------ #
 
-    def request_rows(self, request: AttentionRequest) -> int:
-        """Total row-work units ``request`` must stream on this backend.
-
-        The continuous engine splits this into per-iteration slices; a
-        request retires when its slices sum to this value.  The default is
-        ``request.head_rows`` (one stream per head — for a forward, summed
-        over its layers); backends that spread heads across replicated
-        pipelines override it to match their batch timing model.
-        """
-        return request.head_rows
-
-    def request_work(self, request: AttentionRequest) -> int:
-        """Total work units used to rank ``request`` for SJF admission.
-
-        Defaults to :meth:`request_rows`, which already *is* total work on
-        every backend: an L-layer forward streams all L layers' rows (the
-        model plan's full row axis), and a decode's rows scale with its
-        remaining new tokens.  The SJF ranking audit is pinned by
-        ``tests/serving/test_continuous.py`` — backends whose row axis ever
-        diverges from total work must override this so admission keeps
-        ranking by the work a request actually occupies the device for.
-        """
-        return self.request_rows(request)
-
     @abstractmethod
-    def step(
-        self, slices: "list[tuple[AttentionRequest, int, int]]", primed: bool
-    ) -> StepCost:
-        """Price one iteration advancing each ``(request, rows_done, rows)`` slice.
+    def program(self, request: AttentionRequest):
+        """``request``'s row program on this backend (see the module docstring).
 
-        ``rows_done`` is how far the request had streamed before this
-        iteration — whole-model forwards are priced positionally along their
-        model-wide row axis, so a slice knows which layers (and geometry
-        switches) it covers.  Resident slices stream in parallel across the
-        stacked batch axis (the ``G`` axis of
-        :class:`~repro.core.plan.PlanBatch`), so the iteration is gated by
-        its largest slice.  ``primed`` is ``True`` when the pipeline was busy
-        in the immediately preceding iteration: a primed pipeline pays no
-        refill, which is how a batch's fill cost is amortised across
-        admissions instead of being re-charged per dispatch.
+        The engine calls this once per request, at admission (or when SJF
+        ranks it by the program's ``total_rows``), and prices the request
+        off the returned program from then on.
         """
+
+    def step(self, slices: "list[tuple[object, int, int]]", primed: bool) -> StepCost:
+        """Price one iteration advancing each ``(program, rows_done, rows)`` slice.
+
+        Each slice streams rows ``[rows_done, rows_done + rows)`` of its
+        program, priced by ``span_cycles`` — positionally, so a forward's
+        slice knows which layers (and geometry switches) it covers.  Resident
+        slices stream in parallel across the stacked batch axis (the ``G``
+        axis of :class:`~repro.core.plan.PlanBatch`), so the iteration is
+        gated by its largest slice (the first, on a tie).  ``primed`` is
+        ``True`` when the pipeline was busy in the immediately preceding
+        iteration: a primed pipeline pays no refill, which is how a batch's
+        fill cost is amortised across admissions instead of being re-charged
+        per dispatch.
+        """
+        if not slices:
+            raise ValueError("an iteration needs at least one resident slice")
+        ticks = -1
+        gate_rows = 0
+        work = 0
+        for program, rows_done, rows in slices:
+            if rows <= 0:
+                raise ValueError(f"slice rows must be positive, got {rows}")
+            slice_ticks = program.span_cycles(rows_done, rows_done + rows, primed)
+            work += slice_ticks
+            if slice_ticks > ticks:
+                ticks = slice_ticks
+                gate_rows = rows
+        return StepCost(
+            ticks=ticks,
+            energy_ticks=work if self.charges_slice_work else ticks,
+            gate_rows=gate_rows,
+        )
 
     def step_burst(self, residents: Residents, primed: bool, iteration_rows: int) -> StepBurst:
         """Price every iteration until the first resident retires, in one call.
 
         ``residents`` is the shard's resident set as lockstep columns
-        (:class:`Residents`): each resident's rows done and rows *left to
-        stream* — not one iteration's slice: the burst derives each
+        (:class:`Residents`): each resident's program, rows done and rows
+        *left to stream* — not one iteration's slice: the burst derives each
         iteration's slices itself (``min(iteration_rows, remaining)``,
         shrinking only on the final iteration).  ``primed`` applies to the
         first iteration; later iterations of a burst are primed by
         construction (the shard streamed in the immediately preceding
         iteration).
 
-        The default implementation loops :meth:`step` once per iteration —
-        bit-identical to the quantum-stepped scheduler by definition, and
-        the oracle the backend overrides are tested against.  Overrides
-        price the same integer ticks closed-form (:class:`StreamBurst`) or
-        as int64 rows (:class:`StepBurst`) without the Python loop.
+        Each resident's int64 tick row is a slice of its program's memoised
+        ``primed_grid`` for ``(iteration_rows, rows_done % iteration_rows)``;
+        only a cold first span, or a final span stopping short of its grid
+        span's end, is priced by the scalar ``span_cycles``.  ``np.argmax``
+        down the slice axis reproduces :meth:`step`'s first-strict-max
+        gating, so iteration ``j`` equals the ``step`` the reference
+        scheduler prices for it.
         """
         iterations = -(-residents.fewest_left() // iteration_rows)
+        streamed = (iterations - 1) * iteration_rows
         slices = residents.slices()
-        ticks = np.empty(iterations, dtype=np.int64)
-        energy = np.empty(iterations, dtype=np.int64)
-        gate_rows = np.empty(iterations, dtype=np.int64)
-        for index in range(iterations):
-            advanced = index * iteration_rows
-            cost = self.step(
-                [
-                    (request, rows_done + advanced, min(iteration_rows, rows_left - advanced))
-                    for request, rows_done, rows_left in slices
-                ],
-                primed if index == 0 else True,
-            )
-            ticks[index] = cost.ticks
-            energy[index] = cost.energy_ticks
-            gate_rows[index] = cost.gate_rows
-        return StepBurst(ticks, gate_rows, energy)
+        cycle_rows = np.empty((len(slices), iterations), dtype=np.int64)
+        last_rows = np.empty(len(slices), dtype=np.int64)
+        for index, (program, rows_done, rows_left) in enumerate(slices):
+            row = cycle_rows[index]
+            first = rows_done // iteration_rows
+            grid = program.primed_grid(iteration_rows, rows_done % iteration_rows)
+            row[:] = grid[first : first + iterations]
+            last_lo = rows_done + streamed
+            last = last_rows[index] = min(iteration_rows, rows_left - streamed)
+            if last_lo + last < min(last_lo + iteration_rows, program.total_rows):
+                # The slice stops before its grid span's end.
+                row[-1] = program.span_cycles(last_lo, last_lo + last, True)
+            if not primed:
+                # For a one-iteration burst this overwrites the final entry:
+                # a cold slice pays the fill, as the reference loop's first
+                # iteration does.
+                row[0] = program.span_cycles(
+                    rows_done, rows_done + min(iteration_rows, rows_left), False
+                )
+        gate = np.argmax(cycle_rows, axis=0)
+        ticks = cycle_rows[gate, np.arange(iterations)]
+        gate_rows = np.full(iterations, iteration_rows, dtype=np.int64)
+        gate_rows[-1] = last_rows[gate[-1]]
+        return StepBurst(
+            ticks, gate_rows, cycle_rows.sum(axis=0) if self.charges_slice_work else None
+        )
 
     @property
     def power_w(self) -> float:
@@ -722,7 +763,7 @@ def indexed_seq_len_groups(
 
 
 class _SWATBackendBase(AttentionBackend):
-    """Shared SWAT machinery: simulator, iteration timing and energy."""
+    """Shared SWAT machinery: simulator, row programs and the closed-form burst."""
 
     def __init__(self, config: "SWATConfig | None" = None, plan_cache: "PlanCache | None" = None):
         super().__init__(config=config, plan_cache=plan_cache)
@@ -738,180 +779,71 @@ class _SWATBackendBase(AttentionBackend):
         # functions of the frozen config.
         self._initiation_interval = self.simulator.pipeline.initiation_interval
         self._total_power_w = self.simulator.power_model.total_power_w
-        # Plain-attention pipeline rows per (seq_len, num_heads).
-        self._attention_rows: "dict[tuple[int, int], int]" = {}
+        # Plain-attention streams per (seq_len, num_heads).
+        self._streams: "dict[tuple[int, int], StreamPlan]" = {}
 
     @property
     def power_w(self) -> float:
         """The board power SWAT's energy rule charges per busy tick."""
         return self._total_power_w
 
-    def _stream_cycles(self, rows: int, primed: bool) -> int:
-        """The one SWAT clock primitive every timing path prices through.
+    def program(self, request: AttentionRequest) -> "StreamPlan | ModelPlan | DecodePlan":
+        """The request's row axis on the SWAT pipeline.
 
-        ``rows`` gating rows streamed serially on the most-loaded pipeline
-        replica: a cold stream pays the fill
-        (:meth:`~repro.core.pipeline.SWATPipelineModel.cycles_for_rows`,
-        ``depth + (rows - 1) * II``), a primed one runs at ``rows * II``.
-        Plain attention slices of :meth:`step` price through this function,
-        whichever admission policy the engine runs.
+        A forward streams its model plan's rows, every layer's in turn
+        (:attr:`~repro.model.plan.ModelPlan.total_rows`); a decode only its
+        new rows, block-major
+        (:attr:`~repro.model.plan.DecodePlan.total_rows`).  A plain
+        attention streams ``ceil(num_heads / num_pipelines) * seq_len`` rows
+        on the most-loaded pipeline replica, heads back to back, as one
+        segment at the pipeline's initiation interval — so a solo request's
+        per-iteration cycles sum bit-exactly to
+        :meth:`~repro.core.pipeline.SWATPipelineModel.batch_attention_cycles`
+        of a batch of one (fill paid once).  SWAT's ticks are its cycles.
         """
-        if rows <= 0:
-            return 0
-        if primed:
-            return rows * self._initiation_interval
-        return self.simulator.pipeline.cycles_for_rows(rows)
-
-    # ------------------------------------------------------------------ #
-    # Iteration-level pricing
-    # ------------------------------------------------------------------ #
-
-    def request_rows(self, request: AttentionRequest) -> int:
-        """Pipeline rows of the request, heads spread across the replicas.
-
-        Matches
-        :meth:`~repro.core.pipeline.SWATPipelineModel.batch_attention_cycles`:
-        ``ceil(num_heads / num_pipelines) * seq_len`` rows stream serially on
-        the most-loaded replica, so a solo request's per-iteration cycles sum
-        bit-exactly to ``batch_attention_cycles`` of a batch of one (fill
-        paid once, heads streamed back to back).  A whole-model forward
-        streams that many rows per layer
-        (:attr:`~repro.model.plan.ModelPlan.total_rows`); a decode streams
-        only its new rows, block-major
-        (:attr:`~repro.model.plan.DecodePlan.total_rows`).  Plain-attention
-        rows are memoised per ``(seq_len, num_heads)``.
-        """
-        if isinstance(request, DecodeRequest):
-            return self.decode_plan(request).total_rows
-        if isinstance(request, ForwardRequest):
-            return self.model_plan(request).total_rows
-        key = (request.seq_len, request.num_heads)
-        rows = self._attention_rows.get(key)
-        if rows is None:
-            rows = self._attention_rows[key] = (
-                ceil(request.num_heads / self.config.num_pipelines) * request.seq_len
-            )
-        return rows
-
-    def _positional_plan(self, request: AttentionRequest) -> "DecodePlan | ModelPlan | None":
-        """The row-span pricing plan of ``request``, or ``None`` for plain
-        attention slices (which price through the flat stream clock)."""
         if isinstance(request, DecodeRequest):
             return self.decode_plan(request)
         if isinstance(request, ForwardRequest):
             return self.model_plan(request)
-        return None
-
-    def step(
-        self, slices: "list[tuple[AttentionRequest, int, int]]", primed: bool
-    ) -> StepCost:
-        """One iteration on the SWAT pipeline: gated by the largest slice.
-
-        Resident slices stream in parallel on the stacked batch axis; the
-        gating slice's rows pass through the pipeline at one row per
-        initiation interval.  A cold pipeline pays the fill
-        (``depth + (rows - 1) * II``, exactly
-        :meth:`~repro.core.pipeline.SWATPipelineModel.cycles_for_rows`); a
-        primed one streams at ``rows * II``.  Summed over a busy period the
-        fill is therefore charged once — the same total
-        :meth:`~repro.core.pipeline.SWATPipelineModel.batch_attention_cycles`
-        charges for the period's gating rows streamed as one batch.  Forward
-        and decode slices are priced positionally along their plan's row axis
-        (:meth:`~repro.model.plan._RowSpanPricing.span_cycles`): their
-        segments' own initiation intervals, with geometry-switch refills
-        charged exactly once wherever the iteration boundaries fall — a solo
-        forward's (or decode's) slices sum bit-exactly to its plan's
-        ``total_cycles``.  SWAT's ticks are its cycles, and its energy rule
-        charges the busy ticks.
-        """
-        if not slices:
-            raise ValueError("an iteration needs at least one resident slice")
-        cycles = -1
-        gate_rows = 0
-        for request, rows_done, rows in slices:
-            if rows <= 0:
-                raise ValueError(f"slice rows must be positive, got {rows}")
-            plan = self._positional_plan(request)
-            if plan is not None:
-                slice_cycles = plan.span_cycles(rows_done, rows_done + rows, primed)
-            else:
-                slice_cycles = self._stream_cycles(rows, primed)
-            if slice_cycles > cycles:
-                cycles = slice_cycles
-                gate_rows = rows
-        return StepCost(ticks=cycles, energy_ticks=cycles, gate_rows=gate_rows)
+        key = (request.seq_len, request.num_heads)
+        stream = self._streams.get(key)
+        if stream is None:
+            stream = self._streams[key] = StreamPlan(
+                ceil(request.num_heads / self.config.num_pipelines) * request.seq_len,
+                self._initiation_interval,
+                self.simulator.pipeline.timing.pipeline_depth_cycles,
+            )
+        return stream
 
     def step_burst(self, residents: Residents, primed: bool, iteration_rows: int) -> StepBurst:
-        """Closed-form SWAT burst: the pipeline streams one row per II.
+        """The closed-form burst when no resident program is segmented.
 
-        With the resident set fixed, every iteration before the last
-        advances exactly ``iteration_rows`` gating rows, so an attention-only
-        burst is a :class:`StreamBurst` — ``[fill-or-primed first, (K - 2)
-        primed full slices, one primed remainder]`` — priced from two ints,
-        the fewest and the most rows left, with no per-resident work and no
-        per-iteration array at all.  Forward and decode slices are
-        priced positionally: each resident's int64 cycle row is a slice of
-        its plan's memoised
-        :meth:`~repro.model.plan._RowSpanPricing.primed_grid` for
-        ``(iteration_rows, rows_done % iteration_rows)``, with only a cold
-        first span (or a final span stopping short of the plan's end) priced
-        by the scalar :meth:`~repro.model.plan._RowSpanPricing.span_cycles`.
-        ``np.argmax`` down the slice axis reproduces the reference loop's
-        first-strict-max gating — no looped-``step`` fallback on any slice
-        kind.
+        Every resident is then one stream at the pipeline's initiation
+        interval, and every iteration before the last advances exactly
+        ``iteration_rows`` gating rows, so the burst is a
+        :class:`StreamBurst` — ``[fill-or-primed first, (K - 2) primed full
+        slices, one primed remainder]`` — priced from two ints, the fewest
+        and the most rows left, with no per-resident work and no
+        per-iteration array at all.  Otherwise the grid burst of
+        :meth:`AttentionBackend.step_burst` prices it.
         """
+        if residents.segmented:
+            return super().step_burst(residents, primed, iteration_rows)
         iterations = -(-residents.fewest_left() // iteration_rows)
         streamed = (iterations - 1) * iteration_rows
         ii = self._initiation_interval
-        if not residents.positional:
-            # Attention only.  The final iteration is gated by the resident
-            # with the most rows left.
-            last_rows = min(iteration_rows, max(residents.finishes) - residents.row - streamed)
-            first_rows = iteration_rows if iterations > 1 else last_rows
-            return StreamBurst(
-                iterations,
-                self._stream_cycles(first_rows, primed),
-                iteration_rows * ii,
-                last_rows * ii,
-                first_rows,
-                iteration_rows,
-                last_rows,
-            )
-        slices = residents.slices()
-        plans = [self._positional_plan(request) for request, _, _ in slices]
-        cycle_rows = np.empty((len(slices), iterations), dtype=np.int64)
-        last_slice_rows = np.empty(len(slices), dtype=np.int64)
-        for index, ((_, rows_done, rows_left), plan) in enumerate(zip(slices, plans)):
-            last_slice_rows[index] = min(iteration_rows, rows_left - streamed)
-            row = cycle_rows[index]
-            if plan is None:
-                row[:] = iteration_rows * ii
-                row[-1] = last_slice_rows[index] * ii
-                if not primed:
-                    # For a one-iteration burst this overwrites the remainder
-                    # entry: a cold slice prices the fill, exactly as the
-                    # reference loop's first iteration does.
-                    row[0] = self.simulator.pipeline.cycles_for_rows(
-                        min(iteration_rows, rows_left)
-                    )
-            else:
-                first = rows_done // iteration_rows
-                grid = plan.primed_grid(iteration_rows, rows_done % iteration_rows)
-                row[:] = grid[first : first + iterations]
-                last_lo = rows_done + streamed
-                last_hi = last_lo + int(last_slice_rows[index])
-                if last_hi < min(last_lo + iteration_rows, plan.total_rows):
-                    # The slice stops before its grid span's end.
-                    row[-1] = plan.span_cycles(last_lo, last_hi, True)
-                if not primed:
-                    row[0] = plan.span_cycles(
-                        rows_done, rows_done + min(iteration_rows, rows_left), False
-                    )
-        gate_index = np.argmax(cycle_rows, axis=0)
-        cycles = cycle_rows[gate_index, np.arange(iterations)]
-        gate_rows = np.full(iterations, iteration_rows, dtype=np.int64)
-        gate_rows[-1] = int(last_slice_rows[gate_index[-1]])
-        return StepBurst(cycles, gate_rows)
+        # The final iteration is gated by the resident with the most rows left.
+        last_rows = min(iteration_rows, max(residents.finishes) - residents.row - streamed)
+        first_rows = iteration_rows if iterations > 1 else last_rows
+        return StreamBurst(
+            iterations,
+            first_rows * ii if primed else self.simulator.pipeline.cycles_for_rows(first_rows),
+            iteration_rows * ii,
+            last_rows * ii,
+            first_rows,
+            iteration_rows,
+            last_rows,
+        )
 
 
 @register_backend
@@ -971,149 +903,104 @@ def _ceil_div(numerator, denominator):
     return -(-numerator // denominator)
 
 
-class _RateBackendBase(AttentionBackend):
-    """Flat-rate pricing: a request's one-shot ticks spread over its row axis.
+class _RateProgram:
+    """A rate-family row axis: ``ticks`` (``R``) over ``rate_rows`` (``T``).
 
-    A request costs ``R`` ticks over ``T`` rate rows (:meth:`_rate`).  A
-    slice of rows ``[lo, hi)`` is priced positionally as
-    ``ceil(R * hi / T) - ceil(R * lo / T)`` ticks, so however the engine
-    slices a solo request, its slices sum to exactly ``ceil(R * rows / T)``
-    — ``R`` itself whenever the request streams its whole rate axis.  No
-    fill state: ``primed`` is ignored.  An iteration lasts as long as its
-    slowest slice.
+    The request streams ``total_rows`` of the rate rows.  Rows ``[lo, hi)``
+    cost ``ceil(R * hi / T) - ceil(R * lo / T)`` ticks, so however the engine
+    slices a solo request, its slices sum to exactly
+    ``ceil(R * total_rows / T)`` — ``R`` itself whenever the request streams
+    its whole rate axis.  No fill state: ``primed`` is ignored.
     """
 
-    #: Whether the energy rule charges every slice's ticks (work-proportional
-    #: energy) instead of the iteration's busy ticks.
-    charges_slice_work = False
+    __slots__ = ("ticks", "rate_rows", "total_rows", "_grids")
+    segmented = False
 
-    def _rate(self, request: AttentionRequest) -> "tuple[int, int]":
-        """``(R, T)``: the request's one-shot ticks and its rate-row count."""
-        raise NotImplementedError
+    def __init__(self, ticks: int, rate_rows: int, total_rows: int):
+        self.ticks = ticks
+        self.rate_rows = rate_rows
+        self.total_rows = total_rows
+        self._grids: "dict[tuple[int, int], np.ndarray]" = {}
 
-    def step(
-        self, slices: "list[tuple[AttentionRequest, int, int]]", primed: bool
-    ) -> StepCost:
-        """One iteration: each slice's positional share of its request's ticks."""
+    def span_cycles(self, row_lo: int, row_hi: int, primed: bool) -> int:
+        """Ticks of rows ``[row_lo, row_hi)``, this request's positional share."""
         del primed  # no streaming fill to amortise
-        if not slices:
-            raise ValueError("an iteration needs at least one resident slice")
-        ticks = -1
-        gate_rows = 0
-        work = 0
-        for request, rows_done, rows in slices:
-            if rows <= 0:
-                raise ValueError(f"slice rows must be positive, got {rows}")
-            total, rate_rows = self._rate(request)
-            slice_ticks = _ceil_div(total * (rows_done + rows), rate_rows) - _ceil_div(
-                total * rows_done, rate_rows
-            )
-            work += slice_ticks
-            if slice_ticks > ticks:
-                ticks = slice_ticks
-                gate_rows = rows
-        return StepCost(
-            ticks=ticks,
-            energy_ticks=work if self.charges_slice_work else ticks,
-            gate_rows=gate_rows,
+        return _ceil_div(self.ticks * row_hi, self.rate_rows) - _ceil_div(
+            self.ticks * row_lo, self.rate_rows
         )
 
-    def step_burst(self, residents: Residents, primed: bool, iteration_rows: int) -> StepBurst:
-        """The burst as int64 rows: every resident's slice ticks at once.
+    def primed_grid(self, quantum: int, phase: int) -> np.ndarray:
+        """Ticks of every ``quantum``-row span aligned at ``phase``, up to ``total_rows``.
 
-        Row ``r``, column ``j`` is resident ``r``'s positional slice of
-        iteration ``j``; ``np.argmax`` down the slice axis reproduces the
-        reference loop's first-strict-max gating.
+        Memoised per ``(quantum, phase)`` and returned read-only.
         """
-        del primed  # no streaming fill to amortise
-        iterations = -(-residents.fewest_left() // iteration_rows)
-        remaining = np.array(residents.finishes, dtype=np.int64) - residents.row
-        # Per resident (rows): R, T and rows_done as int64 columns.
-        rates = np.array([self._rate(request) for request in residents.requests], dtype=np.int64)
-        total, rate_rows = rates[:, :1], rates[:, 1:]
-        rows_done = residents.row - np.array(residents.starts, dtype=np.int64)[:, None]
-        # Rows each resident has streamed at every iteration boundary.
-        streamed = np.minimum(
-            np.arange(iterations + 1, dtype=np.int64) * iteration_rows, remaining[:, None]
-        )
-        slice_ticks = np.diff(_ceil_div(total * (rows_done + streamed), rate_rows), axis=1)
-        gate = np.argmax(slice_ticks, axis=0)
-        columns = np.arange(iterations)
-        return StepBurst(
-            slice_ticks[gate, columns],
-            np.diff(streamed, axis=1)[gate, columns],
-            slice_ticks.sum(axis=0) if self.charges_slice_work else None,
-        )
+        key = (quantum, phase)
+        grid = self._grids.get(key)
+        if grid is None:
+            bounds = np.append(np.arange(phase, self.total_rows, quantum), self.total_rows)
+            grid = np.diff(_ceil_div(self.ticks * bounds, self.rate_rows))
+            grid.flags.writeable = False
+            self._grids[key] = grid
+        return grid
+
+
+class _RateBackendBase(AttentionBackend):
+    """The rate family: a request's one-shot ticks spread over its row axis."""
+
+    def __init__(self, config: "SWATConfig | None" = None, plan_cache: "PlanCache | None" = None):
+        super().__init__(config=config, plan_cache=plan_cache)
+        self._programs: "dict[tuple[int, int, int, int], _RateProgram]" = {}
+
+    def program(self, request: AttentionRequest) -> _RateProgram:
+        """The request's :class:`_RateProgram`, memoised per shape.
+
+        A request of ``num_layers x num_heads`` heads over ``seq_len`` tokens
+        has ``num_layers * num_heads * seq_len`` context rows and streams its
+        ``head_rows`` of them: every one for an attention or a forward, one
+        per new token per layer-head for a decode.
+        """
+        key = (request.seq_len, request.num_heads, request.num_layers, request.head_rows)
+        program = self._programs.get(key)
+        if program is None:
+            program = self._programs[key] = _RateProgram(*self._rate(*key), request.head_rows)
+        return program
+
+    def _rate(self, seq_len: int, num_heads: int, num_layers: int, head_rows: int):
+        """``(R, T)`` of a shape: its one-shot ticks and its rate-row count."""
+        raise NotImplementedError
 
 
 class _GPUBackendBase(_RateBackendBase):
-    """Shared GPU accounting: one batched report per distinct shape.
+    """Shared GPU accounting: one batched report per program.
 
-    A request's ``B x H`` (or, for a forward, ``L x H``) instances fold into
-    one batched kernel stream
-    (:meth:`~repro.gpu.dense_runner.DenseAttentionGPU.run_batch`), memoised
-    per ``(seq_len, items)`` as its seconds rounded up to a tick — the
-    report is deterministic per shape, so the runner is invoked once however
-    many iterations price it.  How much of the per-kernel launch cost the
-    stream hides is the runner's ``launch_amortisation`` knob: at ``0.0`` it
-    reprices exactly the looped per-head dispatch, the contrast with the
-    fill-once SWAT pipeline the serving benchmarks surface.  Energy is the
-    board power times every slice's ticks (it tracks the work of every
-    slice, not the gate).
+    A request's ``L x H`` kernel instances fold into one batched kernel
+    stream (:meth:`~repro.gpu.dense_runner.DenseAttentionGPU.run_batch`,
+    every instance riding one launch per kernel), priced once per program as
+    its seconds rounded up to a tick — the report is deterministic per
+    shape, so the runner is invoked once however many iterations price it.
+    Energy is the board power times every slice's ticks (it tracks the work
+    of every slice, not the gate).
     """
 
-    #: The runner's launch-amortisation knob (see :meth:`GPUKernelModel.batched`).
-    launch_amortisation: float = 1.0
     charges_slice_work = True
-
-    def __init__(
-        self,
-        config: "SWATConfig | None" = None,
-        plan_cache: "PlanCache | None" = None,
-        launch_amortisation: "float | None" = None,
-    ):
-        super().__init__(config=config, plan_cache=plan_cache)
-        if launch_amortisation is not None:
-            self.launch_amortisation = launch_amortisation
-        self._shape_ticks: "dict[tuple[int, int], int]" = {}
-
-    def _runner_run_batch(self, seq_len: int, items: int):
-        raise NotImplementedError
 
     @property
     def power_w(self) -> float:
         """The GPU board power its energy rule charges per slice tick."""
         return self.runner.device.board_power_w
 
-    def _report_items(self, request: AttentionRequest) -> int:
-        """Kernel instances of the request's full-context shape report.
+    def _rate(self, seq_len: int, num_heads: int, num_layers: int, head_rows: int):
+        """The shape's report ticks over its full-context rows.
 
         A decode's report is its *context* shape — ``L x H`` kernels at the
-        final ``seq_len``, exactly the re-prefill it avoids — so the KV-cache
-        advantage falls out of the rate division below, not a separate model.
+        final ``seq_len``, exactly the re-prefill it avoids — and it streams
+        one query row per new token per layer-head, so each generated row
+        costs a ``1 / seq_len`` share of one instance: the dense-GPU KV-cache
+        model.
         """
-        if isinstance(request, DecodeRequest):
-            return request.num_layers * request.num_heads
-        return request.head_rows // request.seq_len
-
-    def _rate(self, request: AttentionRequest) -> "tuple[int, int]":
-        """The memoised shape report's ticks over the report's own rows.
-
-        For attention and forward requests the rate rows are
-        :meth:`request_rows` (their report covers exactly their rows).  A
-        decode's full-context report covers ``L x H x seq_len`` rows but the
-        decode only streams one query row per new token per layer-head — each
-        generated row costs a ``1 / seq_len`` share of the report, the
-        dense-GPU KV-cache model.
-        """
-        key = (request.seq_len, self._report_items(request))
-        ticks = self._shape_ticks.get(key)
-        if ticks is None:
-            report = self._runner_run_batch(*key)
-            ticks = self._shape_ticks[key] = self.time_base.first_tick(report.seconds)
-        if isinstance(request, DecodeRequest):
-            return ticks, request.num_layers * request.num_heads * request.seq_len
-        return ticks, self.request_rows(request)
+        items = num_layers * num_heads
+        report = self.runner.run_batch(seq_len, items=items)
+        return self.time_base.first_tick(report.seconds), items * seq_len
 
 
 @register_backend
@@ -1123,23 +1010,11 @@ class GPUDenseBackend(_GPUBackendBase):
     name = "gpu-dense"
     functional = False
 
-    def __init__(
-        self,
-        config: "SWATConfig | None" = None,
-        plan_cache: "PlanCache | None" = None,
-        launch_amortisation: "float | None" = None,
-    ):
-        super().__init__(
-            config=config, plan_cache=plan_cache, launch_amortisation=launch_amortisation
-        )
+    def __init__(self, config: "SWATConfig | None" = None, plan_cache: "PlanCache | None" = None):
+        super().__init__(config=config, plan_cache=plan_cache)
         self.runner = DenseAttentionGPU(
-            precision=self.config.precision.name,
-            head_dim=self.config.head_dim,
-            launch_amortisation=self.launch_amortisation,
+            precision=self.config.precision.name, head_dim=self.config.head_dim
         )
-
-    def _runner_run_batch(self, seq_len: int, items: int):
-        return self.runner.run_batch(seq_len, items=items)
 
 
 @register_backend
@@ -1149,24 +1024,13 @@ class GPUChunkedBackend(_GPUBackendBase):
     name = "gpu-chunked"
     functional = False
 
-    def __init__(
-        self,
-        config: "SWATConfig | None" = None,
-        plan_cache: "PlanCache | None" = None,
-        launch_amortisation: "float | None" = None,
-    ):
-        super().__init__(
-            config=config, plan_cache=plan_cache, launch_amortisation=launch_amortisation
-        )
+    def __init__(self, config: "SWATConfig | None" = None, plan_cache: "PlanCache | None" = None):
+        super().__init__(config=config, plan_cache=plan_cache)
         self.runner = SlidingChunksAttentionGPU(
             window=self.config.window_half_width,
             precision=self.config.precision.name,
             head_dim=self.config.head_dim,
-            launch_amortisation=self.launch_amortisation,
         )
-
-    def _runner_run_batch(self, seq_len: int, items: int):
-        return self.runner.run_batch(seq_len, items=items)
 
 
 @register_backend
@@ -1184,34 +1048,20 @@ class DenseFPGABackend(_RateBackendBase):
         super().__init__(config=config, plan_cache=plan_cache)
         self.baseline = DenseFPGABaseline(self.config)
         self.power_model = PowerModel(self.config)
-        self._step_cycles: "dict[tuple[int, int], int]" = {}
 
     @property
     def power_w(self) -> float:
         """The board power the dense baseline's energy rule charges per busy tick."""
         return self.power_model.total_power_w
 
-    def _request_cycles(self, request: AttentionRequest) -> int:
-        """Memoised dense-baseline cycles of one request.
+    def _rate(self, seq_len: int, num_heads: int, num_layers: int, head_rows: int):
+        """The dense-baseline cycles of the streamed rows, over those rows.
 
-        A whole-model forward runs one dense attention per layer (the
-        baseline ignores schedule geometry — it attends everything), so its
-        cycles are ``num_layers`` times the per-layer report.  A decode's
-        new tokens each attend the full context but compute only their own
-        query row, so its cycles are the full-context forward's scaled to
-        ``new_tokens / seq_len`` (rounded up to keep the clock integral).
+        A forward runs one dense attention per layer (the baseline ignores
+        schedule geometry — it attends everything).  A decode's new tokens
+        each attend the full context but compute only their own query row,
+        so its cycles are the full-context forward's scaled to its share of
+        the context rows, rounded up to keep the clock integral.
         """
-        key = (request.seq_len, request.num_heads)
-        if key not in self._step_cycles:
-            self._step_cycles[key] = self.baseline.run(
-                request.seq_len, num_heads=request.num_heads
-            ).cycles
-        if isinstance(request, DecodeRequest):
-            full = request.num_layers * self._step_cycles[key]
-            return -(-full * request.new_tokens // request.seq_len)
-        layers = request.num_layers if isinstance(request, ForwardRequest) else 1
-        return layers * self._step_cycles[key]
-
-    def _rate(self, request: AttentionRequest) -> "tuple[int, int]":
-        """The request's dense cycles over its own rows."""
-        return self._request_cycles(request), self.request_rows(request)
+        full = num_layers * self.baseline.run(seq_len, num_heads=num_heads).cycles
+        return _ceil_div(full * head_rows, num_layers * num_heads * seq_len), head_rows

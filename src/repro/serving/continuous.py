@@ -17,11 +17,13 @@ A shard executes **iterations** over a running batch of at most
 the stacked batch axis (the ``G`` axis a :class:`~repro.core.plan.PlanBatch`
 executes in one pass), so an iteration advances every resident by a row
 slice of up to ``iteration_rows`` rows *in lockstep* and lasts as long as its
-largest (gating) slice.  Pricing is the backend's
-:meth:`~repro.serving.backends.AttentionBackend.step`: on the SWAT pipeline a
-cold iteration pays the fill (``depth + (rows - 1) * II``) and a primed one
-streams at ``rows * II``, so the per-iteration cycles of a busy period sum
-bit-exactly to what
+largest (gating) slice.  Each request is resolved once, at admission, to
+its *row program* on the pool's backend
+(:meth:`~repro.serving.backends.AttentionBackend.program`), and pricing is
+the backend's :meth:`~repro.serving.backends.AttentionBackend.step` over the
+residents' programs: on the SWAT pipeline a cold iteration pays the fill
+(``depth + (rows - 1) * II``) and a primed one streams at ``rows * II``, so
+the per-iteration cycles of a busy period sum bit-exactly to what
 :meth:`~repro.core.pipeline.SWATPipelineModel.batch_attention_cycles` charges
 for the same gating rows streamed as one batch — the fill is charged once
 per busy period, never once per admission.
@@ -218,16 +220,20 @@ class InFlightRequest:
     seconds, converted once per admitting activation and shared by that
     activation's admits.
 
-    The reference scheduler advances ``rows_done`` and ``device_ticks``
-    every iteration.  The event scheduler advances its shard's lockstep row
-    counter instead and stamps both once, at retirement: ``rows_done`` is
-    then ``rows_total``, and ``device_ticks`` is the shard's busy ticks at
-    retirement minus ``busy_at_admit``.  Mid-flight they read as unstamped
+    ``program`` is the request's row program on the pool's backend,
+    resolved once at admission, and ``rows_total`` its ``total_rows``: the
+    request retires once it has streamed them.  The reference scheduler
+    advances ``rows_done`` and ``device_ticks`` every iteration.  The event
+    scheduler advances its shard's lockstep row counter instead and stamps
+    both once, at retirement: ``rows_done`` is then ``rows_total``, and
+    ``device_ticks`` is the shard's busy ticks at retirement minus
+    ``busy_at_admit``.  Mid-flight they read as unstamped
     on that path.
     """
 
     request: AttentionRequest
     shard: int
+    program: object
     rows_total: int
     admit_tick: int
     admit_time: float
@@ -329,11 +335,10 @@ class ContinuousBatcher:
 
     ``policy`` decides which *arrived* waiting request a free slot takes:
     ``"fcfs"`` admits in arrival order, ``"sjf"`` (shortest-job-first) the
-    arrived request with the least *total backend work*
-    (:meth:`~repro.serving.backends.AttentionBackend.request_work`: an
-    L-layer forward ranks at all L layers' rows, a decode at the rows of its
-    remaining new tokens — audited against the per-kind row models, so a
-    forward never ranks as if it were one layer) — ties broken by
+    arrived request with the least *total backend work*, its row program's
+    ``total_rows`` (an L-layer forward ranks at all L layers' rows, a decode
+    at the rows of its new tokens, so a forward never ranks as if it were
+    one layer) — ties broken by
     ``(arrival_time, request_id)``, so the schedule stays deterministic and
     degenerates to FCFS on uniform-length traffic.  Under bursty mixed-length
     load SJF stops a long request from parking ahead of a queue of short
@@ -351,8 +356,8 @@ class ContinuousBatcher:
     once.  Admission instants never decrease (both schedulers activate
     shards in tick order), and :meth:`admit` rejects one that does: under
     SJF each request is ranked once, when the admission clock first reaches
-    its arrival, and kept in a heap keyed ``(work, arrival_time,
-    request_id)``.
+    its arrival, and kept in a heap keyed ``(total_rows, arrival_time,
+    request_id)`` with the program it was ranked by.
     """
 
     def __init__(
@@ -434,50 +439,61 @@ class ContinuousBatcher:
             return 0
         return self.max_batch_size - resident
 
-    def _rank_arrived(self, now: int, work_of) -> None:
+    def _rank_arrived(self, now: int, program_of) -> None:
         """SJF: move every request arrived by ``now`` into the work heap.
 
-        Each request is ranked once, as the admission clock reaches its
-        first tick; the heap pops the smallest ``(work, arrival_time,
-        request_id)``, ties broken by queue order.
+        Each request is resolved and ranked once, as the admission clock
+        reaches its first tick; the heap pops the smallest ``(total_rows,
+        arrival_time, request_id)``, ties broken by queue order.
         """
         queue = self._queue
         ticks = self._queue_ticks
         index = self._next
         while index < len(queue) and ticks[index] <= now:
             request = queue[index]
+            program = program_of(request)
             heapq.heappush(
                 self._arrived,
-                (work_of(request), request.arrival_time, request.request_id, index, request),
+                (
+                    program.total_rows,
+                    request.arrival_time,
+                    request.request_id,
+                    index,
+                    request,
+                    program,
+                ),
             )
             index += 1
         self._next = index
 
-    def _take_ranked(self, now: int, slots: int, work_of) -> "list[AttentionRequest]":
-        """SJF: remove and return up to ``slots`` arrived requests, least work first."""
-        self._rank_arrived(now, work_of)
-        taken = []
+    def _take_ranked(self, now: int, slots: int, program_of):
+        """SJF: remove up to ``slots`` arrived requests, least work first.
+
+        Returns them and the programs they were ranked by.
+        """
+        self._rank_arrived(now, program_of)
+        taken, programs = [], []
         while self._arrived and len(taken) < slots:
-            *_, index, request = heapq.heappop(self._arrived)
+            *_, index, request, program = heapq.heappop(self._arrived)
             taken.append(request)
+            programs.append(program)
             self._taken.add(index)
         while self._oldest in self._taken:
             self._taken.discard(self._oldest)
             self._oldest += 1
-        return taken
+        return taken, programs
 
-    def admit(self, shard: int, now: int, rows_of, work_of=None) -> "list[InFlightRequest]":
+    def admit(self, shard: int, now: int, program_of) -> "list[InFlightRequest]":
         """Admit arrived waiting requests into ``shard``'s free slots at tick ``now``.
 
-        ``rows_of`` maps a request to its total row-work on the serving
-        backend (how many rows it must stream before retiring); ``work_of``
-        is the SJF job-size ranking key
-        (:meth:`~repro.serving.backends.AttentionBackend.request_work`) and
-        defaults to ``rows_of`` — on every current backend the two coincide.
-        Returns the newly admitted in-flight records; occupancy never
-        exceeds ``max_batch_size``.  The admits share one ``admit_time``
-        float, ``now`` converted once.  ``now`` must not be earlier than
-        the previous call's.
+        ``program_of`` resolves a request to its row program on the serving
+        backend (:meth:`~repro.serving.backends.AttentionBackend.program`),
+        once per request: here under FCFS, when it is ranked under SJF.  An
+        admitted request carries its program and retires once it has
+        streamed the program's ``total_rows``.  Returns the newly admitted
+        in-flight records; occupancy never exceeds ``max_batch_size``.  The
+        admits share one ``admit_time`` float, ``now`` converted once.
+        ``now`` must not be earlier than the previous call's.
         """
         if now < self._now:
             raise ValueError(
@@ -500,19 +516,21 @@ class ContinuousBatcher:
                 return []
             self._next = self._oldest = stop
             chosen = self._queue[first:stop]
+            programs = map(program_of, chosen)
         else:
-            chosen = self._take_ranked(now, slots, work_of if work_of is not None else rows_of)
+            chosen, programs = self._take_ranked(now, slots, program_of)
             if not chosen:
                 return []
         self._waiting -= len(chosen)
         now_seconds = self.time_base.seconds(now)
         running = self.running[shard]
         admitted: "list[InFlightRequest]" = []
-        for request in chosen:
+        for request, program in zip(chosen, programs):
             inflight = InFlightRequest(
                 request,
                 shard,
-                rows_of(request),
+                program,
+                program.total_rows,
                 now,
                 now_seconds,
                 self._admission_ids,
@@ -583,8 +601,7 @@ class _RunState:
         "time_base",
         "clocks",
         "primed",
-        "rows_of",
-        "work_of",
+        "program_of",
         "iteration_rows",
         "max_batch_size",
         "bus",
@@ -617,9 +634,8 @@ class _RunState:
         self.clocks = [ServingClock() for _ in range(batcher.num_shards)]
         self.primed = [False] * batcher.num_shards
         # Every shard is the same backend on the same config (checked by
-        # serve_continuous), so shard 0 answers for the pool.
-        self.rows_of = shards[0].request_rows
-        self.work_of = shards[0].request_work
+        # serve_continuous), so shard 0 resolves every request's program.
+        self.program_of = shards[0].program
         self.iteration_rows = iteration_rows
         self.max_batch_size = max_batch_size
         self.bus = bus
@@ -903,7 +919,7 @@ def _reference_loop(state: _RunState) -> None:
             next_arrival = batcher.next_arrival_tick()
             if next_arrival is not None:
                 clock.jump_to(next_arrival)
-        admitted = batcher.admit(shard, clock.now, state.rows_of, work_of=state.work_of)
+        admitted = batcher.admit(shard, clock.now, state.program_of)
         residents = batcher.running[shard]
         if not residents:  # pragma: no cover - defensive; admit() always lands one
             continue
@@ -911,7 +927,7 @@ def _reference_loop(state: _RunState) -> None:
             _emit_admissions(state, shard, admitted, batcher.waiting_count)
         slices = batcher.slices(shard, state.iteration_rows)
         cost = state.shards[shard].step(
-            [(inflight.request, inflight.rows_done, rows) for inflight, rows in slices],
+            [(inflight.program, inflight.rows_done, rows) for inflight, rows in slices],
             state.primed[shard],
         )
         start = clock.now
@@ -1028,8 +1044,7 @@ def _event_loop(state: _RunState) -> None:
     # up to hundreds of thousands of times per serve.
     shards = state.shards
     primed = state.primed
-    rows_of = state.rows_of
-    work_of = state.work_of
+    program_of = state.program_of
     listening = state.bus.active
     record = state.record_iterations
     occupancy_counts = state.occupancy_counts
@@ -1077,7 +1092,7 @@ def _event_loop(state: _RunState) -> None:
         head_before = next_arrival_tick()
         if not running[shard] and head_before is not None and head_before > clock.now:
             clock.now = head_before
-        admitted = admit(shard, clock.now, rows_of, work_of)
+        admitted = admit(shard, clock.now, program_of)
         residents = running[shard]
         if not residents:  # pragma: no cover - defensive; admit() always lands one
             push(shard)
@@ -1089,7 +1104,7 @@ def _event_loop(state: _RunState) -> None:
                 inflight.busy_at_admit = busy
                 if inflight.token_boundaries is not None:
                     decoding[shard].append((inflight, lane.row))
-                lane.add(inflight.request, inflight.rows_total)
+                lane.add(inflight.program, inflight.rows_total)
             if head_now != head_before:
                 # The queue head moved: empty shards' queued activations
                 # quoted the old head and must be re-versioned.
@@ -1132,8 +1147,8 @@ def _event_loop(state: _RunState) -> None:
         row = lane.row
         if record:
             resident = [
-                (request.request_id, finish - row)
-                for request, finish in zip(lane.requests, lane.finishes)
+                (inflight.request.request_id, finish - row)
+                for inflight, finish in zip(residents, lane.finishes)
             ]
         ticks = burst.ticks_through(length)
         clock.now = start + ticks
@@ -1441,8 +1456,8 @@ def swat_request_rate(
     ``num_shards * max_batch_size / (II * clock_period)`` rows per second;
     dividing by the mean rows per request of the traffic mix (each request
     carrying ``num_heads`` heads per layer over ``num_layers`` layers, heads
-    spread across the replicated pipelines exactly as the backend's
-    ``request_rows``) gives the saturation request rate — multiply by a load
+    spread across the replicated pipelines exactly as a SWAT backend's row
+    programs spread them) gives the saturation request rate — multiply by a load
     factor > 1 for an overloaded trace.  ``num_layers > 1`` sizes the rate
     for whole-model forward traffic.
     """

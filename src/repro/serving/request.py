@@ -47,7 +47,7 @@ from math import inf, isfinite
 
 import numpy as np
 
-from repro.model.spec import ModelSpec
+from repro.model.spec import ModelSpec, whole_size
 from repro.workload.generator import attention_inputs
 
 __all__ = [
@@ -129,6 +129,8 @@ class AttentionRequest:
     request_id: int = field(default_factory=lambda: next(_REQUEST_IDS))
 
     def __post_init__(self) -> None:
+        self.seq_len = whole_size("seq_len", self.seq_len)
+        self.num_heads = whole_size("num_heads", self.num_heads)
         if self.seq_len <= 0:
             raise ValueError(f"seq_len must be positive, got {self.seq_len}")
         if self.num_heads <= 0:
@@ -172,6 +174,11 @@ class AttentionRequest:
         if not self.is_functional:
             return 0
         return self.q.shape[0] if self.q.ndim == 3 else 1
+
+    @property
+    def num_layers(self) -> int:
+        """One layer: a plain attention is a single-layer stream."""
+        return 1
 
     @property
     def head_rows(self) -> int:
@@ -330,6 +337,8 @@ class DecodeRequest:
     def __post_init__(self) -> None:
         if not isinstance(self.spec, ModelSpec):
             raise TypeError(f"spec must be a ModelSpec, got {type(self.spec).__name__}")
+        self.new_tokens = whole_size("new_tokens", self.new_tokens)
+        self.block_size = whole_size("block_size", self.block_size)
         if self.new_tokens <= 0:
             raise ValueError(f"new_tokens must be positive, got {self.new_tokens}")
         if self.new_tokens >= self.spec.seq_len:

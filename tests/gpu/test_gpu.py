@@ -106,6 +106,24 @@ class TestDenseRunner:
         with pytest.raises(ValueError):
             DenseAttentionGPU().run(0)
 
+    def test_heads_scale_cost_when_launches_not_amortised(self):
+        """launch_amortisation=0 reprices the looped per-head dispatch exactly."""
+        looped = DenseAttentionGPU(head_dim=16, launch_amortisation=0.0)
+        one = looped.run_batch(256, items=1).seconds
+        assert looped.run_batch(256, items=4).seconds == pytest.approx(4 * one)
+
+    def test_batching_amortises_launches(self):
+        """The default batched stream beats the looped baseline, bounded below
+
+        by pure compute scaling (arithmetic still grows with the head count).
+        """
+        batched = DenseAttentionGPU(head_dim=16)  # launch_amortisation=1.0
+        looped = DenseAttentionGPU(head_dim=16, launch_amortisation=0.0)
+        batched_seconds = batched.run_batch(256, items=8).seconds
+        assert batched_seconds < looped.run_batch(256, items=8).seconds
+        # Same arithmetic either way: only the launch/floor overhead shrinks.
+        assert batched_seconds > 0.5 * batched.run_batch(256, items=1).seconds
+
 
 class TestChunkedRunner:
     def test_memory_linear(self):

@@ -12,6 +12,7 @@ from repro.serving.backends import (
     AttentionBackend,
     BackendRegistry,
     Residents,
+    StepBurst,
     available_backends,
     create_backend,
 )
@@ -37,8 +38,8 @@ class TestRegistry:
     def test_all_execution_paths_registered(self):
         assert EXPECTED_BACKENDS <= set(available_backends())
 
-    def test_step_is_the_one_abstract_method(self):
-        assert AttentionBackend.__abstractmethods__ == frozenset({"step"})
+    def test_program_is_the_one_abstract_method(self):
+        assert AttentionBackend.__abstractmethods__ == frozenset({"program"})
 
     def test_unknown_backend_raises_with_choices(self):
         with pytest.raises(KeyError, match="simulator"):
@@ -50,7 +51,7 @@ class TestRegistry:
         class Dummy(AttentionBackend):
             name = "dummy"
 
-            def step(self, slices, primed):  # pragma: no cover - never called
+            def program(self, request):  # pragma: no cover - never called
                 raise NotImplementedError
 
         registry.register(Dummy)
@@ -61,7 +62,7 @@ class TestRegistry:
         registry = BackendRegistry()
 
         class Nameless(AttentionBackend):
-            def step(self, slices, primed):  # pragma: no cover - never called
+            def program(self, request):  # pragma: no cover - never called
                 raise NotImplementedError
 
         with pytest.raises(ValueError, match="non-empty name"):
@@ -86,7 +87,7 @@ class TestSimulatorBackend:
             request.q, request.k, request.v, mask=swat_window_mask(48, config.window_tokens)
         )
         np.testing.assert_allclose(output, expected, atol=1e-9)
-        cost = backend.step([(request, 0, backend.request_rows(request))], primed=False)
+        cost = _whole(backend, request)
         assert cost.ticks > 0
         assert cost.energy_ticks == cost.ticks
         assert backend.time_base.joules(cost.energy_ticks) > 0
@@ -95,29 +96,65 @@ class TestSimulatorBackend:
         backend = create_backend("simulator", config=_config())
         request = AttentionRequest(seq_len=32)
         assert backend.compute_outputs([request]) == (None,)
-        assert backend.step([(request, 0, 32)], primed=False).ticks > 0
+        assert backend.step([(backend.program(request), 0, 32)], primed=False).ticks > 0
 
     def test_whole_request_step_equals_estimate(self):
         config = _config()
         backend = create_backend("analytical", config=config)
         estimate = SWATSimulator(config).estimate(96)
-        cost = backend.step([(AttentionRequest(seq_len=96), 0, 96)], primed=False)
+        cost = _whole(backend, AttentionRequest(seq_len=96))
         assert cost.ticks == estimate.cycles
         assert backend.time_base.seconds(cost.ticks) == estimate.cycles * config.clock_period_s
 
 
+def looped_step_burst(backend, residents, primed, iteration_rows):
+    """The looped burst: one :meth:`~AttentionBackend.step` per iteration.
+
+    Bit-identical to the quantum-stepped reference scheduler by definition,
+    and the oracle every backend's ``step_burst`` is tested against.
+    """
+    iterations = -(-residents.fewest_left() // iteration_rows)
+    slices = residents.slices()
+    ticks = np.empty(iterations, dtype=np.int64)
+    energy = np.empty(iterations, dtype=np.int64)
+    gate_rows = np.empty(iterations, dtype=np.int64)
+    for index in range(iterations):
+        advanced = index * iteration_rows
+        cost = backend.step(
+            [
+                (program, rows_done + advanced, min(iteration_rows, rows_left - advanced))
+                for program, rows_done, rows_left in slices
+            ],
+            primed if index == 0 else True,
+        )
+        ticks[index] = cost.ticks
+        energy[index] = cost.energy_ticks
+        gate_rows[index] = cost.gate_rows
+    return StepBurst(ticks, gate_rows, energy)
+
+
+def _whole_slices(backend, requests, rows_done=None):
+    """``(request, rows_done, rows_left)`` slices streaming each request to its end."""
+    rows_done = rows_done if rows_done is not None else [0] * len(requests)
+    return [
+        (request, done, backend.program(request).total_rows - done)
+        for request, done in zip(requests, rows_done)
+    ]
+
+
 def _both_bursts(backend, slices, primed, iteration_rows):
-    """The override's burst and the looped-``step`` oracle's, on the same columns."""
-    residents = Residents.from_slices(slices)
+    """The backend's burst and the looped oracle's, on the same columns."""
+    residents = Residents.from_slices(slices, backend.program)
     return (
         backend.step_burst(residents, primed, iteration_rows),
-        AttentionBackend.step_burst(backend, residents, primed, iteration_rows),
+        looped_step_burst(backend, residents, primed, iteration_rows),
     )
 
 
 def _whole(backend, request):
     """One iteration streaming all of ``request``'s rows from a cold pipeline."""
-    return backend.step([(request, 0, backend.request_rows(request))], primed=False)
+    program = backend.program(request)
+    return backend.step([(program, 0, program.total_rows)], primed=False)
 
 
 class TestIterationAmortisation:
@@ -127,7 +164,9 @@ class TestIterationAmortisation:
     def test_co_resident_slices_share_one_stream(self):
         backend = create_backend("analytical", config=_config())
         requests = [AttentionRequest(seq_len=64) for _ in range(4)]
-        together = backend.step([(request, 0, 64) for request in requests], primed=False)
+        together = backend.step(
+            [(backend.program(request), 0, 64) for request in requests], primed=False
+        )
         apart = [_whole(backend, request) for request in requests]
         assert together.ticks == apart[0].ticks
         assert together.ticks < sum(cost.ticks for cost in apart)
@@ -137,9 +176,12 @@ class TestIterationAmortisation:
         backend = create_backend("analytical", config=config)
         short = AttentionRequest(seq_len=32)
         multi_head = AttentionRequest(seq_len=48, num_heads=2)
-        gate = backend.request_rows(multi_head)
+        gate = backend.program(multi_head).total_rows
         assert gate == 2 * 48  # one pipeline: the heads stream back to back
-        cost = backend.step([(short, 0, 32), (multi_head, 0, gate)], primed=False)
+        cost = backend.step(
+            [(backend.program(short), 0, 32), (backend.program(multi_head), 0, gate)],
+            primed=False,
+        )
         assert cost.gate_rows == gate
         assert cost.ticks == backend.simulator.pipeline.cycles_for_rows(gate)
         assert backend.time_base.tick_seconds == config.clock_period_s
@@ -150,7 +192,7 @@ class TestIterationAmortisation:
         fill = pipeline.timing.pipeline_depth_cycles
         ii = pipeline.initiation_interval
         for rows in (1, 17, 64):
-            slices = [(AttentionRequest(seq_len=64), 0, rows)]
+            slices = [(backend.program(AttentionRequest(seq_len=64)), 0, rows)]
             cold = backend.step(slices, primed=False).ticks
             primed = backend.step(slices, primed=True).ticks
             assert primed == rows * ii
@@ -164,45 +206,11 @@ class TestAnalyticalOnlyBackends:
         assert not backend.functional
         requests = [AttentionRequest(seq_len=128), AttentionRequest(seq_len=256)]
         assert backend.compute_outputs(requests) == (None, None)
-        slices = [(request, 0, backend.request_rows(request)) for request in requests]
-        burst = backend.step_burst(Residents.from_slices(slices), False, 64)
+        slices = _whole_slices(backend, requests)
+        burst = backend.step_burst(Residents.from_slices(slices, backend.program), False, 64)
         assert np.all(burst.ticks > 0)
         assert np.all(burst.energy_ticks > 0)
         assert backend.time_base.power_w > 0
-
-    def test_gpu_heads_scale_cost_when_launches_not_amortised(self):
-        """launch_amortisation=0 reprices the looped per-head dispatch exactly."""
-        from repro.serving.backends import GPUDenseBackend
-
-        backend = GPUDenseBackend(config=_config(), launch_amortisation=0.0)
-
-        def burst_ticks(request):
-            slices = [(request, 0, backend.request_rows(request))]
-            return int(np.sum(backend.step_burst(Residents.from_slices(slices), False, 64).ticks))
-
-        one = burst_ticks(AttentionRequest(seq_len=256))
-        four = burst_ticks(AttentionRequest(seq_len=256, num_heads=4))
-        # Each shape's report rounds up to a tick once: four heads cost four
-        # times one head's seconds, up to that rounding.
-        assert 0 <= 4 * one - four < 4
-
-    def test_gpu_batching_amortises_launches(self):
-        """The default batched pricing beats the looped baseline, bounded below
-
-        by pure compute scaling (arithmetic still grows with the head count).
-        """
-        from repro.serving.backends import GPUDenseBackend
-
-        config = _config()
-        batched = GPUDenseBackend(config=config)  # launch_amortisation=1.0
-        looped = GPUDenseBackend(config=config, launch_amortisation=0.0)
-        request = AttentionRequest(seq_len=256, num_heads=8)
-        batched_ticks = _whole(batched, request).ticks
-        looped_ticks = _whole(looped, request).ticks
-        assert batched_ticks < looped_ticks
-        # Same arithmetic either way: only the launch/floor overhead shrinks.
-        one_body = _whole(batched, AttentionRequest(seq_len=256)).ticks
-        assert batched_ticks > 0.5 * one_body
 
     def test_dense_fpga_prices_off_its_cycle_domain(self):
         config = _config()
@@ -214,12 +222,12 @@ class TestAnalyticalOnlyBackends:
 
 
 class TestStepBurst:
-    """Vectorized burst pricing is bit-identical to the looped ``step`` default.
+    """Vectorized burst pricing is bit-identical to the looped oracle.
 
-    ``AttentionBackend.step_burst`` loops :meth:`step` per iteration — the
-    definitionally correct pricing.  Every backend override must reproduce
-    its arrays entry for entry, bit-exactly, or the event-driven scheduler
-    would drift from the quantum-stepped reference.
+    :func:`looped_step_burst` loops ``step`` per iteration — the
+    definitionally correct pricing.  Every backend's ``step_burst`` must
+    reproduce its arrays entry for entry, bit-exactly, or the event-driven
+    scheduler would drift from the quantum-stepped reference.
     """
 
     CONTINUOUS_BACKENDS = [
@@ -256,10 +264,7 @@ class TestStepBurst:
             AttentionRequest(seq_len=seq_len, num_heads=num_heads)
             for seq_len, num_heads in ((48, 1), (96, 2), (33, 1))
         ]
-        slices = [
-            (request, rows_done, backend.request_rows(request) - rows_done)
-            for request, rows_done in zip(requests, (0, 16, 5))
-        ]
+        slices = _whole_slices(backend, requests, (0, 16, 5))
         vectorized, looped = _both_bursts(backend, slices, primed, iteration_rows)
         self._assert_bursts_equal(vectorized, looped)
 
@@ -276,10 +281,7 @@ class TestStepBurst:
             make_decode_request(spec, new_tokens=8, block_size=4),
             make_decode_request(spec, new_tokens=6, block_size=4, adaptive=True),
         ]
-        return [
-            (request, done, backend.request_rows(request) - done)
-            for request, done in zip(requests, rows_done)
-        ]
+        return _whole_slices(backend, requests, rows_done)
 
     @pytest.mark.parametrize("name", CONTINUOUS_BACKENDS)
     @pytest.mark.parametrize("primed", [False, True])
@@ -326,29 +328,53 @@ class TestStepBurst:
             raise AssertionError("step_burst fell back to a looped step()")
 
         monkeypatch.setattr(backend, "step", _no_step)
-        burst = backend.step_burst(Residents.from_slices(slices), False, 16)
+        burst = backend.step_burst(Residents.from_slices(slices, backend.program), False, 16)
         assert burst.iterations == len(burst.ticks)
 
     @pytest.mark.parametrize("name", ["simulator", "analytical"])
     @pytest.mark.parametrize("primed", [False, True])
     def test_plain_swat_burst_is_priced_from_two_ints(self, name, primed, monkeypatch):
-        """All-attention SWAT residents: no slice tuple, no per-resident kind check."""
+        """All-attention SWAT residents: no slice tuple, no program lookup."""
         backend = create_backend(name, config=_config())
         requests = [AttentionRequest(seq_len=seq_len) for seq_len in (48, 96, 33)]
         residents = Residents.from_slices(
-            [
-                (request, rows_done, backend.request_rows(request) - rows_done)
-                for request, rows_done in zip(requests, (0, 16, 5))
-            ]
+            _whole_slices(backend, requests, (0, 16, 5)), backend.program
         )
-        looped = AttentionBackend.step_burst(backend, residents, primed, 16)
+        looped = looped_step_burst(backend, residents, primed, 16)
 
         def _per_resident(*args, **kwargs):  # pragma: no cover - the assertion
             raise AssertionError("a plain SWAT burst visited its residents")
 
         monkeypatch.setattr(Residents, "slices", _per_resident)
-        monkeypatch.setattr(backend, "_positional_plan", _per_resident)
+        monkeypatch.setattr(backend, "program", _per_resident)
         self._assert_bursts_equal(backend.step_burst(residents, primed, 16), looped)
+
+    @pytest.mark.parametrize("name", CONTINUOUS_BACKENDS)
+    @pytest.mark.parametrize("iteration_rows", [1, 7])
+    def test_tail_of_tail_matches_looped_default(self, name, iteration_rows):
+        """A cut burst's tails read the oracle's arrays from their offset on."""
+        config = _config()
+        backend = create_backend(name, config=config, plan_cache=PlanCache())
+        slices = self._mixed_slices(backend, config, (3, 16, 5, 2))
+        burst, looped = _both_bursts(backend, slices, False, iteration_rows)
+        assert burst.iterations >= 3
+        for first in range(1, burst.iterations - 1):
+            tail = burst.tail(first)
+            for second in range(1, tail.iterations):
+                skipped = first + second
+                expected = StepBurst(
+                    looped.ticks[skipped:],
+                    looped.gate_rows[skipped:],
+                    looped.energy_ticks[skipped:],
+                )
+                self._assert_bursts_equal(tail.tail(second), expected)
+        for offset in (0, burst.iterations, -1):
+            with pytest.raises(ValueError, match="tail offset"):
+                burst.tail(offset)
+        tail = burst.tail(1)
+        for offset in (0, tail.iterations):
+            with pytest.raises(ValueError, match="tail offset"):
+                tail.tail(offset)
 
     @pytest.mark.parametrize("name", CONTINUOUS_BACKENDS)
     def test_burst_validation(self, name):
@@ -357,7 +383,9 @@ class TestStepBurst:
             backend.step_burst(Residents(), False, 16)
         with pytest.raises(ValueError, match="remaining rows"):
             backend.step_burst(
-                Residents.from_slices([(AttentionRequest(seq_len=32), 32, 0)]), True, 16
+                Residents.from_slices([(AttentionRequest(seq_len=32), 32, 0)], backend.program),
+                True,
+                16,
             )
 
 
@@ -365,8 +393,10 @@ class TestResidents:
     """The lockstep columns ``step_burst`` reads: one row counter per shard."""
 
     def test_one_counter_places_every_resident(self):
+        backend = create_backend("analytical", config=_config())
         residents = Residents()
-        first, second = AttentionRequest(seq_len=40), AttentionRequest(seq_len=16)
+        first = backend.program(AttentionRequest(seq_len=40))
+        second = backend.program(AttentionRequest(seq_len=16))
         residents.add(first, 40)
         residents.row += 8
         residents.add(second, 16)
@@ -380,21 +410,26 @@ class TestResidents:
         assert residents.slices() == []
 
     def test_from_slices_round_trips(self):
+        backend = create_backend("analytical", config=_config())
         slices = [(AttentionRequest(seq_len=48), 16, 32), (AttentionRequest(seq_len=33), 5, 28)]
-        assert Residents.from_slices(slices).slices() == slices
+        assert Residents.from_slices(slices, backend.program).slices() == [
+            (backend.program(request), rows_done, rows_left)
+            for request, rows_done, rows_left in slices
+        ]
 
-    def test_positional_count_follows_add_and_retire(self):
+    def test_segmented_count_follows_add_and_retire(self):
         from repro.model import ModelSpec
         from repro.serving.request import make_forward_request
 
+        backend = create_backend("analytical", config=_config())
         spec = ModelSpec.uniform(2, 24, window_tokens=8, num_heads=2, head_dim=16)
         residents = Residents()
-        residents.add(AttentionRequest(seq_len=8), 8)
-        residents.add(make_forward_request(spec, functional=False), 96)
-        assert residents.positional == 1
+        residents.add(backend.program(AttentionRequest(seq_len=8)), 8)
+        residents.add(backend.program(make_forward_request(spec, functional=False)), 96)
+        assert residents.segmented == 1
         residents.row = 8
         assert residents.retire() == [0]
-        assert residents.positional == 1
+        assert residents.segmented == 1
         residents.row = 96
         assert residents.retire() == [0]
-        assert residents.positional == 0
+        assert residents.segmented == 0

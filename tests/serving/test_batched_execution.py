@@ -174,13 +174,13 @@ class TestGPUShapeReports:
         bursts price it."""
         backend = create_backend("gpu-dense", config=_config())
         calls = []
-        original = backend._runner_run_batch
+        original = backend.runner.run_batch
 
         def spy(seq_len, items):
             calls.append((seq_len, items))
-            return original(seq_len, items)
+            return original(seq_len, items=items)
 
-        backend._runner_run_batch = spy
+        backend.runner.run_batch = spy
         requests = [
             AttentionRequest(seq_len=128, num_heads=2),
             AttentionRequest(seq_len=256),
@@ -189,11 +189,11 @@ class TestGPUShapeReports:
         ]
         for rows_done in (0, 16, 64):
             slices = [
-                (request, rows_done, backend.request_rows(request) - rows_done)
+                (request, rows_done, backend.program(request).total_rows - rows_done)
                 for request in requests
             ]
             for primed in (False, True):
-                backend.step_burst(Residents.from_slices(slices), primed, 16)
+                backend.step_burst(Residents.from_slices(slices, backend.program), primed, 16)
         assert calls == [(128, 2), (256, 1), (128, 3)]
 
 

@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dataclasses import fields
+from types import SimpleNamespace
 
 from repro.core.config import SWATConfig
 from repro.core.pipeline import SWATPipelineModel
@@ -50,6 +51,11 @@ def _config(**overrides):
     defaults = dict(head_dim=HEAD_DIM, window_tokens=8)
     defaults.update(overrides)
     return SWATConfig(**defaults)
+
+
+def _seq_len_program(request):
+    """A stand-in row program: the request streams ``seq_len`` rows."""
+    return SimpleNamespace(total_rows=request.seq_len)
 
 
 # One trace spec: sequence lengths (mixed, spanning buckets), arrival seed,
@@ -148,7 +154,7 @@ class TestConservation:
                 assert 0 < rows <= iteration_rows
                 rows_advanced[request_id] = rows_advanced.get(request_id, 0) + rows
         for request in requests:
-            assert rows_advanced[request.request_id] == backend.request_rows(request)
+            assert rows_advanced[request.request_id] == backend.program(request).total_rows
 
         # No double-charged fill: per busy period, the per-iteration ticks
         # (SWAT cycles) sum exactly to what one drained stream of the same
@@ -242,8 +248,9 @@ class TestConservation:
         config = _config()
         request = AttentionRequest(seq_len=100, num_heads=3, arrival_time=0.0)
         pool = create_backend(backend, config=config)
-        one_shot, rate_rows = pool._rate(request)
-        assert rate_rows == pool.request_rows(request)
+        program = pool.program(request)
+        one_shot = program.ticks
+        assert program.rate_rows == program.total_rows
         result = serve_continuous(
             [request], config=config, backend=backend, iteration_rows=iteration_rows
         )
@@ -605,7 +612,7 @@ class TestContinuousBatcher:
         early = AttentionRequest(seq_len=8, arrival_time=0.0)
         late = AttentionRequest(seq_len=8, arrival_time=5.0)
         batcher.submit([late, early])
-        admitted = batcher.admit(0, now=1, rows_of=lambda request: request.seq_len)
+        admitted = batcher.admit(0, now=1, program_of=_seq_len_program)
         assert [inflight.request.request_id for inflight in admitted] == [early.request_id]
         assert batcher.next_arrival_tick() == 5  # one-second ticks by default
         assert not batcher.done
@@ -614,14 +621,14 @@ class TestContinuousBatcher:
         batcher = ContinuousBatcher(max_batch_size=2, admission="drain")
         requests = [AttentionRequest(seq_len=8) for _ in range(4)]
         batcher.submit(requests)
-        first = batcher.admit(0, now=0, rows_of=lambda request: request.seq_len)
+        first = batcher.admit(0, now=0, program_of=_seq_len_program)
         assert len(first) == 2
         # Mid-batch: no admission even though slots could hold more work.
-        assert batcher.admit(0, now=0, rows_of=lambda request: request.seq_len) == []
+        assert batcher.admit(0, now=0, program_of=_seq_len_program) == []
         for inflight in first:
             inflight.rows_done = inflight.rows_total
         batcher.retire_finished(0, now=1)
-        second = batcher.admit(0, now=1, rows_of=lambda request: request.seq_len)
+        second = batcher.admit(0, now=1, program_of=_seq_len_program)
         assert len(second) == 2
 
     def test_invalid_parameters_rejected(self):
@@ -728,10 +735,10 @@ class TestContinuousBatcher:
     def test_admission_instants_must_not_decrease(self):
         batcher = ContinuousBatcher(max_batch_size=2)
         batcher.submit([AttentionRequest(seq_len=8) for _ in range(2)])
-        batcher.admit(0, now=5, rows_of=lambda request: request.seq_len)
-        batcher.admit(0, now=5, rows_of=lambda request: request.seq_len)
+        batcher.admit(0, now=5, program_of=_seq_len_program)
+        batcher.admit(0, now=5, program_of=_seq_len_program)
         with pytest.raises(ValueError, match="must not decrease"):
-            batcher.admit(0, now=4, rows_of=lambda request: request.seq_len)
+            batcher.admit(0, now=4, program_of=_seq_len_program)
 
     def test_free_slots_tracks_admission_policy(self):
         continuous = ContinuousBatcher(max_batch_size=3)
@@ -739,7 +746,7 @@ class TestContinuousBatcher:
         for batcher in (continuous, drain):
             batcher.submit([AttentionRequest(seq_len=8) for _ in range(2)])
             assert batcher.free_slots(0) == 3
-            batcher.admit(0, now=0, rows_of=lambda request: request.seq_len)
+            batcher.admit(0, now=0, program_of=_seq_len_program)
         assert continuous.free_slots(0) == 1
         assert drain.free_slots(0) == 0  # mid-batch: membership is fixed
 
@@ -872,7 +879,7 @@ class TestAdmissionPolicy:
         short_late = AttentionRequest(seq_len=8, arrival_time=1.0)
         not_arrived = AttentionRequest(seq_len=2, arrival_time=9.0)
         batcher.submit([long_early, short_late, not_arrived])
-        admitted = batcher.admit(0, now=2, rows_of=lambda request: request.seq_len)
+        admitted = batcher.admit(0, now=2, program_of=_seq_len_program)
         assert [inflight.request.request_id for inflight in admitted] == [
             short_late.request_id
         ]
@@ -884,37 +891,68 @@ class TestAdmissionPolicy:
         batcher.retire_finished(0, now=3)
         assert [
             inflight.request.request_id
-            for inflight in batcher.admit(0, now=3, rows_of=lambda request: request.seq_len)
+            for inflight in batcher.admit(0, now=3, program_of=_seq_len_program)
         ] == [long_early.request_id]
         assert batcher.next_arrival_tick() == 9
 
+    def _mixed_kind_trace(self, count=48):
+        """The straggler trace with every third request a forward and every
+        fifth a decode, of one small model."""
+        from repro.model import ModelSpec
+        from repro.serving.request import make_decode_request, make_forward_request
+
+        spec = ModelSpec.uniform(2, 256, window_tokens=128, num_heads=2, head_dim=64)
+        requests = []
+        for index, request in enumerate(self._straggler_trace(count=count)):
+            arrival = request.arrival_time
+            if index % 5 == 4:
+                request = make_decode_request(
+                    spec, new_tokens=16, block_size=4, arrival_time=arrival
+                )
+            elif index % 3 == 2:
+                request = make_forward_request(spec, functional=False, arrival_time=arrival)
+            requests.append(request)
+        return requests
+
     def test_sjf_ranks_each_request_once(self):
         # Rescanning the arrived backlog at every admission made SJF
-        # quadratic in it: each request's work is now computed exactly once.
-        requests = self._straggler_trace(count=64)
-        backend = create_backend("analytical", config=SWATConfig.longformer(window_tokens=128))
-        ranked = []
-        request_work = backend.request_work
+        # quadratic in it, and pricing re-resolved a forward's or a decode's
+        # plan on every burst: each request's program is now resolved
+        # exactly once, through shard 0, under either policy.
+        from repro.serving.cache import PlanCache
 
-        def counted_work(request):
-            ranked.append(request.request_id)
-            return request_work(request)
+        requests = self._mixed_kind_trace()
+        config = SWATConfig.longformer(window_tokens=128)
+        for policy in ("fcfs", "sjf"):
+            baseline = self._policy_run(requests, policy, num_shards=2).stats
+            for scheduler in SCHEDULERS:
+                resolved = []
+                cache = PlanCache()
+                pool = [create_backend("analytical", config=config, plan_cache=cache)]
+                pool.append(create_backend("analytical", config=config, plan_cache=cache))
+                for shard, backend in enumerate(pool):
 
-        backend.request_work = counted_work
-        for scheduler in SCHEDULERS:
-            ranked.clear()
-            result = serve_continuous(
-                list(requests),
-                config=backend.config,
-                backend="analytical",
-                max_batch_size=4,
-                iteration_rows=128,
-                policy="sjf",
-                scheduler=scheduler,
-                backends=[backend],
-            )
-            assert sorted(ranked) == sorted(request.request_id for request in requests)
-            baseline = self._policy_run(requests, "sjf").stats
-            for spec in fields(ServingStats):
-                if spec.name != "wall_seconds":
-                    assert getattr(result.stats, spec.name) == getattr(baseline, spec.name)
+                    def counted(request, shard=shard, program=backend.program):
+                        resolved.append((shard, request.request_id))
+                        return program(request)
+
+                    backend.program = counted
+                result = serve_continuous(
+                    list(requests),
+                    config=config,
+                    backend="analytical",
+                    num_shards=2,
+                    max_batch_size=4,
+                    iteration_rows=128,
+                    policy=policy,
+                    scheduler=scheduler,
+                    backends=pool,
+                    plan_cache=cache,
+                )
+                assert sorted(request_id for _, request_id in resolved) == sorted(
+                    request.request_id for request in requests
+                )
+                assert {shard for shard, _ in resolved} == {0}
+                for spec in fields(ServingStats):
+                    if spec.name != "wall_seconds":
+                        assert getattr(result.stats, spec.name) == getattr(baseline, spec.name)

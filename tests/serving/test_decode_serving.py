@@ -493,7 +493,7 @@ class TestAdmissionWorkRanking:
         spec = _spec(seq_len=32, num_layers=4, num_heads=1)
         forward = make_forward_request(spec, functional=False)
         attention = make_requests([32], 16, functional=False)[0]
-        ratio = instance.request_work(forward) / instance.request_work(attention)
+        ratio = instance.program(forward).total_rows / instance.program(attention).total_rows
         assert ratio >= spec.num_layers
 
     def test_sjf_prefers_short_over_long_prefill(self):

@@ -324,3 +324,32 @@ class TestRequestValidation:
     def test_negative_arrival_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
             AttentionRequest(seq_len=16, arrival_time=-1.0)
+
+    @pytest.mark.parametrize(
+        "kind, size, value",
+        [
+            ("attention", "seq_len", 40.5),
+            ("attention", "seq_len", True),
+            ("attention", "num_heads", 2.5),
+            ("decode", "new_tokens", 2.5),
+            ("decode", "block_size", 1.5),
+            ("spec", "seq_len", 16.0),
+            ("spec", "num_heads", 2.5),
+            ("spec", "head_dim", 16.0),
+        ],
+    )
+    def test_non_integer_sizes_rejected_by_every_shape(self, kind, size, value):
+        # 40.5 rows used to die inside pricing with an unrelated numpy error,
+        # 2.5 heads were served as 3 heads' rows and True as one row.
+        def build(**sizes):
+            if kind == "attention":
+                return AttentionRequest(**{"seq_len": 16, **sizes})
+            if kind == "decode":
+                spec = ModelSpec.uniform(1, 16, window_tokens=8, num_heads=1, head_dim=8)
+                return DecodeRequest(**{"spec": spec, "new_tokens": 4, **sizes})
+            return ModelSpec.uniform(1, **{"seq_len": 16, "window_tokens": 8, **sizes})
+
+        with pytest.raises(TypeError, match=f"{size} must be an integer, got {value!r}"):
+            build(**{size: value})
+        # A numpy integer is accepted as the plain int it stands for.
+        assert type(getattr(build(**{size: np.int64(4)}), size)) is int

@@ -153,7 +153,8 @@ class TestDrainServing:
         request = make_forward_request(_spec(), functional=False)
         backend = create_backend("analytical", config=config, plan_cache=PlanCache())
         plan = backend.model_plan(request)
-        cost = backend.step([(request, 0, plan.total_rows)], primed=False)
+        assert backend.program(request) is plan
+        cost = backend.step([(plan, 0, plan.total_rows)], primed=False)
         assert cost.ticks == plan.total_cycles
         assert backend.time_base.seconds(cost.ticks) == plan.total_cycles * config.clock_period_s
 
