@@ -356,7 +356,9 @@ class Residents:
     ``row`` places them all.  Resident ``i`` streams ``programs[i]``, joined
     at row ``starts[i]`` and retires once ``row`` reaches ``finishes[i]``:
     it has streamed ``row - starts[i]`` rows and has ``finishes[i] - row``
-    left.  Advancing a burst moves ``row`` alone and touches no resident.
+    left.  ``indices[i]`` names it (the engine seats each request's
+    submission index there).  Advancing a burst moves ``row`` alone and
+    touches no resident.
 
     ``segmented`` counts the residents whose program is segmented (a
     forward's or a decode's plan); at zero a SWAT burst needs only the
@@ -364,12 +366,13 @@ class Residents:
     current, so no burst scans the programs.
     """
 
-    __slots__ = ("programs", "starts", "finishes", "row", "segmented")
+    __slots__ = ("programs", "starts", "finishes", "indices", "row", "segmented")
 
     def __init__(self) -> None:
         self.programs: list = []
         self.starts: "list[int]" = []
         self.finishes: "list[int]" = []
+        self.indices: "list[int]" = []
         self.row = 0
         self.segmented = 0
 
@@ -384,13 +387,17 @@ class Residents:
         """
         residents = cls()
         residents.row = max((rows_done for _, rows_done, _ in slices), default=0)
-        for request, rows_done, rows_left in slices:
-            residents.add(program_of(request), rows_done + rows_left, rows_done)
+        for index, (request, rows_done, rows_left) in enumerate(slices):
+            residents.add(index, program_of(request), rows_done + rows_left, rows_done)
         return residents
 
-    def add(self, program, rows_total: int, rows_done: int = 0) -> None:
-        """Seat a ``program`` resident, ``rows_done`` of its ``rows_total`` rows streamed."""
+    def add(self, index: int, program, rows_total: int, rows_done: int = 0) -> None:
+        """Seat resident ``index``: ``program``, ``rows_done`` of its ``rows_total`` rows streamed.
+
+        ``index`` names it in what :meth:`retire` returns.
+        """
         start = self.row - rows_done
+        self.indices.append(index)
         self.programs.append(program)
         self.starts.append(start)
         self.finishes.append(start + rows_total)
@@ -400,18 +407,20 @@ class Residents:
     def retire(self) -> "list[int]":
         """Drop every resident whose finish row ``row`` has reached.
 
-        Returns their slot indices, ascending.
+        Returns their :attr:`indices`, in slot order.
         """
         row = self.row
-        gone = []
-        for slot, finish in enumerate(self.finishes):
-            if finish <= row:
-                gone.append(slot)
-        for slot in reversed(gone):
-            if self.segmented and self.programs[slot].segmented:
-                self.segmented -= 1
-            del self.programs[slot], self.starts[slot], self.finishes[slot]
-        return gone
+        finishes = self.finishes
+        retired = []
+        # Last slot first, so a deletion never shifts a slot still to visit.
+        for slot in range(len(finishes) - 1, -1, -1):
+            if finishes[slot] <= row:
+                retired.append(self.indices[slot])
+                if self.segmented and self.programs[slot].segmented:
+                    self.segmented -= 1
+                del self.programs[slot], self.starts[slot], finishes[slot], self.indices[slot]
+        retired.reverse()
+        return retired
 
     def fewest_left(self) -> int:
         """Rows left to the first retirement (validated positive)."""

@@ -37,7 +37,12 @@ Two scheduler implementations produce bit-identical results
 (property-tested; ``scheduler=`` selects one):
 
 ``"event"`` (default)
-    Event-driven and vectorized.  A heap over per-shard activation ticks
+    Event-driven and columnar.  A request is an index into int64 columns
+    from submission to completion (:class:`ContinuousBatcher`): admission
+    writes its admit tick, shard, admission id and residency, retirement
+    its finish and device ticks, and the completions are built from the
+    columns in one pass at the end; only a decode keeps a record of its
+    own, for its block stamps.  A heap over per-shard activation ticks
     replaces the linear scan, and between an admission and the next
     retirement the resident set is fixed — the backend prices that whole
     *burst* of iterations in one
@@ -47,18 +52,19 @@ Two scheduler implementations produce bit-identical results
     the fewest and the most rows left).  The shard, not the resident, is
     what the loop advances: residents stream in lockstep, so each shard
     keeps one row counter, a burst moves only that counter, and a
-    resident's rows and device ticks are stamped once, at retirement (its
-    device ticks are the shard's busy ticks over its residency).  A burst
-    cut short by an arrival or by another shard's activation is resumed,
-    not repriced, at the shard's next activation unless that activation
-    admits.  Pricing cost scales with *resident-set changes*, not
-    iterations or activations: a 100k-request diurnal trace replays in
-    about a second.
+    resident's device ticks are stamped once, at retirement (the shard's
+    busy ticks over its residency).  A burst stopped by an arrival, or
+    ahead of its retiring iteration by another shard's activation, is
+    resumed, not repriced, at the shard's next activation unless that
+    activation admits.  Pricing cost scales with *resident-set changes*,
+    not iterations or activations: a 100k-request diurnal trace replays in
+    under a second.
 
 ``"reference"``
     The retained quantum-stepped loop: one Python iteration per priced
-    device iteration.  The executable specification the property tests pin
-    the event scheduler against.
+    device iteration, over one :class:`InFlightRequest` per resident.  The
+    executable specification the property tests pin the event scheduler
+    against.
 
 Clock
 -----
@@ -90,9 +96,12 @@ import time
 from array import array
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate, repeat
 from math import ceil
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from statistics import mean
+
+import numpy as np
 
 from repro.core.config import SWATConfig
 from repro.core.pipeline import SWATPipelineModel
@@ -214,36 +223,24 @@ class ServingClock:
 
 @dataclass(slots=True)
 class InFlightRequest:
-    """A request resident in (or retired from) a shard's running batch.
+    """The reference scheduler's record of a request resident in a shard.
 
-    Clock stamps are integer ticks; ``admit_time`` is the admit instant in
-    seconds, converted once per admitting activation and shared by that
-    activation's admits.
+    :meth:`ContinuousBatcher.admit` builds one per admission, on top of the
+    index-level :meth:`~ContinuousBatcher.seat`, which has already written
+    the request's admission columns; the event scheduler builds none.
+    ``index`` is the request's submission index, the key of those columns.
 
     ``program`` is the request's row program on the pool's backend,
     resolved once at admission, and ``rows_total`` its ``total_rows``: the
-    request retires once it has streamed them.  The reference scheduler
-    advances ``rows_done`` and ``device_ticks`` every iteration.  The event
-    scheduler advances its shard's lockstep row counter instead and stamps
-    both once, at retirement: ``rows_done`` is then ``rows_total``, and
-    ``device_ticks`` is the shard's busy ticks at retirement minus
-    ``busy_at_admit``.  Mid-flight they read as unstamped
-    on that path.
+    request retires once it has streamed them.  The reference loop advances
+    ``rows_done`` and ``device_ticks`` every iteration.
     """
 
     request: AttentionRequest
-    shard: int
+    index: int
     program: object
     rows_total: int
-    admit_tick: int
-    admit_time: float
-    #: Monotonically increasing admission event id (reported as the
-    #: completion's ``batch_id``).
-    admission_id: int
-    #: Residents on the shard right after this request was admitted.
-    residency_at_admit: int
     rows_done: int = 0
-    finish_tick: "int | None" = None
     #: Summed ticks of every iteration this request was resident in (an
     #: iteration's duration is counted for each of its residents — they
     #: share the clock, not split it).
@@ -255,9 +252,6 @@ class InFlightRequest:
     #: Decode requests only: clock tick each block completed at, appended
     #: as the row stream crosses ``token_boundaries``.
     block_ticks: "list[int] | None" = None
-    #: Event scheduler only: the shard's busy ticks when this request was
-    #: admitted.
-    busy_at_admit: int = 0
 
     @property
     def remaining_rows(self) -> int:
@@ -323,26 +317,37 @@ class ServingResult:
 
 
 class ContinuousBatcher:
-    """Iteration-level batching state: waiting queue plus per-shard residents.
+    """Iteration-level batching state: the waiting queue and the request columns.
 
-    Requests wait (ordered by ``(arrival_time, submission order)``) until a
-    shard admits them.  Under ``admission="continuous"`` a shard admits
-    whenever a slot is free — a retirement frees its ``(config, seq_len)``
-    slot for the next arrived request *mid-flight*.  Under
-    ``admission="drain"`` a shard admits only when its running batch is
-    empty (the static-batching policy the scenario runner compares against);
-    membership is then fixed until every member retires.
+    :meth:`submit` makes each request an *index*, its position in
+    :attr:`requests`, and from then until the stats are built the engine
+    handles it as that int.  The queue orders indices, and each lifecycle
+    stamp is written into an int64 column (an ``array('q')``) at it:
+    ``admit_ticks``, ``shard_of``, ``batch_ids`` and ``batch_sizes`` at
+    admission, ``finish_ticks`` and ``device_ticks`` at retirement.  Only a
+    decode keeps a per-request record, in :attr:`decodes`: its token
+    boundaries and block ticks.
 
-    ``policy`` decides which *arrived* waiting request a free slot takes:
-    ``"fcfs"`` admits in arrival order, ``"sjf"`` (shortest-job-first) the
-    arrived request with the least *total backend work*, its row program's
-    ``total_rows`` (an L-layer forward ranks at all L layers' rows, a decode
-    at the rows of its new tokens, so a forward never ranks as if it were
-    one layer) — ties broken by
+    Requests wait, ordered by ``(arrival_time, request_id)``, until a shard
+    admits them.  Under ``admission="continuous"`` a shard admits whenever a
+    slot is free — a retirement frees its slot for the next arrived request
+    *mid-flight*.  Under ``admission="drain"`` a shard admits only when it
+    has no residents (the static-batching policy the scenario runner
+    compares against); membership is then fixed until every member retires.
+
+    ``policy`` decides which *arrived* waiting request a free slot takes.
+    ``"fcfs"`` admits in arrival order, so the queue is a cursor.  ``"sjf"``
+    (shortest-job-first) admits the arrived request with the least *total
+    backend work*, its row program's ``total_rows`` (an L-layer forward
+    ranks at all L layers' rows, a decode at the rows of its new tokens, so
+    a forward never ranks as if it were one layer), ties broken by
     ``(arrival_time, request_id)``, so the schedule stays deterministic and
-    degenerates to FCFS on uniform-length traffic.  Under bursty mixed-length
-    load SJF stops a long request from parking ahead of a queue of short
-    ones, cutting p95 latency (the seeded A/B test in the suite).
+    degenerates to FCFS on uniform-length traffic.  Each request is ranked
+    once, when the admission clock first reaches its arrival, into a heap of
+    indices keyed ``(total_rows, arrival_time, request_id)``; the program it
+    was ranked by is kept for its admission.  Under bursty mixed-length load
+    SJF stops a long request from parking ahead of a queue of short ones,
+    cutting p95 latency (the seeded A/B test in the suite).
 
     ``kv_residency`` (a :class:`~repro.serving.cache.KVResidency`) tracks
     decode K/V: admitted decodes pin their final-context bytes (one miss for
@@ -354,10 +359,13 @@ class ContinuousBatcher:
     at ``now`` when ``arrival_time <= time_base.seconds(now)``, i.e. from
     its first tick on; :meth:`submit` computes every request's first tick
     once.  Admission instants never decrease (both schedulers activate
-    shards in tick order), and :meth:`admit` rejects one that does: under
-    SJF each request is ranked once, when the admission clock first reaches
-    its arrival, and kept in a heap keyed ``(total_rows, arrival_time,
-    request_id)`` with the program it was ranked by.
+    shards in tick order), and :meth:`seat` rejects one that does.
+
+    The event scheduler drives the index level, :meth:`seat` and
+    :meth:`release`.  The reference scheduler drives a thin
+    :class:`InFlightRequest` layer over them (:meth:`admit`, :meth:`slices`
+    and :meth:`retire_finished`, with each shard's records in
+    :attr:`running`), so both schedulers run one queue.
     """
 
     def __init__(
@@ -381,35 +389,84 @@ class ContinuousBatcher:
         self.policy = policy
         self.kv_residency = kv_residency
         self.time_base = time_base if time_base is not None else TimeBase(1.0)
+        #: Submitted requests; a request's index is its position here.
+        self.requests: "list[AttentionRequest]" = []
+        #: Arrival instants by index (float64).
+        self.arrivals = np.empty(0)
+        self.admit_ticks = array("q")
+        self.shard_of = array("q")
+        self.batch_ids = array("q")
+        self.batch_sizes = array("q")
+        #: The event scheduler parks the shard's busy ticks at admission
+        #: here until the request retires.
+        self.device_ticks = array("q")
+        self.finish_ticks = array("q")
+        #: Decodes in flight, by index: ``(token boundaries, block ticks)``.
+        self.decodes: "dict[int, tuple[tuple[int, ...], list[int]]]" = {}
+        #: Residents per shard.
+        self.resident = [0] * num_shards
+        #: The reference scheduler's in-flight records per shard, in slot order.
         self.running: "list[list[InFlightRequest]]" = [[] for _ in range(num_shards)]
+        # The queue: indices in (arrival_time, request_id) order and their
+        # first ticks.  The admission clock has reached the first ``_next``
+        # positions: FCFS admitted them, SJF ranked them into the heap
+        # ``_ranked`` (entry ``total_rows * len(_order) + position``, so it
+        # pops the least work first, then the earliest position) with their
+        # programs in ``_programs``.  ``_oldest`` is the first position still
+        # waiting, and ``_head_tick`` its first tick (``None`` when none
+        # waits); ``_taken`` flags the positions past it SJF admitted.
+        self._head_tick: "int | None" = None
+        self._order = array("q")
+        self._ticks = array("q")
+        self._next = 0
+        self._oldest = 0
+        self._taken = bytearray()
+        self._ranked: "list[int]" = []
+        self._programs: "dict[int, object]" = {}
+        self._waiting = 0
         self._admission_ids = 0
         # The last admission instant: instants never decrease.
         self._now = 0
-        # Submitted requests in (arrival_time, request_id) order, with their
-        # first ticks.  The admission clock has reached the first ``_next``
-        # of them: FCFS admitted them, SJF moved them into ``_arrived``.
-        # ``_oldest`` is the first one still waiting, ``_taken`` the indices
-        # past it SJF already admitted.
-        self._queue: "list[AttentionRequest]" = []
-        self._queue_ticks: "array[int] | list[int]" = []
-        self._next = 0
-        self._oldest = 0
-        self._taken: "set[int]" = set()
-        self._arrived: "list[tuple]" = []
-        self._waiting = 0
 
     def submit(self, requests: "list[AttentionRequest]") -> None:
-        """Queue ``requests``; admission order is ``(arrival_time, submit order)``."""
-        waiting = [entry[-1] for entry in self._arrived] + self._queue[self._next :]
-        self._queue = sorted(waiting + list(requests), key=attrgetter("arrival_time", "request_id"))
-        ticks = self.time_base.first_ticks([request.arrival_time for request in self._queue])
-        # Eight bytes a tick, not one int object each (the queue is sorted,
-        # so its last tick is the largest; ticks past int64 stay a list).
-        self._queue_ticks = array("q", ticks) if not ticks or ticks[-1] < 1 << 63 else ticks
+        """Queue ``requests`` after those already submitted.
+
+        Their indices continue :attr:`requests`; admission order is
+        ``(arrival_time, request_id)`` over every waiting request.  The queue
+        keeps first ticks as int64: an arrival whose first tick does not fit
+        raises ``OverflowError`` with nothing queued.
+        """
+        count = len(self._order)
+        waiting = [self._order[entry % count] for entry in self._ranked]
+        waiting += self._order[self._next :]
+        first = len(self.requests)
+        everyone = self.requests + list(requests)
+        order = sorted(
+            waiting + list(range(first, len(everyone))),
+            key=lambda index: (everyone[index].arrival_time, everyone[index].request_id),
+        )
+        arrivals = np.concatenate(
+            [self.arrivals, np.fromiter(map(attrgetter("arrival_time"), everyone[first:]), float)]
+        )
+        ticks = array("q", self.time_base.first_ticks(arrivals[order]))
+        self.requests, self.arrivals = everyone, arrivals
+        for column in (
+            self.admit_ticks,
+            self.shard_of,
+            self.batch_ids,
+            self.batch_sizes,
+            self.device_ticks,
+            self.finish_ticks,
+        ):
+            column.frombytes(bytes(8 * (len(everyone) - first)))
+        self._order = array("q", order)
+        self._ticks = ticks
         self._next = self._oldest = 0
-        self._taken = set()
-        self._arrived = []
-        self._waiting = len(self._queue)
+        self._taken = bytearray(len(order)) if self.policy == "sjf" else bytearray()
+        self._ranked = []
+        self._programs = {}
+        self._waiting = len(order)
+        self._head_tick = ticks[0] if ticks else None
 
     @property
     def waiting_count(self) -> int:
@@ -419,13 +476,11 @@ class ContinuousBatcher:
     @property
     def done(self) -> bool:
         """True when nothing is waiting and no shard has residents."""
-        return not self._waiting and not any(self.running)
+        return not self._waiting and not any(self.resident)
 
     def next_arrival_tick(self) -> "int | None":
         """First tick at or after the earliest waiting arrival (``None`` if empty)."""
-        if self._oldest < len(self._queue):
-            return self._queue_ticks[self._oldest]
-        return None
+        return self._head_tick
 
     def free_slots(self, shard: int) -> int:
         """Slots a shard could still fill under its admission policy.
@@ -434,66 +489,52 @@ class ContinuousBatcher:
         exposes the full batch width when the shard is empty and nothing
         mid-flight (membership is fixed until the batch retires).
         """
-        resident = len(self.running[shard])
+        resident = self.resident[shard]
         if self.admission == "drain" and resident:
             return 0
         return self.max_batch_size - resident
 
-    def _rank_arrived(self, now: int, program_of) -> None:
-        """SJF: move every request arrived by ``now`` into the work heap.
+    def _take_ranked(self, now: int, slots: int, program_of) -> "tuple[list[int], list]":
+        """SJF: rank every request arrived by ``now``, then take up to ``slots``.
 
         Each request is resolved and ranked once, as the admission clock
-        reaches its first tick; the heap pops the smallest ``(total_rows,
-        arrival_time, request_id)``, ties broken by queue order.
+        reaches its first tick.  Returns the taken indices, least work
+        first, and the programs they were ranked by.
         """
-        queue = self._queue
-        ticks = self._queue_ticks
-        index = self._next
-        while index < len(queue) and ticks[index] <= now:
-            request = queue[index]
-            program = program_of(request)
-            heapq.heappush(
-                self._arrived,
-                (
-                    program.total_rows,
-                    request.arrival_time,
-                    request.request_id,
-                    index,
-                    request,
-                    program,
-                ),
-            )
-            index += 1
-        self._next = index
+        order, ticks, requests = self._order, self._ticks, self.requests
+        count = len(order)
+        ranked, programs = self._ranked, self._programs
+        position = self._next
+        while position < count and ticks[position] <= now:
+            program = programs[position] = program_of(requests[order[position]])
+            heapq.heappush(ranked, program.total_rows * count + position)
+            position += 1
+        self._next = position
+        taken = self._taken
+        indices, chosen = [], []
+        while ranked and len(indices) < slots:
+            position = heapq.heappop(ranked) % count
+            taken[position] = 1
+            indices.append(order[position])
+            chosen.append(programs.pop(position))
+        oldest = self._oldest
+        while oldest < count and taken[oldest]:
+            oldest += 1
+        self._oldest = oldest
+        return indices, chosen
 
-    def _take_ranked(self, now: int, slots: int, program_of):
-        """SJF: remove up to ``slots`` arrived requests, least work first.
-
-        Returns them and the programs they were ranked by.
-        """
-        self._rank_arrived(now, program_of)
-        taken, programs = [], []
-        while self._arrived and len(taken) < slots:
-            *_, index, request, program = heapq.heappop(self._arrived)
-            taken.append(request)
-            programs.append(program)
-            self._taken.add(index)
-        while self._oldest in self._taken:
-            self._taken.discard(self._oldest)
-            self._oldest += 1
-        return taken, programs
-
-    def admit(self, shard: int, now: int, program_of) -> "list[InFlightRequest]":
+    def seat(self, shard: int, now: int, program_of) -> "tuple":
         """Admit arrived waiting requests into ``shard``'s free slots at tick ``now``.
 
         ``program_of`` resolves a request to its row program on the serving
         backend (:meth:`~repro.serving.backends.AttentionBackend.program`),
-        once per request: here under FCFS, when it is ranked under SJF.  An
-        admitted request carries its program and retires once it has
-        streamed the program's ``total_rows``.  Returns the newly admitted
-        in-flight records; occupancy never exceeds ``max_batch_size``.  The
-        admits share one ``admit_time`` float, ``now`` converted once.
-        ``now`` must not be earlier than the previous call's.
+        once per request: here under FCFS, when it is ranked under SJF.
+        Writes each admitted request's admission columns (admit tick, shard,
+        admission id, and the shard's residents right after it) and sets up
+        a decode's record and K/V residency.  Returns ``(indices,
+        programs)`` in admission order; occupancy never exceeds
+        ``max_batch_size``.  ``now`` must not be earlier than the previous
+        call's.
         """
         if now < self._now:
             raise ValueError(
@@ -503,55 +544,88 @@ class ContinuousBatcher:
         self._now = now
         slots = self.free_slots(shard)
         if slots <= 0 or not self._waiting:
-            return []
+            return (), ()
+        resident = self.resident[shard]
+        requests = self.requests
         if self.policy == "fcfs":
             # The queue is in (arrival_time, request_id) order, so the
             # arrived requests are the leading run of what is left of it.
             first = stop = self._next
-            limit = min(len(self._queue), first + slots)
-            ticks = self._queue_ticks
+            limit = min(len(self._order), first + slots)
+            ticks = self._ticks
             while stop < limit and ticks[stop] <= now:
                 stop += 1
             if stop == first:
-                return []
+                return (), ()
             self._next = self._oldest = stop
-            chosen = self._queue[first:stop]
-            programs = map(program_of, chosen)
+            indices = self._order[first:stop]
+            programs = list(map(program_of, map(requests.__getitem__, indices)))
         else:
-            chosen, programs = self._take_ranked(now, slots, program_of)
-            if not chosen:
-                return []
-        self._waiting -= len(chosen)
-        now_seconds = self.time_base.seconds(now)
+            indices, programs = self._take_ranked(now, slots, program_of)
+            if not indices:
+                return (), ()
+        self._waiting -= len(indices)
+        oldest = self._oldest
+        self._head_tick = self._ticks[oldest] if oldest < len(self._ticks) else None
+        admit_ticks, shard_of = self.admit_ticks, self.shard_of
+        batch_ids, batch_sizes = self.batch_ids, self.batch_sizes
+        batch_id = self._admission_ids
+        for index, program in zip(indices, programs):
+            resident += 1
+            admit_ticks[index] = now
+            shard_of[index] = shard
+            batch_ids[index] = batch_id
+            batch_sizes[index] = resident
+            batch_id += 1
+            request = requests[index]
+            if isinstance(request, DecodeRequest):
+                self._seat_decode(index, request, program.total_rows)
+        self._admission_ids = batch_id
+        self.resident[shard] = resident
+        return indices, programs
+
+    def _seat_decode(self, index: int, request: DecodeRequest, rows_total: int) -> None:
+        """A decode's record: the rows its blocks finalise at, and no block ticks yet."""
+        # The decode's row axis is uniform per token on every backend, so
+        # block boundaries sit at cumulative-token multiples of the
+        # per-token row count.
+        per_token = rows_total // request.new_tokens
+        boundaries = list(accumulate(size * per_token for size in request.block_schedule))
+        boundaries[-1] = rows_total
+        self.decodes[index] = (tuple(boundaries), [])
+        if self.kv_residency is not None:
+            self.kv_residency.admit(request.request_id, request.kv_resident_bytes)
+
+    def release(self, shard: int, indices, now: int) -> None:
+        """Retire ``indices`` from ``shard`` at tick ``now``, stamping their finish ticks.
+
+        Retiring a decode settles its K/V residency: every block after the
+        first re-read the resident cache (one hit each), and the request's
+        bytes leave device memory.
+        """
+        finish_ticks = self.finish_ticks
+        for index in indices:
+            finish_ticks[index] = now
+        self.resident[shard] -= len(indices)
+        if self.decodes and self.kv_residency is not None:
+            for index in indices:
+                if index in self.decodes:
+                    request = self.requests[index]
+                    self.kv_residency.touch(request.request_id, len(request.block_schedule) - 1)
+                    self.kv_residency.release(request.request_id)
+
+    def admit(self, shard: int, now: int, program_of) -> "list[InFlightRequest]":
+        """:meth:`seat`, with one :class:`InFlightRequest` per admitted request.
+
+        The records join ``running[shard]`` in slot order; returns them.
+        """
+        indices, programs = self.seat(shard, now, program_of)
         running = self.running[shard]
         admitted: "list[InFlightRequest]" = []
-        for request, program in zip(chosen, programs):
-            inflight = InFlightRequest(
-                request,
-                shard,
-                program,
-                program.total_rows,
-                now,
-                now_seconds,
-                self._admission_ids,
-                len(running) + 1,
-            )
-            if isinstance(request, DecodeRequest):
-                # The decode's row axis is uniform per token on every
-                # backend, so block boundaries sit at cumulative-token
-                # multiples of the per-token row count.
-                per_token = inflight.rows_total // request.new_tokens
-                boundaries = []
-                tokens_done = 0
-                for size in request.block_schedule:
-                    tokens_done += size
-                    boundaries.append(tokens_done * per_token)
-                boundaries[-1] = inflight.rows_total
-                inflight.token_boundaries = tuple(boundaries)
-                inflight.block_ticks = []
-                if self.kv_residency is not None:
-                    self.kv_residency.admit(request.request_id, request.kv_resident_bytes)
-            self._admission_ids += 1
+        for index, program in zip(indices, programs):
+            inflight = InFlightRequest(self.requests[index], index, program, program.total_rows)
+            if index in self.decodes:
+                inflight.token_boundaries, inflight.block_ticks = self.decodes[index]
             running.append(inflight)
             admitted.append(inflight)
         return admitted
@@ -564,31 +638,14 @@ class ContinuousBatcher:
         ]
 
     def retire_finished(self, shard: int, now: int) -> "list[InFlightRequest]":
-        """Remove the :attr:`~InFlightRequest.finished` residents (see :meth:`retire_slots`)."""
-        return self.retire_slots(
-            shard,
-            [slot for slot, inflight in enumerate(self.running[shard]) if inflight.finished],
-            now,
-        )
+        """Remove the :attr:`~InFlightRequest.finished` records and :meth:`release` them.
 
-    def retire_slots(self, shard: int, slots: "list[int]", now: int) -> "list[InFlightRequest]":
-        """Remove the residents at ``slots`` (ascending), stamping their completion tick.
-
-        Returns them in slot order.  Retiring a decode settles its KV
-        residency: every block after the first re-read the resident cache
-        (one hit each), and the request's bytes leave device memory.
+        Returns them in slot order.
         """
         running = self.running[shard]
-        retired = []
-        for slot in reversed(slots):
-            retired.append(running.pop(slot))
-        retired.reverse()
-        for inflight in retired:
-            inflight.finish_tick = now
-            if inflight.token_boundaries is not None and self.kv_residency is not None:
-                request = inflight.request
-                self.kv_residency.touch(request.request_id, len(request.block_schedule) - 1)
-                self.kv_residency.release(request.request_id)
+        retired = [inflight for inflight in running if inflight.finished]
+        running[:] = [inflight for inflight in running if not inflight.finished]
+        self.release(shard, [inflight.index for inflight in retired], now)
         return retired
 
 
@@ -610,7 +667,7 @@ class _RunState:
         "records",
         "occupancy_counts",
         "num_iterations",
-        "completed",
+        "outputs",
         "energy_ticks",
         "num_decode",
         "decode_tokens",
@@ -645,7 +702,8 @@ class _RunState:
         #: occupancy value -> iteration count (see :func:`occupancy_mean`).
         self.occupancy_counts: "Counter[float]" = Counter()
         self.num_iterations = 0
-        self.completed: "list[CompletedRequest]" = []
+        #: A functional pool's outputs, by request index.
+        self.outputs = [None] * len(batcher.requests) if shards[0].functional else None
         self.energy_ticks = 0
         self.num_decode = 0
         self.decode_tokens = 0
@@ -694,6 +752,19 @@ def _check_head_dims(requests, pool) -> None:
                 f"{pool.name!r} pool runs head_dim {head_dim}; serve it on a pool whose "
                 f"config has head_dim {data_dim}"
             )
+
+
+def _check_arrival_ticks(requests, time_base: TimeBase) -> None:
+    """Reject a trace whose latest arrival's first tick does not fit an int64.
+
+    The queue keeps every request's first tick in an int64 column.
+    """
+    latest = max(map(attrgetter("arrival_time"), requests), default=0.0)
+    if time_base.first_tick(latest) >= 1 << 63:
+        raise ValueError(
+            f"arrival_time {latest} is past the int64 tick range of a "
+            f"{time_base.tick_seconds} s tick; serve the trace on a clock that reaches it"
+        )
 
 
 def serve_continuous(
@@ -762,18 +833,19 @@ def serve_continuous(
     :class:`IterationRecord` tuple — stats are unchanged, and large traces
     avoid materialising millions of records.
 
-    Every request of a serve needs its own ``request_id``, a functional
-    pool's attentions must carry data of its config's ``head_dim``, and
-    ``num_shards``, ``max_batch_size`` and ``iteration_rows`` must be
-    positive ints; anything else is rejected before the run starts.
+    The result lists every request's completion in submission order.
+    Every request of a serve needs its own ``request_id`` and an arrival
+    whose first tick fits an int64, a functional pool's attentions must
+    carry data of its config's ``head_dim``, and ``num_shards``,
+    ``max_batch_size`` and ``iteration_rows`` must be positive ints;
+    anything else is rejected before the run starts.
     """
     check_count("iteration_rows", iteration_rows)
     check_count("num_shards", num_shards)
     check_count("max_batch_size", max_batch_size)
     if scheduler not in SCHEDULERS:
         raise ValueError(f"scheduler must be one of {SCHEDULERS}, got {scheduler!r}")
-    position = {request.request_id: index for index, request in enumerate(requests)}
-    if len(position) != len(requests):
+    if len({request.request_id for request in requests}) != len(requests):
         counts = Counter(request.request_id for request in requests)
         duplicate = next(request_id for request_id, count in counts.items() if count > 1)
         raise ValueError(
@@ -799,6 +871,7 @@ def serve_continuous(
     _check_pool(shards, backend)
     _check_head_dims(requests, shards[0])
     time_base = shards[0].time_base
+    _check_arrival_ticks(requests, time_base)
 
     if bus.active:
         bus.emit(
@@ -835,7 +908,7 @@ def serve_continuous(
         kv_residency=kv_residency,
         time_base=time_base,
     )
-    batcher.submit(list(requests))
+    batcher.submit(requests)
     state = _RunState(
         shards=shards,
         batcher=batcher,
@@ -850,15 +923,12 @@ def serve_continuous(
     else:
         _reference_loop(state)
 
+    completed, queue_waits, latencies = _completions(state)
     wall_seconds = time.perf_counter() - start_wall
     cache_after = plan_cache.counters()
-    completed = state.completed
-    completed.sort(key=lambda done: position[done.request.request_id])
-    makespan = max((done.finish_time for done in completed), default=0.0)
-    queue_waits = [done.queue_seconds for done in completed]
-    latencies = [done.latency_seconds for done in completed]
+    makespan = time_base.seconds(max(batcher.finish_ticks, default=0))
     # Sorted once: each percentile's own sort is then a linear pass.
-    for samples in (queue_waits, latencies, state.ttfts, state.token_gaps):
+    for samples in (state.ttfts, state.token_gaps):
         samples.sort()
     stats = ServingStats(
         backend=backend,
@@ -871,7 +941,7 @@ def serve_continuous(
         wall_seconds=wall_seconds,
         cache_hits=cache_after["hits"] - cache_before["hits"],
         cache_misses=cache_after["misses"] - cache_before["misses"],
-        total_head_rows=batch_head_rows(list(requests)),
+        total_head_rows=batch_head_rows(requests),
         mode=admission,
         policy=policy,
         num_iterations=state.num_iterations,
@@ -897,6 +967,44 @@ def serve_continuous(
         time_base=time_base,
         iterations=tuple(state.records),
     )
+
+
+def _completions(state: _RunState) -> "tuple[list[CompletedRequest], list[float], list[float]]":
+    """Every request's :class:`CompletedRequest`, in submission order, and the
+    run's queue-wait and latency samples, sorted.
+
+    One pass over the columns.  Ticks become seconds a column at a time, by
+    the one :class:`~repro.serving.stats.TimeBase` product, so every float
+    equals the per-request conversion bit for bit.
+    """
+    batcher = state.batcher
+    requests = batcher.requests
+    seconds = state.time_base.seconds
+    admit_times = seconds(np.frombuffer(batcher.admit_ticks, dtype=np.int64))
+    finish_times = seconds(np.frombuffer(batcher.finish_ticks, dtype=np.int64))
+    completed = list(
+        map(
+            CompletedRequest,
+            requests,
+            state.outputs if state.outputs is not None else repeat(None),
+            batcher.shard_of,
+            batcher.batch_ids,
+            batcher.batch_sizes,
+            # Memoryviews hand map one Python float at a time.
+            memoryview(seconds(np.frombuffer(batcher.device_ticks, dtype=np.int64))),
+            map(attrgetter("arrival_time"), requests),
+            memoryview(admit_times),
+            memoryview(finish_times),
+        )
+    )
+    # The instants become the samples in place (the subtractions of
+    # CompletedRequest.queue_seconds and latency_seconds), sorted once: each
+    # percentile's own sort is then a linear pass.
+    admit_times -= batcher.arrivals
+    admit_times.sort()
+    finish_times -= batcher.arrivals
+    finish_times.sort()
+    return completed, admit_times.tolist(), finish_times.tolist()
 
 
 def _reference_loop(state: _RunState) -> None:
@@ -984,43 +1092,57 @@ def _event_loop(state: _RunState) -> None:
     queue head re-versions every empty shard, since their activations quote
     the old head's arrival tick.
 
-    The shard, not the resident, is the unit the loop advances.  Residents
-    stream in lockstep, so each shard keeps one row counter
-    (:class:`~repro.serving.backends.Residents`).  Admission stamps a
-    resident's finish row (counter plus its rows) and the shard's busy
-    ticks; a burst adds ``length * iteration_rows`` to the counter and
-    touches no resident; a resident retires once the counter reaches its
-    finish row, and only then are its ``rows_done`` and its
-    ``device_ticks`` (busy ticks now minus at admission) stamped.  Both
-    equal the reference loop's per-iteration sums exactly: every resident
-    advances the same rows until the burst's first retirement ends it, and
-    a request's device ticks are the ticks of the shard's iterations it was
+    A request is its index here, from admission to retirement: the loop
+    builds no per-request object.  :meth:`ContinuousBatcher.seat` writes the
+    admission columns, the loop parks the shard's busy ticks in the
+    request's ``device_ticks`` entry and seats its program in the shard's
+    :class:`~repro.serving.backends.Residents` beside its index, and
+    :meth:`ContinuousBatcher.release` stamps its finish tick.  The shard,
+    not the resident, is what the loop advances: residents stream in
+    lockstep, so each shard keeps one row counter, a burst moves only that
+    counter, and a resident retires once the counter reaches its finish
+    row.  Its device ticks are then the busy ticks now minus those at
+    admission, which equals the reference loop's per-iteration sum: a
+    request's device ticks are the ticks of the shard's iterations it was
     resident in.  Only decode residents are visited per activation, to
     stamp the blocks the burst completed.
 
     After admitting at the popped shard the resident set is fixed until the
     next retirement, so the backend prices the whole run of iterations to
     that retirement in one
-    :meth:`~repro.serving.backends.AttentionBackend.step_burst` call; the
-    burst is then cut short at the first iteration whose start would admit a
-    newly arrived request (it starts at or after the arrival's first tick),
-    or at another shard's activation — one
-    :meth:`~repro.serving.backends.StepBurst.first_start_at` question.  A
-    cut burst keeps its unconsumed
+    :meth:`~repro.serving.backends.AttentionBackend.step_burst` call.  Two
+    events stop a burst early, each one
+    :meth:`~repro.serving.backends.StepBurst.first_start_at` or
+    :meth:`~repro.serving.backends.StepBurst.ticks_through` question:
+
+    * an arrival the shard could admit: the burst ends before its first
+      iteration starting at or after the arrival's first tick (that
+      iteration would admit it);
+    * another shard's activation, for the retiring iteration only: when
+      another shard activates at or before that iteration's start (on a
+      tie, the lower shard goes first), the burst stops one iteration
+      short.  A retirement is the one thing a burst does that the rest of
+      the pool sees (its events, its outputs, a freed slot), so only it
+      must wait its turn; iterations before it touch no shared state, and
+      the burst leapfrogs the other shards' activations through them.
+
+    A stopped burst keeps its unconsumed
     :meth:`~repro.serving.backends.StepBurst.tail`, and the shard's next
-    activation continues from it unless it admits — only a retirement ends a
-    burst, so the residents are the ones it was priced for, and its primed
+    activation continues from it unless it admits — only a retirement ends
+    a burst, so the residents are the ones it was priced for, and its primed
     entries are the ticks a fresh call would return.  Clock, busy time and
     energy add the burst's integer
     :meth:`~repro.serving.backends.StepBurst.ticks_through` sums, so they
-    equal the reference loop's one-at-a-time additions exactly.
+    equal the reference loop's one-at-a-time additions exactly.  Iteration
+    records, built as the bursts are consumed, are put in the reference
+    loop's ``(start_tick, shard)`` order and numbered after the loop.
 
     With a listening bus, each priced burst is one
-    :class:`~repro.telemetry.events.BurstAdvanced`, cut segments and all:
-    the shard's open burst keeps its start tick, primed flag and residents
-    and sums the iterations and energy of each segment consumed, and is
-    emitted when something ends it — ahead of the retirement at its last
-    iteration, or of an admission that re-prices the shard.
+    :class:`~repro.telemetry.events.BurstAdvanced`, stopped segments and
+    all: the shard's open burst keeps its start tick, primed flag and
+    residents and sums the iterations and energy of each segment consumed,
+    and is emitted when something ends it — ahead of the retirement at its
+    last iteration, or of an admission that re-prices the shard.
     """
     batcher = state.batcher
     clocks = state.clocks
@@ -1034,11 +1156,10 @@ def _event_loop(state: _RunState) -> None:
     # Per shard, while a bus listens: the burst priced but not yet emitted,
     # as [start tick, iterations, energy ticks, primed, residents].
     open_bursts: "list[list | None]" = [None] * num_shards
-    # Per shard: the residents as lockstep columns, slot-aligned with
-    # ``batcher.running``; the decode residents with their start rows; the
-    # other shards.
+    # Per shard: the residents as lockstep columns; the decode residents as
+    # (token boundaries, block ticks, start row); the other shards.
     lanes = [Residents() for _ in range(num_shards)]
-    decoding: "list[list[tuple[InFlightRequest, int]]]" = [[] for _ in range(num_shards)]
+    decoding: "list[list[tuple[tuple[int, ...], list[int], int]]]" = [[] for _ in range(num_shards)]
     peers = [[other for other in range(num_shards) if other != one] for one in range(num_shards)]
     # Hot-loop locals: the while body below runs once per shard activation,
     # up to hundreds of thousands of times per serve.
@@ -1047,13 +1168,20 @@ def _event_loop(state: _RunState) -> None:
     program_of = state.program_of
     listening = state.bus.active
     record = state.record_iterations
-    occupancy_counts = state.occupancy_counts
+    records: "list[tuple]" = []
+    # A retirement needs _settle for functional outputs or retirement
+    # events, and for decode stats while a decode is in flight.
+    settles = shards[0].functional or listening
     max_batch_size = state.max_batch_size
-    running = batcher.running
+    # Iterations by resident count: occupancy is count / max_batch_size.
+    iterations_by_residents = [0] * (max_batch_size + 1)
+    can_admit_mid_batch = batcher.admission == "continuous"
+    requests = batcher.requests
+    device_ticks = batcher.device_ticks
+    decodes = batcher.decodes
+    seat = batcher.seat
+    release = batcher.release
     next_arrival_tick = batcher.next_arrival_tick
-    admit = batcher.admit
-    free_slots = batcher.free_slots
-    retire_slots = batcher.retire_slots
     heappush = heapq.heappush
     heappop = heapq.heappop
 
@@ -1065,7 +1193,7 @@ def _event_loop(state: _RunState) -> None:
 
     def push(shard: int) -> None:
         version[shard] += 1
-        if running[shard]:
+        if lanes[shard].indices:
             activation = clocks[shard].now
         else:
             next_arrival = next_arrival_tick()
@@ -1089,66 +1217,67 @@ def _event_loop(state: _RunState) -> None:
             continue
         clock = clocks[shard]
         lane = lanes[shard]
+        residents = lane.indices
         head_before = next_arrival_tick()
-        if not running[shard] and head_before is not None and head_before > clock.now:
+        if not residents and head_before is not None and head_before > clock.now:
             clock.now = head_before
-        admitted = admit(shard, clock.now, program_of)
-        residents = running[shard]
-        if not residents:  # pragma: no cover - defensive; admit() always lands one
-            push(shard)
-            continue
+        admitted, programs = seat(shard, clock.now, program_of)
         head_now = next_arrival_tick()
         if admitted:
             busy = clock.busy_ticks
-            for inflight in admitted:
-                inflight.busy_at_admit = busy
-                if inflight.token_boundaries is not None:
-                    decoding[shard].append((inflight, lane.row))
-                lane.add(inflight.program, inflight.rows_total)
+            for index, program in zip(admitted, programs):
+                device_ticks[index] = busy
+                if decodes and index in decodes:
+                    boundaries, blocks = decodes[index]
+                    decoding[shard].append((boundaries, blocks, lane.row))
+                lane.add(index, program, program.total_rows)
             if head_now != head_before:
                 # The queue head moved: empty shards' queued activations
                 # quoted the old head and must be re-versioned.
                 for other in peers[shard]:
-                    if not running[other]:
+                    if not lanes[other].indices:
                         push(other)
             if listening:
                 if open_bursts[shard] is not None:
-                    # This admission ends the cut burst: it is re-priced below.
+                    # This admission ends the stopped burst: it is re-priced below.
                     emit_open_burst(shard)
-                _emit_admissions(state, shard, admitted, batcher.waiting_count)
+                _emit_admitted(state, shard, admitted, batcher.waiting_count)
+        elif not residents:  # pragma: no cover - defensive; seat() always lands one
+            push(shard)
+            continue
         if admitted or pending[shard] is None:
             burst = shards[shard].step_burst(lane, primed[shard], quantum)
             if listening:
                 open_bursts[shard] = [clock.now, 0, 0, primed[shard], len(residents)]
         else:
-            cut, consumed = pending[shard]
-            burst = cut.tail(consumed)
+            stopped, consumed = pending[shard]
+            burst = stopped.tail(consumed)
         length = burst.iterations
         start = clock.now
-        # The burst ends before its first iteration starting at or after
-        # ``cut_at``: an admission-eligible arrival's first tick (the
-        # iteration starting there would admit it), or another shard's
-        # activation (at an exact tie the reference scan prefers the lower
-        # shard index).
-        cut_at = head_now if head_now is not None and free_slots(shard) > 0 else None
-        while heap and heap[0][2] != version[heap[0][1]]:
-            heappop(heap)
-        if heap:
-            other_activation, other_shard, _ = heap[0]
-            other_cut = other_activation + 1 if shard < other_shard else other_activation
-            if cut_at is None or other_cut < cut_at:
-                cut_at = other_cut
-        if cut_at is not None:
-            first = burst.first_start_at(cut_at - start)
+        if head_now is not None and can_admit_mid_batch and len(residents) < max_batch_size:
+            # The iteration starting at or after the arrival's first tick
+            # would admit it.
+            first = burst.first_start_at(head_now - start)
             if first < length:
                 length = first if first > 1 else 1
+        if heap and length == burst.iterations and length > 1:
+            while heap and heap[0][2] != version[heap[0][1]]:
+                heappop(heap)
+            if heap:
+                other_activation, other_shard, _ = heap[0]
+                last_start = start + burst.ticks_through(length - 1)
+                if other_activation < last_start or (
+                    other_activation == last_start and other_shard < shard
+                ):
+                    # The other shard runs first: retire at the next activation.
+                    length -= 1
         retiring = length == burst.iterations
         pending[shard] = None if retiring else (burst, length)
         row = lane.row
         if record:
             resident = [
-                (inflight.request.request_id, finish - row)
-                for inflight, finish in zip(residents, lane.finishes)
+                (requests[index].request_id, finish - row)
+                for index, finish in zip(residents, lane.finishes)
             ]
         ticks = burst.ticks_through(length)
         clock.now = start + ticks
@@ -1156,13 +1285,11 @@ def _event_loop(state: _RunState) -> None:
         energy = burst.energy_through(length)
         energy_ticks += energy
         lane.row = row + length * quantum
-        for inflight, row_start in decoding[shard]:
+        for boundaries, blocks, row_start in decoding[shard]:
             _mark_blocks_burst(
-                inflight, row - row_start, lane.row - row_start, burst, start, quantum
+                boundaries, blocks, row - row_start, lane.row - row_start, burst, start, quantum
             )
-        occupancy = len(residents) / max_batch_size
-        occupancy_counts[occupancy] += length
-        base_index = num_iterations
+        iterations_by_residents[len(residents)] += length
         num_iterations += length
         if listening:
             this_burst = open_bursts[shard]
@@ -1172,24 +1299,27 @@ def _event_loop(state: _RunState) -> None:
                 # Emitted ahead of the retirement's lookups and events.
                 emit_open_burst(shard)
         if retiring:
-            retired = retire_slots(shard, lane.retire(), clock.now)
+            retired = lane.retire()
             busy = clock.busy_ticks
-            for inflight in retired:
-                inflight.rows_done = inflight.rows_total
-                inflight.device_ticks = busy - inflight.busy_at_admit
+            for index in retired:
+                device_ticks[index] = busy - device_ticks[index]
+            release(shard, retired, clock.now)
             if decoding[shard]:
                 decoding[shard] = [
-                    entry for entry in decoding[shard] if entry[0].finish_tick is None
+                    (boundaries, blocks, row_start)
+                    for boundaries, blocks, row_start in decoding[shard]
+                    if lane.row - row_start < boundaries[-1]
                 ]
+            if settles or decodes:
+                block_times = _settle(state, shard, retired)
+                if listening:
+                    for index, times in zip(retired, block_times):
+                        _emit_retirement(state, index, times)
         else:
             retired = ()
-        done = _complete(state, shard, retired)
-        if listening:
-            for inflight, completion in zip(retired, done):
-                _emit_retired(state, inflight, completion)
         if record:
             _record_iterations(
-                state, shard, resident, burst, start, base_index, admitted, length, retired
+                records, state, shard, resident, burst, start, admitted, length, retired
             )
         if residents:
             primed[shard] = True
@@ -1200,33 +1330,46 @@ def _event_loop(state: _RunState) -> None:
             push(shard)
     state.energy_ticks = energy_ticks
     state.num_iterations = num_iterations
+    for count, iterations in enumerate(iterations_by_residents):
+        if iterations:
+            state.occupancy_counts[count / max_batch_size] += iterations
+    # The reference loop's order: iterations by start tick, then shard.
+    records.sort(key=itemgetter(0, 1))
+    state.records.extend(
+        IterationRecord(index, shard, start_tick, *fields)
+        for index, (start_tick, shard, *fields) in enumerate(records)
+    )
     if not batcher.done:  # pragma: no cover - defensive
         raise RuntimeError("the event scheduler ran out of activations with requests unserved")
 
 
 def _record_iterations(
+    records: "list[tuple]",
     state: _RunState,
     shard: int,
     resident,
     burst,
     start: int,
-    base_index: int,
     admitted,
     length: int,
     retired,
 ) -> None:
-    """Expand the activation's ``length`` burst iterations into records.
+    """Expand the activation's ``length`` burst iterations into record fields.
 
     The event scheduler's records path, entered only when the run keeps
-    per-iteration records.  ``resident`` holds ``(request_id, rows_left)``
-    per resident as the activation found them; ``retired`` is empty unless
-    the activation's last iteration retires.
+    per-iteration records.  Appends one tuple per iteration to ``records``:
+    ``(start_tick, shard)`` and then every later :class:`IterationRecord`
+    field, for the loop to sort and number.  ``resident`` holds
+    ``(request_id, rows_left)`` per resident as the activation found them;
+    ``admitted`` and ``retired`` are indices, ``retired`` empty unless the
+    activation's last iteration retires.
     """
     quantum = state.iteration_rows
+    requests = state.batcher.requests
     occupancy = len(resident) / state.max_batch_size
     full_resident = tuple((request_id, quantum) for request_id, _ in resident)
-    admitted_ids = tuple(inflight.request.request_id for inflight in admitted)
-    retired_ids = tuple(inflight.request.request_id for inflight in retired)
+    admitted_ids = tuple(requests[index].request_id for index in admitted)
+    retired_ids = tuple(requests[index].request_id for index in retired)
     ticks = burst.ticks
     energy_ticks = burst.energy_ticks
     gate_rows = burst.gate_rows
@@ -1239,19 +1382,18 @@ def _record_iterations(
             )
         else:
             resident_rows = full_resident
-        state.records.append(
-            IterationRecord(
-                index=base_index + index,
-                shard=shard,
-                start_tick=start + burst.ticks_through(index),
-                ticks=int(ticks[index]),
-                energy_ticks=int(energy_ticks[index]),
-                gate_rows=int(gate_rows[index]),
-                primed=state.primed[shard] if index == 0 else True,
-                resident=resident_rows,
-                admitted=admitted_ids if index == 0 else (),
-                retired=retired_ids if final else (),
-                occupancy=occupancy,
+        records.append(
+            (
+                start + burst.ticks_through(index),
+                shard,
+                int(ticks[index]),
+                int(energy_ticks[index]),
+                int(gate_rows[index]),
+                state.primed[shard] if index == 0 else True,
+                resident_rows,
+                admitted_ids if index == 0 else (),
+                retired_ids if final else (),
+                occupancy,
             )
         )
 
@@ -1282,19 +1424,30 @@ def _emit_burst(
     )
 
 
-def _emit_admissions(state: _RunState, shard: int, admitted, queue_depth: int) -> None:
-    """Admission events plus the queue-depth sample, in reference order."""
-    for inflight in admitted:
+def _emit_admitted(state: _RunState, shard: int, admitted, queue_depth: int) -> None:
+    """Admission events of ``admitted`` (indices) plus the queue-depth sample.
+
+    In reference order; the admits share one ``admit_time``, their admit
+    tick converted once.
+    """
+    batcher = state.batcher
+    admit_time = state.time_base.seconds(batcher.admit_ticks[admitted[0]])
+    for index in admitted:
         state.bus.emit(
             RequestAdmitted(
-                request_id=inflight.request.request_id,
+                request_id=batcher.requests[index].request_id,
                 shard=shard,
-                admit_time=inflight.admit_time,
-                residency=inflight.residency_at_admit,
+                admit_time=admit_time,
+                residency=batcher.batch_sizes[index],
                 run_id=state.run_id,
             )
         )
-    state.bus.emit(QueueDepth(depth=queue_depth, time=admitted[0].admit_time, run_id=state.run_id))
+    state.bus.emit(QueueDepth(depth=queue_depth, time=admit_time, run_id=state.run_id))
+
+
+def _emit_admissions(state: _RunState, shard: int, admitted, queue_depth: int) -> None:
+    """The reference loop's :func:`_emit_admitted`, over its in-flight records."""
+    _emit_admitted(state, shard, [inflight.index for inflight in admitted], queue_depth)
 
 
 def _mark_blocks(inflight: InFlightRequest, now: int) -> None:
@@ -1311,68 +1464,77 @@ def _mark_blocks(inflight: InFlightRequest, now: int) -> None:
 
 
 def _mark_blocks_burst(
-    inflight: InFlightRequest, start_rows: int, streamed: int, burst, start: int, quantum: int
+    boundaries: "tuple[int, ...]",
+    blocks: "list[int]",
+    start_rows: int,
+    streamed: int,
+    burst,
+    start: int,
+    quantum: int,
 ) -> None:
     """Burst-path block stamping: boundaries map to burst iteration ends.
 
-    The decode had streamed ``start_rows`` rows when the burst started and
-    ``streamed`` when it ended (past its ``rows_total`` if it retires: the
+    The decode (its token ``boundaries`` and the ``blocks`` ticks stamped so
+    far) had streamed ``start_rows`` rows when the burst started and
+    ``streamed`` when it ended (past its total rows if it retires: the
     lockstep counter runs on).  A boundary crossed in the burst's iteration
     ``j`` (1-based) completes at ``start + burst.ticks_through(j)`` — the
     tick the reference loop's clock shows after that iteration.
     """
-    boundaries = inflight.token_boundaries
-    blocks = inflight.block_ticks
     while len(blocks) < len(boundaries) and streamed >= boundaries[len(blocks)]:
         iteration = -(-(boundaries[len(blocks)] - start_rows) // quantum)
         blocks.append(start + burst.ticks_through(iteration))
 
 
-def _complete(state: _RunState, shard: int, retired) -> "list[CompletedRequest]":
-    """Completions of one activation's retirees (one stacked output pass).
+def _complete(state: _RunState, shard: int, retired) -> "list[tuple[float, ...] | None]":
+    """The reference loop's retirees: their device ticks into the column, then :func:`_settle`.
 
-    The finish instant is converted to seconds once and shared by every
-    retiree, as their admit instant was at admission; each decode's
-    per-token accounting folds into the run state.
+    Returns :func:`_settle`'s block instants, one entry per retiree, for
+    :func:`_emit_retired`.  This and the other two adapters over
+    in-flight records keep the reference loop, the oracle the event loop
+    is pinned against, as it was.
     """
-    if not retired:
-        return []
-    time_base = state.time_base
-    finish_time = time_base.seconds(retired[0].finish_tick)
+    device_ticks = state.batcher.device_ticks
+    for inflight in retired:
+        device_ticks[inflight.index] = inflight.device_ticks
+    return _settle(state, shard, [inflight.index for inflight in retired])
+
+
+def _settle(state: _RunState, shard: int, retired) -> "list[tuple[float, ...] | None]":
+    """Outputs and decode accounting of one activation's retirees (indices).
+
+    A functional pool computes their outputs in one stacked pass into the
+    outputs column; each decode's per-token accounting folds into the run
+    state and its record is dropped.  Returns each retiree's block
+    instants (``None`` for a request that is not a decode), computed once
+    for the stats and the retirement events.
+    """
+    batcher = state.batcher
+    requests = batcher.requests
     backend = state.shards[shard]
-    if backend.functional:
-        outputs = backend.compute_outputs([inflight.request for inflight in retired])
-    else:
-        outputs = (None,) * len(retired)
-    done = []
-    for inflight, output in zip(retired, outputs):
-        request = inflight.request
-        done.append(
-            CompletedRequest(
-                request,
-                output,
-                inflight.shard,
-                inflight.admission_id,
-                inflight.residency_at_admit,
-                time_base.seconds(inflight.device_ticks),
-                request.arrival_time,
-                inflight.admit_time,
-                finish_time,
-            )
-        )
-        if inflight.token_boundaries is not None:
-            state.num_decode += 1
-            state.decode_tokens += request.new_tokens
-            ttft, gaps = decode_token_intervals(
-                _block_times(state, inflight), request.block_schedule, request.arrival_time
-            )
-            state.ttfts.append(ttft)
-            state.token_gaps.extend(gaps)
-    state.completed.extend(done)
-    return done
+    if retired and backend.functional:
+        outputs = backend.compute_outputs([requests[index] for index in retired])
+        for index, output in zip(retired, outputs):
+            state.outputs[index] = output
+    decodes = batcher.decodes
+    block_times = []
+    for index in retired:
+        decode = decodes.pop(index, None)
+        if decode is None:
+            block_times.append(None)
+            continue
+        request = requests[index]
+        times = _block_times(state.time_base, decode[1])
+        state.num_decode += 1
+        state.decode_tokens += request.new_tokens
+        ttft, gaps = decode_token_intervals(times, request.block_schedule, request.arrival_time)
+        state.ttfts.append(ttft)
+        state.token_gaps.extend(gaps)
+        block_times.append(times)
+    return block_times
 
 
-def _block_times(state: _RunState, inflight: InFlightRequest) -> "tuple[float, ...]":
+def _block_times(time_base: TimeBase, block_ticks: "list[int]") -> "tuple[float, ...]":
     """A decode's block completion instants, in seconds.
 
     Blocks finishing in the same iteration share its end tick (stamps never
@@ -1381,24 +1543,30 @@ def _block_times(state: _RunState, inflight: InFlightRequest) -> "tuple[float, .
     """
     times = []
     last_tick = None
-    for tick in inflight.block_ticks:
+    for tick in block_ticks:
         if tick != last_tick:
             last_tick = tick
-            instant = state.time_base.seconds(tick)
+            instant = time_base.seconds(tick)
         times.append(instant)
     return tuple(times)
 
 
-def _emit_retired(state: _RunState, inflight: InFlightRequest, done: CompletedRequest) -> None:
-    """Emit one retirement's events: decode accounting first, then retired."""
-    request = inflight.request
-    if inflight.token_boundaries is not None:
+def _emit_retirement(state: _RunState, index: int, block_times) -> None:
+    """Emit one retirement's events: decode accounting first, then retired.
+
+    ``block_times`` is the decode's block instants (``None`` for any other
+    request); the rest is read off the columns at ``index``.
+    """
+    batcher = state.batcher
+    request = batcher.requests[index]
+    seconds = state.time_base.seconds
+    if block_times is not None:
         state.bus.emit(
             RequestDecoded(
                 request_id=request.request_id,
                 new_tokens=request.new_tokens,
                 block_sizes=request.block_schedule,
-                block_times=_block_times(state, inflight),
+                block_times=block_times,
                 arrival_time=request.arrival_time,
                 run_id=state.run_id,
             )
@@ -1406,16 +1574,21 @@ def _emit_retired(state: _RunState, inflight: InFlightRequest, done: CompletedRe
     state.bus.emit(
         RequestRetired(
             request_id=request.request_id,
-            shard=done.shard,
-            batch_id=done.batch_id,
-            batch_size=done.batch_size,
-            device_seconds=done.device_seconds,
-            arrival_time=done.arrival_time,
-            admit_time=done.admit_time,
-            finish_time=done.finish_time,
+            shard=batcher.shard_of[index],
+            batch_id=batcher.batch_ids[index],
+            batch_size=batcher.batch_sizes[index],
+            device_seconds=seconds(batcher.device_ticks[index]),
+            arrival_time=request.arrival_time,
+            admit_time=seconds(batcher.admit_ticks[index]),
+            finish_time=seconds(batcher.finish_ticks[index]),
             run_id=state.run_id,
         )
     )
+
+
+def _emit_retired(state: _RunState, inflight: InFlightRequest, block_times) -> None:
+    """The reference loop's :func:`_emit_retirement`, over its in-flight record."""
+    _emit_retirement(state, inflight.index, block_times)
 
 
 def _next_active_shard(batcher: ContinuousBatcher, clocks: "list[ServingClock]") -> int:

@@ -1,4 +1,7 @@
-"""Canonical form of a serve's event stream, for scheduler-equivalence tests.
+"""Scheduler-equivalence helpers: completions, and event streams in canonical form.
+
+Two serves' completions are equivalent when they are equal field for field,
+in order, outputs compared by value (:func:`assert_same_completions`).
 
 The event scheduler emits one ``burst_advanced`` per priced burst; the
 reference loop emits one per iteration.  Two streams are equivalent when
@@ -13,6 +16,11 @@ Coalescing the event scheduler's own stream is a no-op, which
 :func:`assert_streams_equivalent` checks too.
 """
 
+from dataclasses import fields
+
+import numpy as np
+
+from repro.serving.request import CompletedRequest
 from repro.telemetry.events import to_record
 
 BURST = "burst_advanced"
@@ -84,3 +92,20 @@ def assert_streams_equivalent(event_events, reference_events) -> None:
             event_bursts.setdefault(record["shard"], []).append(record)
     assert coalesce_bursts(event_log) == event_bursts, "event scheduler bursts coalesce"
     assert coalesce_bursts(reference_log) == event_bursts
+
+
+def assert_same_completions(event_completed, reference_completed) -> None:
+    """Every :class:`CompletedRequest` field agrees, in order; outputs by value."""
+    assert len(event_completed) == len(reference_completed)
+    for position, (event_done, reference_done) in enumerate(
+        zip(event_completed, reference_completed)
+    ):
+        for spec in fields(CompletedRequest):
+            event_value = getattr(event_done, spec.name)
+            reference_value = getattr(reference_done, spec.name)
+            if spec.name == "output" and event_value is not None:
+                assert np.array_equal(event_value, reference_value), f"completion {position}"
+            else:
+                assert event_value is reference_value or event_value == reference_value, (
+                    f"completion {position}: {spec.name} {event_value!r} != {reference_value!r}"
+                )

@@ -397,9 +397,9 @@ class TestResidents:
         residents = Residents()
         first = backend.program(AttentionRequest(seq_len=40))
         second = backend.program(AttentionRequest(seq_len=16))
-        residents.add(first, 40)
+        residents.add(0, first, 40)
         residents.row += 8
-        residents.add(second, 16)
+        residents.add(1, second, 16)
         assert residents.slices() == [(first, 8, 32), (second, 0, 16)]
         assert residents.fewest_left() == 16
         residents.row += 16
@@ -424,12 +424,12 @@ class TestResidents:
         backend = create_backend("analytical", config=_config())
         spec = ModelSpec.uniform(2, 24, window_tokens=8, num_heads=2, head_dim=16)
         residents = Residents()
-        residents.add(backend.program(AttentionRequest(seq_len=8)), 8)
-        residents.add(backend.program(make_forward_request(spec, functional=False)), 96)
+        residents.add(0, backend.program(AttentionRequest(seq_len=8)), 8)
+        residents.add(1, backend.program(make_forward_request(spec, functional=False)), 96)
         assert residents.segmented == 1
         residents.row = 8
         assert residents.retire() == [0]
         assert residents.segmented == 1
         residents.row = 96
-        assert residents.retire() == [0]
+        assert residents.retire() == [1]
         assert residents.segmented == 0

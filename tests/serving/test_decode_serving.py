@@ -25,7 +25,6 @@ from repro.serving.backends import create_backend
 from repro.serving.cache import KVResidency, PlanCache
 from repro.serving.continuous import ContinuousBatcher, poisson_arrivals, serve_continuous
 from repro.serving.request import (
-    CompletedRequest,
     DecodeRequest,
     decode_block_schedule,
     make_decode_request,
@@ -34,7 +33,7 @@ from repro.serving.request import (
 )
 from repro.serving.stats import ServingStats, decode_token_intervals
 from repro.telemetry.bus import EventBus
-from tests.event_streams import BURST, assert_streams_equivalent
+from tests.event_streams import BURST, assert_same_completions, assert_streams_equivalent
 
 CONTINUOUS_BACKENDS = ["simulator", "analytical", "gpu-dense", "gpu-chunked", "dense-fpga"]
 
@@ -381,14 +380,14 @@ class TestBurstCarryOver:
         requests = _kind_trace(REQUEST_KINDS * 2, seed=0, rate=3e5)
         _assert_schedulers_agree(requests, num_shards=2, quantum=7)
         activations = [0]
-        admit = ContinuousBatcher.admit
+        seat = ContinuousBatcher.seat
 
-        def counted_admit(self, *args, **kwargs):
-            # The event loop calls admit once per shard activation.
+        def counted_seat(self, *args, **kwargs):
+            # The event loop calls seat once per shard activation.
             activations[0] += 1
-            return admit(self, *args, **kwargs)
+            return seat(self, *args, **kwargs)
 
-        monkeypatch.setattr(ContinuousBatcher, "admit", counted_admit)
+        monkeypatch.setattr(ContinuousBatcher, "seat", counted_seat)
         result, events, calls = _serve_spied(requests, "event", num_shards=2, quantum=7)
         assert calls < activations[0]
         # A resumed segment is no event of its own: one burst_advanced per
@@ -396,6 +395,26 @@ class TestBurstCarryOver:
         bursts = [event for event in events if event.kind == BURST]
         assert len(bursts) == calls
         assert sum(burst.iterations for burst in bursts) == result.stats.num_iterations
+
+    def test_closed_two_shard_batch_activates_at_most_twice_per_pricing_call(self, monkeypatch):
+        # With nothing left to arrive, only the other shard's activation can
+        # stop a burst, and only ahead of its retiring iteration: each priced
+        # burst is consumed in at most two activations.  A burst stopped at
+        # every activation of the other shard needs 33 activations for these
+        # 8 pricing calls.
+        spec = ModelSpec.uniform(2, 64, window_tokens=8, num_heads=2, head_dim=16)
+        requests = [make_decode_request(spec, new_tokens=6 + 3 * index) for index in range(8)]
+        _assert_schedulers_agree(requests, num_shards=2, quantum=4)
+        activations = [0]
+        seat = ContinuousBatcher.seat
+
+        def counted_seat(self, *args, **kwargs):
+            activations[0] += 1
+            return seat(self, *args, **kwargs)
+
+        monkeypatch.setattr(ContinuousBatcher, "seat", counted_seat)
+        _, _, calls = _serve_spied(requests, "event", num_shards=2, quantum=4)
+        assert activations[0] <= 2 * calls
 
 
 class TestFastPath:
@@ -440,17 +459,8 @@ class TestFastPath:
                 assert getattr(event.stats, spec.name) == getattr(
                     reference.stats, spec.name
                 ), spec.name
-        assert len(event.completed) == len(reference.completed) == len(requests)
-        for event_done, reference_done in zip(event.completed, reference.completed):
-            for spec in fields(CompletedRequest):
-                event_value = getattr(event_done, spec.name)
-                reference_value = getattr(reference_done, spec.name)
-                if spec.name == "output" and event_value is not None:
-                    assert np.array_equal(event_value, reference_value)
-                else:
-                    assert event_value is reference_value or event_value == reference_value, (
-                        spec.name
-                    )
+        assert len(event.completed) == len(requests)
+        assert_same_completions(event.completed, reference.completed)
         if backend == "simulator" and "attention" in kinds:
             assert any(done.output is not None for done in event.completed)
 
