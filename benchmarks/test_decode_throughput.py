@@ -74,9 +74,7 @@ def _reprefill_trace(count):
     spec = _spec()
     requests = []
     for index in range(count):
-        requests.extend(
-            make_forward_request(spec, functional=False) for _ in range(NEW_TOKENS)
-        )
+        requests.extend(make_forward_request(spec, functional=False) for _ in range(NEW_TOKENS))
         if index % 2 == 0:
             requests.append(make_forward_request(spec, functional=False))
     return requests

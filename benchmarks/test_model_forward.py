@@ -164,9 +164,7 @@ def test_stacked_forward_executor_vs_layerwise_reference(benchmark):
     the autograd-free mirrors buy on the host.
     """
     config = SWATConfig.longformer(window_tokens=64, head_dim=32)
-    spec = ModelSpec.uniform(
-        min(NUM_LAYERS, 6), 256, window_tokens=64, num_heads=4, head_dim=32
-    )
+    spec = ModelSpec.uniform(min(NUM_LAYERS, 6), 256, window_tokens=64, num_heads=4, head_dim=32)
     executor = ModelExecutor(spec, base_config=config, plan_cache=PlanCache())
     x = forward_inputs(spec, seed=0)
 

@@ -91,9 +91,7 @@ def test_end_to_end_run_wall_time(benchmark):
 
     plan = compile_plan(config, seq_len)
     scale = 1.0 / np.sqrt(config.head_dim)
-    blocked_seconds = _best_of(
-        lambda: execute_plan_attention(plan, q, k, v, scale=scale), rounds=2
-    )
+    blocked_seconds = _best_of(lambda: execute_plan_attention(plan, q, k, v, scale=scale), rounds=2)
     per_row_seconds = _best_of(
         lambda: execute_plan_attention_rows(plan, q, k, v, scale=scale), rounds=2
     )

@@ -118,9 +118,7 @@ def test_continuous_batching_beats_drain_on_mixed_length_trace(benchmark):
         seq_lens,
         config.head_dim,
         functional=False,
-        arrival_times=bursty_arrivals(
-            count, burst_size=16, burst_gap=0.0005, seed=0, jitter=1e-5
-        ),
+        arrival_times=bursty_arrivals(count, burst_size=16, burst_gap=0.0005, seed=0, jitter=1e-5),
     )
     bursty = compare_modes(
         bursty_requests,
@@ -242,9 +240,7 @@ def test_event_scheduler_replays_100k_diurnal_trace_in_seconds(benchmark):
         seq_lens,
         config.head_dim,
         functional=False,
-        arrival_times=diurnal_arrivals(
-            count, mean_rate, period, amplitude=0.95, seed=0
-        ),
+        arrival_times=diurnal_arrivals(count, mean_rate, period, amplitude=0.95, seed=0),
     )
 
     def serve_with(scheduler, subset, rounds):

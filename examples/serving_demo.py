@@ -42,15 +42,13 @@ def main(argv=None) -> None:
         "--events",
         metavar="PATH",
         default=None,
-        help="stream the continuous comparison's telemetry (both runs) to a "
-        "JSONL event log",
+        help="stream the continuous comparison's telemetry (both runs) to a JSONL event log",
     )
     parser.add_argument(
         "--trace",
         default="poisson",
         choices=("poisson", "diurnal", "bursty"),
-        help="seeded arrival process for the continuous comparison "
-        "(default: poisson)",
+        help="seeded arrival process for the continuous comparison (default: poisson)",
     )
     args = parser.parse_args(argv)
     bus = writer = None
@@ -128,9 +126,7 @@ def _run(bus=None, trace="poisson") -> None:
             len(trace_lens), rate, period=len(trace_lens) / rate / 4.0, seed=0
         )
     elif trace == "bursty":
-        arrivals = bursty_arrivals(
-            len(trace_lens), burst_size=4, burst_gap=4.0 / rate, seed=0
-        )
+        arrivals = bursty_arrivals(len(trace_lens), burst_size=4, burst_gap=4.0 / rate, seed=0)
     else:
         arrivals = poisson_arrivals(len(trace_lens), rate, seed=0)
     requests_trace = make_requests(

@@ -740,9 +740,7 @@ class PlanBatch:
             else:
                 raise ValueError(f"items must be 2-D or 3-D, got {q.ndim}-D")
             if q.shape[-2] != plan.seq_len:
-                raise ValueError(
-                    f"item has {q.shape[-2]} rows but the plan covers {plan.seq_len}"
-                )
+                raise ValueError(f"item has {q.shape[-2]} rows but the plan covers {plan.seq_len}")
             head_counts.append(1 if q.ndim == 2 else q.shape[0])
         # One preallocated contiguous stack per operand, filled slice by
         # slice: no per-item temporaries, and stride-0 items (broadcast head

@@ -261,9 +261,7 @@ class ModelExecutor:
                 scale=mixer.scale,
             )
             context = context.transpose(0, 2, 1, 3).reshape(batch, seq_len, dim)
-            attention = _project(
-                context, mixer.out_proj.weight.data, mixer.out_proj.bias.data
-            )
+            attention = _project(context, mixer.out_proj.weight.data, mixer.out_proj.bias.data)
             state = state + attention
             normed = _layer_norm(
                 state,

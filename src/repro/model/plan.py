@@ -130,9 +130,7 @@ class _RowSpanPricing:
         """
         cum_rows, layer_ii, layer_fill, switch_fill = self._segments
         if not 0 <= row_lo < row_hi <= cum_rows[-1]:
-            raise ValueError(
-                f"span [{row_lo}, {row_hi}) out of range [0, {self.total_rows}]"
-            )
+            raise ValueError(f"span [{row_lo}, {row_hi}) out of range [0, {self.total_rows}]")
         first = bisect_right(cum_rows, row_lo) - 1
         last = bisect_left(cum_rows, row_hi) - 1
         cycles = 0
@@ -195,9 +193,7 @@ class _RowSpanPricing:
         if bounds.ndim != 1 or len(bounds) < 2:
             raise ValueError("boundaries must delimit at least one span")
         if bounds[-1] > self.total_rows or np.any(np.diff(bounds) <= 0):
-            raise ValueError(
-                f"boundaries must increase strictly within [0, {self.total_rows}]"
-            )
+            raise ValueError(f"boundaries must increase strictly within [0, {self.total_rows}]")
         out = np.empty(len(bounds) - 1, dtype=np.int64)
         out[0] = self.span_cycles(int(bounds[0]), int(bounds[1]), primed)
         if len(bounds) == 2:
@@ -205,15 +201,11 @@ class _RowSpanPricing:
         cum_rows = self.cum_rows
         num_segments = len(cum_rows) - 1
         tail = bounds[1:]
-        segment = np.minimum(
-            np.searchsorted(cum_rows, tail, side="right") - 1, num_segments - 1
-        )
+        segment = np.minimum(np.searchsorted(cum_rows, tail, side="right") - 1, num_segments - 1)
         row_cost = self._row_cycles_prefix[segment] + (
             tail - cum_rows[segment]
         ) * self.layer_ii[segment]
-        fills = self._interior_fill_prefix[
-            np.searchsorted(cum_rows[1:-1], tail, side="left")
-        ]
+        fills = self._interior_fill_prefix[np.searchsorted(cum_rows[1:-1], tail, side="left")]
         cumulative = row_cost + fills
         out[1:] = cumulative[1:] - cumulative[:-1]
         return out

@@ -60,8 +60,7 @@ def whole_size(name: str, value) -> int:
         except TypeError:
             pass
     raise TypeError(
-        f"{name} must be an integer, got {value!r} ({type(value).__name__}): "
-        f"{_WHOLE_SIZES[name]}"
+        f"{name} must be an integer, got {value!r} ({type(value).__name__}): {_WHOLE_SIZES[name]}"
     )
 
 

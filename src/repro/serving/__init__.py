@@ -21,8 +21,8 @@ from repro.serving.cache import CachedPlan, KVResidency, PlanCache, config_finge
 from repro.serving.continuous import (
     QUEUE_POLICIES,
     SCHEDULERS,
+    BurstRecord,
     ContinuousBatcher,
-    IterationRecord,
     ScenarioComparison,
     ServingClock,
     ServingResult,
@@ -60,7 +60,7 @@ __all__ = [
     "ContinuousBatcher",
     "QUEUE_POLICIES",
     "SCHEDULERS",
-    "IterationRecord",
+    "BurstRecord",
     "ScenarioComparison",
     "ServingClock",
     "bursty_arrivals",

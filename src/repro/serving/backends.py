@@ -136,14 +136,10 @@ class StepCost:
         :attr:`~AttentionBackend.power_w`: the busy ``ticks`` on SWAT and
         the dense-FPGA baseline, every slice's ticks summed on the GPU
         models (energy tracks the work of all slices).
-    gate_rows:
-        Row-work units of the gating slice — the quantity the pipeline
-        actually streamed for the duration of the iteration.
     """
 
     ticks: int
     energy_ticks: int
-    gate_rows: int = 0
 
 
 class StepBurst:
@@ -161,8 +157,9 @@ class StepBurst:
     :meth:`ticks_through` (the ticks of its first ``j`` iterations, with
     :meth:`energy_through` the energy-rule counterpart) and
     :meth:`first_start_at` (the first iteration whose start reaches a given
-    offset).  This class answers them off int64 per-iteration arrays and
-    their prefix sums; :class:`StreamBurst` answers them in closed form.
+    offset).  This class answers them off the int64 prefix sums of the
+    per-iteration ticks and energy ticks it is built from;
+    :class:`StreamBurst` answers them in closed form.
 
     A burst may be consumed across several activations of its shard: when
     an arrival or another shard's activation cuts it short, the scheduler
@@ -170,40 +167,23 @@ class StepBurst:
     next activation unless that activation admits.  Every entry after the
     first is priced primed at the row offsets a fresh call would use, so the
     tail holds the same ticks a fresh :meth:`~AttentionBackend.step_burst`
-    call would return.  A tail shares its parent's arrays and prefix sums
-    and reads them from an offset, so cutting a burst costs O(1).
+    call would return.  A tail shares its parent's prefix sums and reads
+    them from an offset, so cutting a burst costs O(1).
 
     Attributes
     ----------
-    ticks:
-        Per-iteration device ticks (int64 array).
-    energy_ticks:
-        Per-iteration ticks the energy rule charges (int64 array; the
-        ``ticks`` array itself when the rule charges busy time).
-    gate_rows:
-        Per-iteration rows of the gating slice (int64 array).
     iterations:
         Burst length: iterations until the resident with the fewest
         remaining rows retires.
     """
 
-    __slots__ = (
-        "iterations",
-        "_base",
-        "_ticks",
-        "_energy_ticks",
-        "_gate_rows",
-        "_starts",
-        "_energy_starts",
-    )
+    __slots__ = ("iterations", "_base", "_starts", "_energy_starts")
 
-    def __init__(self, ticks, gate_rows, energy_ticks=None):
+    def __init__(self, ticks, energy_ticks=None):
+        """``ticks`` (and ``energy_ticks``, by default ``ticks``) per iteration."""
         self.iterations = len(ticks)
-        # The index of this burst's first iteration in the arrays below.
+        # The index of this burst's first iteration in the prefix sums.
         self._base = 0
-        self._ticks = ticks
-        self._gate_rows = gate_rows
-        self._energy_ticks = ticks if energy_ticks is None else energy_ticks
         # starts[j]: ticks of the first j iterations (iteration j's start).
         self._starts = np.zeros(self.iterations + 1, dtype=np.int64)
         np.cumsum(ticks, out=self._starts[1:])
@@ -212,18 +192,6 @@ class StepBurst:
         else:
             self._energy_starts = np.zeros(self.iterations + 1, dtype=np.int64)
             np.cumsum(energy_ticks, out=self._energy_starts[1:])
-
-    @property
-    def ticks(self) -> np.ndarray:
-        return self._ticks[self._base :]
-
-    @property
-    def energy_ticks(self) -> np.ndarray:
-        return self._energy_ticks[self._base :]
-
-    @property
-    def gate_rows(self) -> np.ndarray:
-        return self._gate_rows[self._base :]
 
     def ticks_through(self, count: int) -> int:
         """Ticks of the burst's first ``count`` iterations."""
@@ -264,58 +232,20 @@ class StreamBurst(StepBurst):
     """A closed-form SWAT burst: one row per initiation interval.
 
     With the resident set fixed and every program a one-segment stream, a
-    burst is ``first`` (the fill-or-primed first iteration, ``first_rows``
-    gating rows), then ``iterations - 2`` primed full iterations of ``body``
-    ticks (``body_rows`` rows), then the primed remainder of ``last`` ticks
-    (``last_rows`` rows); a one-iteration burst is ``first`` alone.  Both
-    scheduler questions are O(1) arithmetic, and the per-iteration arrays
-    are built only when iteration records or a telemetry bus ask for them.
-    The energy rule charges the busy ticks.
+    burst is ``first`` (the fill-or-primed first iteration), then
+    ``iterations - 2`` primed full iterations of ``body`` ticks, then the
+    primed remainder of ``last`` ticks; a one-iteration burst is ``first``
+    alone.  Both scheduler questions are O(1) arithmetic, and no
+    per-iteration array exists.  The energy rule charges the busy ticks.
     """
 
-    __slots__ = ("_first", "_body", "_last", "_first_rows", "_body_rows", "_last_rows")
+    __slots__ = ("_first", "_body", "_last")
 
-    def __init__(
-        self,
-        iterations: int,
-        first: int,
-        body: int,
-        last: int,
-        first_rows: int,
-        body_rows: int,
-        last_rows: int,
-    ):
+    def __init__(self, iterations: int, first: int, body: int, last: int):
         self.iterations = iterations
         self._first = first
         self._body = body
         self._last = last
-        self._first_rows = first_rows
-        self._body_rows = body_rows
-        self._last_rows = last_rows
-        self._ticks = None
-        self._gate_rows = None
-
-    def _expand(self, first, body, last) -> np.ndarray:
-        values = np.full(self.iterations, body, dtype=np.int64)
-        values[-1] = last
-        values[0] = first
-        return values
-
-    @property
-    def ticks(self) -> np.ndarray:
-        if self._ticks is None:
-            self._ticks = self._expand(self._first, self._body, self._last)
-        return self._ticks
-
-    @property
-    def gate_rows(self) -> np.ndarray:
-        if self._gate_rows is None:
-            self._gate_rows = self._expand(self._first_rows, self._body_rows, self._last_rows)
-        return self._gate_rows
-
-    @property
-    def energy_ticks(self) -> np.ndarray:
-        return self.ticks
 
     def ticks_through(self, count: int) -> int:
         if count <= 0:
@@ -339,13 +269,7 @@ class StreamBurst(StepBurst):
     def tail(self, offset: int) -> "StreamBurst":
         self._check_tail(offset)
         left = self.iterations - offset
-        if left == 1:
-            first, first_rows = self._last, self._last_rows
-        else:
-            first, first_rows = self._body, self._body_rows
-        return StreamBurst(
-            left, first, self._body, self._last, first_rows, self._body_rows, self._last_rows
-        )
+        return StreamBurst(left, self._last if left == 1 else self._body, self._body, self._last)
 
 
 class Residents:
@@ -559,7 +483,7 @@ class AttentionBackend(ABC):
         slice knows which layers (and geometry switches) it covers.  Resident
         slices stream in parallel across the stacked batch axis (the ``G``
         axis of :class:`~repro.core.plan.PlanBatch`), so the iteration is
-        gated by its largest slice (the first, on a tie).  ``primed`` is
+        gated by its largest slice.  ``primed`` is
         ``True`` when the pipeline was busy in the immediately preceding
         iteration: a primed pipeline pays no refill, which is how a batch's
         fill cost is amortised across admissions instead of being re-charged
@@ -568,7 +492,6 @@ class AttentionBackend(ABC):
         if not slices:
             raise ValueError("an iteration needs at least one resident slice")
         ticks = -1
-        gate_rows = 0
         work = 0
         for program, rows_done, rows in slices:
             if rows <= 0:
@@ -577,12 +500,7 @@ class AttentionBackend(ABC):
             work += slice_ticks
             if slice_ticks > ticks:
                 ticks = slice_ticks
-                gate_rows = rows
-        return StepCost(
-            ticks=ticks,
-            energy_ticks=work if self.charges_slice_work else ticks,
-            gate_rows=gate_rows,
-        )
+        return StepCost(ticks=ticks, energy_ticks=work if self.charges_slice_work else ticks)
 
     def step_burst(self, residents: Residents, primed: bool, iteration_rows: int) -> StepBurst:
         """Price every iteration until the first resident retires, in one call.
@@ -599,23 +517,20 @@ class AttentionBackend(ABC):
         Each resident's int64 tick row is a slice of its program's memoised
         ``primed_grid`` for ``(iteration_rows, rows_done % iteration_rows)``;
         only a cold first span, or a final span stopping short of its grid
-        span's end, is priced by the scalar ``span_cycles``.  ``np.argmax``
-        down the slice axis reproduces :meth:`step`'s first-strict-max
-        gating, so iteration ``j`` equals the ``step`` the reference
-        scheduler prices for it.
+        span's end, is priced by the scalar ``span_cycles``.  The maximum
+        down the slice axis is :meth:`step`'s gating slice, so iteration
+        ``j`` equals the ``step`` the reference scheduler prices for it.
         """
         iterations = -(-residents.fewest_left() // iteration_rows)
         streamed = (iterations - 1) * iteration_rows
         slices = residents.slices()
         cycle_rows = np.empty((len(slices), iterations), dtype=np.int64)
-        last_rows = np.empty(len(slices), dtype=np.int64)
-        for index, (program, rows_done, rows_left) in enumerate(slices):
-            row = cycle_rows[index]
+        for row, (program, rows_done, rows_left) in zip(cycle_rows, slices):
             first = rows_done // iteration_rows
             grid = program.primed_grid(iteration_rows, rows_done % iteration_rows)
             row[:] = grid[first : first + iterations]
             last_lo = rows_done + streamed
-            last = last_rows[index] = min(iteration_rows, rows_left - streamed)
+            last = min(iteration_rows, rows_left - streamed)
             if last_lo + last < min(last_lo + iteration_rows, program.total_rows):
                 # The slice stops before its grid span's end.
                 row[-1] = program.span_cycles(last_lo, last_lo + last, True)
@@ -626,12 +541,8 @@ class AttentionBackend(ABC):
                 row[0] = program.span_cycles(
                     rows_done, rows_done + min(iteration_rows, rows_left), False
                 )
-        gate = np.argmax(cycle_rows, axis=0)
-        ticks = cycle_rows[gate, np.arange(iterations)]
-        gate_rows = np.full(iterations, iteration_rows, dtype=np.int64)
-        gate_rows[-1] = last_rows[gate[-1]]
         return StepBurst(
-            ticks, gate_rows, cycle_rows.sum(axis=0) if self.charges_slice_work else None
+            cycle_rows.max(axis=0), cycle_rows.sum(axis=0) if self.charges_slice_work else None
         )
 
     @property
@@ -849,9 +760,6 @@ class _SWATBackendBase(AttentionBackend):
             first_rows * ii if primed else self.simulator.pipeline.cycles_for_rows(first_rows),
             iteration_rows * ii,
             last_rows * ii,
-            first_rows,
-            iteration_rows,
-            last_rows,
         )
 
 

@@ -58,13 +58,15 @@ Two scheduler implementations produce bit-identical results
     resumed, not repriced, at the shard's next activation unless that
     activation admits.  Pricing cost scales with *resident-set changes*,
     not iterations or activations: a 100k-request diurnal trace replays in
-    under a second.
+    under a second.  So does reporting: each priced burst is one
+    :class:`BurstRecord` in :attr:`ServingResult.bursts` and, on a listening
+    bus, one ``burst_advanced`` event, however many iterations it runs.
 
 ``"reference"``
     The retained quantum-stepped loop: one Python iteration per priced
-    device iteration, over one :class:`InFlightRequest` per resident.  The
-    executable specification the property tests pin the event scheduler
-    against.
+    device iteration, over one :class:`InFlightRequest` per resident.  Its
+    records and events are one-iteration bursts.  The executable
+    specification the property tests pin the event scheduler against.
 
 Clock
 -----
@@ -98,7 +100,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, repeat
 from math import ceil
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from statistics import mean
 
 import numpy as np
@@ -137,7 +139,7 @@ from repro.telemetry.events import (
 __all__ = [
     "ServingClock",
     "InFlightRequest",
-    "IterationRecord",
+    "BurstRecord",
     "ServingResult",
     "ContinuousBatcher",
     "QUEUE_POLICIES",
@@ -183,8 +185,7 @@ def check_count(name: str, value) -> None:
     """
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(
-            f"{name} must be an int, got {value!r} ({type(value).__name__}): "
-            f"{_WHOLE_COUNTS[name]}"
+            f"{name} must be an int, got {value!r} ({type(value).__name__}): {_WHOLE_COUNTS[name]}"
         )
     if value <= 0:
         raise ValueError(f"{name} must be positive, got {value}")
@@ -265,43 +266,47 @@ class InFlightRequest:
 
 
 @dataclass(frozen=True)
-class IterationRecord:
-    """Accounting for one priced iteration of one shard, in integer ticks."""
+class BurstRecord:
+    """Accounting for one priced burst of one shard, in integer ticks.
 
-    index: int
+    A burst is the run of iterations the backend priced in one go: from an
+    admission, or the retirement before it, to the next retirement or the
+    admission that re-prices the shard.  Its residents are fixed throughout.
+    """
+
     shard: int
     start_tick: int
+    iterations: int
     ticks: int
-    #: The ticks the backend's energy rule charged for the iteration.
+    #: The ticks the backend's energy rule charged for the burst.
     energy_ticks: int
-    #: Rows of the gating (largest) slice — what the pipeline streamed for
-    #: the duration of the iteration.
-    gate_rows: int
-    #: Whether the pipeline was primed (busy in the immediately preceding
-    #: iteration of this shard) — a primed iteration pays no fill.
+    #: Whether the pipeline was primed at the burst's first iteration (busy
+    #: in the immediately preceding iteration of this shard); the later
+    #: iterations are primed by construction, and a primed one pays no fill.
     primed: bool
-    #: ``(request_id, slice_rows)`` per resident, in slot order.
+    #: Residents as a fraction of ``max_batch_size`` slots.
+    occupancy: float
+    #: ``(request_id, rows streamed in the burst)`` per resident, in slot order.
     resident: "tuple[tuple[int, int], ...]"
     admitted: "tuple[int, ...]"
     retired: "tuple[int, ...]"
-    #: Residents as a fraction of ``max_batch_size`` slots.
-    occupancy: float
 
 
 @dataclass(frozen=True)
 class ServingResult:
     """Everything one serving run produced.
 
-    ``iterations`` holds one :class:`IterationRecord` per priced pipeline
-    iteration, or nothing when the run passed ``record_iterations=False``.
-    ``time_base`` is the pool's tick and energy-rule power: it converts the
-    records' ticks to the seconds and joules of ``stats``.
+    ``bursts`` holds one :class:`BurstRecord` per priced burst, in
+    ``(start_tick, shard)`` order, or nothing when the run passed
+    ``record_iterations=False``.  ``time_base`` is the pool's tick and
+    energy-rule power: it converts the records' ticks to the seconds and
+    joules of ``stats``.
     """
 
     completed: "list[CompletedRequest]"
     stats: ServingStats
     time_base: TimeBase
-    iterations: "tuple[IterationRecord, ...]" = ()
+    bursts: "tuple[BurstRecord, ...]" = ()
 
     def output_for(self, request: AttentionRequest):
         """Return the output served for ``request``.
@@ -391,8 +396,8 @@ class ContinuousBatcher:
         self.time_base = time_base if time_base is not None else TimeBase(1.0)
         #: Submitted requests; a request's index is its position here.
         self.requests: "list[AttentionRequest]" = []
-        #: Arrival instants by index (float64).
-        self.arrivals = np.empty(0)
+        #: Arrival instants by index (float64); ``None`` until :meth:`submit`.
+        self.arrivals: "np.ndarray | None" = None
         self.admit_ticks = array("q")
         self.shard_of = array("q")
         self.batch_ids = array("q")
@@ -429,27 +434,26 @@ class ContinuousBatcher:
         self._now = 0
 
     def submit(self, requests: "list[AttentionRequest]") -> None:
-        """Queue ``requests`` after those already submitted.
+        """Queue the trace ``requests``: a batcher serves one trace.
 
-        Their indices continue :attr:`requests`; admission order is
-        ``(arrival_time, request_id)`` over every waiting request.  The queue
-        keeps first ticks as int64: an arrival whose first tick does not fit
-        raises ``OverflowError`` with nothing queued.
+        A request's index is its position in ``requests``, and admission
+        order is ``(arrival_time, request_id)``.  A second call raises
+        ``ValueError``.  The queue keeps first ticks as int64: an arrival
+        whose first tick does not fit raises ``OverflowError`` with nothing
+        queued.
         """
-        count = len(self._order)
-        waiting = [self._order[entry % count] for entry in self._ranked]
-        waiting += self._order[self._next :]
-        first = len(self.requests)
-        everyone = self.requests + list(requests)
+        if self.arrivals is not None:
+            raise ValueError(
+                "this batcher already holds a trace: submit every request of a serve in one call"
+            )
+        requests = list(requests)
         order = sorted(
-            waiting + list(range(first, len(everyone))),
-            key=lambda index: (everyone[index].arrival_time, everyone[index].request_id),
+            range(len(requests)),
+            key=lambda index: (requests[index].arrival_time, requests[index].request_id),
         )
-        arrivals = np.concatenate(
-            [self.arrivals, np.fromiter(map(attrgetter("arrival_time"), everyone[first:]), float)]
-        )
+        arrivals = np.fromiter(map(attrgetter("arrival_time"), requests), float)
         ticks = array("q", self.time_base.first_ticks(arrivals[order]))
-        self.requests, self.arrivals = everyone, arrivals
+        self.requests, self.arrivals = requests, arrivals
         for column in (
             self.admit_ticks,
             self.shard_of,
@@ -458,13 +462,11 @@ class ContinuousBatcher:
             self.device_ticks,
             self.finish_ticks,
         ):
-            column.frombytes(bytes(8 * (len(everyone) - first)))
+            column.frombytes(bytes(8 * len(requests)))
         self._order = array("q", order)
         self._ticks = ticks
-        self._next = self._oldest = 0
-        self._taken = bytearray(len(order)) if self.policy == "sjf" else bytearray()
-        self._ranked = []
-        self._programs = {}
+        if self.policy == "sjf":
+            self._taken = bytearray(len(order))
         self._waiting = len(order)
         self._head_tick = ticks[0] if ticks else None
 
@@ -698,7 +700,7 @@ class _RunState:
         self.bus = bus
         self.run_id = run_id
         self.record_iterations = record_iterations
-        self.records: "list[IterationRecord]" = []
+        self.records: "list[BurstRecord]" = []
         #: occupancy value -> iteration count (see :func:`occupancy_mean`).
         self.occupancy_counts: "Counter[float]" = Counter()
         self.num_iterations = 0
@@ -811,9 +813,9 @@ def serve_continuous(
     ahead between scheduling events and prices whole iteration bursts with
     one :meth:`~repro.serving.backends.AttentionBackend.step_burst` call;
     ``"reference"`` steps one Python loop per iteration.  Both produce
-    bit-identical results (stats, records, completions, and telemetry once
-    the reference's one-iteration bursts are coalesced) — the property tests
-    pin them against each other.
+    bit-identical results (stats, completions, and burst records and
+    telemetry once the reference's one-iteration bursts are coalesced) — the
+    property tests pin them against each other.
 
     ``admission="drain"`` runs the same clock with static batching (a shard
     refills only once empty), so drain and continuous numbers differ by
@@ -829,9 +831,9 @@ def serve_continuous(
     burst (the reference scheduler's bursts are one iteration long), all
     stamped with ``run_id`` (multi-run logs replay one run at a time); with
     no bus (or no sinks) every emission collapses to one branch.
-    ``record_iterations=False`` skips building the per-iteration
-    :class:`IterationRecord` tuple — stats are unchanged, and large traces
-    avoid materialising millions of records.
+    ``ServingResult.bursts`` holds one :class:`BurstRecord` per priced burst
+    (one per iteration under the reference scheduler);
+    ``record_iterations=False`` skips them, leaving the stats unchanged.
 
     The result lists every request's completion in submission order.
     Every request of a serve needs its own ``request_id`` and an arrival
@@ -965,7 +967,7 @@ def serve_continuous(
         completed=completed,
         stats=stats,
         time_base=time_base,
-        iterations=tuple(state.records),
+        bursts=tuple(sorted(state.records, key=attrgetter("start_tick", "shard"))),
     )
 
 
@@ -1014,8 +1016,8 @@ def _reference_loop(state: _RunState) -> None:
     scheduler below must reproduce its every accounting bit.  Each loop
     iteration picks the earliest-activating shard by linear scan, admits,
     prices one :meth:`~repro.serving.backends.AttentionBackend.step` (a
-    one-iteration burst on the bus), advances residents and retires the
-    finished.
+    one-iteration burst, reported through :func:`_report_burst`), advances
+    residents and retires the finished.
     """
     batcher = state.batcher
     bus = state.bus
@@ -1041,43 +1043,32 @@ def _reference_loop(state: _RunState) -> None:
         start = clock.now
         clock.advance(cost.ticks)
         state.energy_ticks += cost.energy_ticks
-        was_primed = state.primed[shard]
-        if bus.active:
-            _emit_burst(
-                state, shard, start, 1, cost.ticks, cost.energy_ticks, was_primed, len(slices)
-            )
         for inflight, rows in slices:
             inflight.rows_done += rows
             inflight.device_ticks += cost.ticks
             if inflight.token_boundaries is not None:
                 _mark_blocks(inflight, clock.now)
         retired = batcher.retire_finished(shard, clock.now)
+        if bus.active or state.record_iterations:
+            _report_burst(
+                state,
+                shard,
+                start,
+                1,
+                cost.ticks,
+                cost.energy_ticks,
+                state.primed[shard],
+                len(slices),
+                [(inflight.index, rows) for inflight, rows in slices],
+                [inflight.index for inflight in admitted],
+                [inflight.index for inflight in retired],
+            )
         done = _complete(state, shard, retired)
         if bus.active:
             for inflight, completion in zip(retired, done):
                 _emit_retired(state, inflight, completion)
-        index = state.num_iterations
         state.num_iterations += 1
-        occupancy = len(slices) / state.max_batch_size
-        state.occupancy_counts[occupancy] += 1
-        if state.record_iterations:
-            state.records.append(
-                IterationRecord(
-                    index=index,
-                    shard=shard,
-                    start_tick=start,
-                    ticks=cost.ticks,
-                    energy_ticks=cost.energy_ticks,
-                    gate_rows=cost.gate_rows,
-                    primed=was_primed,
-                    resident=tuple(
-                        (inflight.request.request_id, rows) for inflight, rows in slices
-                    ),
-                    admitted=tuple(inflight.request.request_id for inflight in admitted),
-                    retired=tuple(inflight.request.request_id for inflight in retired),
-                    occupancy=occupancy,
-                )
-            )
+        state.occupancy_counts[len(slices) / state.max_batch_size] += 1
         # The pipeline stays primed only while the shard keeps streaming.
         state.primed[shard] = bool(batcher.running[shard])
 
@@ -1133,16 +1124,16 @@ def _event_loop(state: _RunState) -> None:
     entries are the ticks a fresh call would return.  Clock, busy time and
     energy add the burst's integer
     :meth:`~repro.serving.backends.StepBurst.ticks_through` sums, so they
-    equal the reference loop's one-at-a-time additions exactly.  Iteration
-    records, built as the bursts are consumed, are put in the reference
-    loop's ``(start_tick, shard)`` order and numbered after the loop.
+    equal the reference loop's one-at-a-time additions exactly.
 
-    With a listening bus, each priced burst is one
-    :class:`~repro.telemetry.events.BurstAdvanced`, stopped segments and
-    all: the shard's open burst keeps its start tick, primed flag and
-    residents and sums the iterations and energy of each segment consumed,
-    and is emitted when something ends it — ahead of the retirement at its
-    last iteration, or of an admission that re-prices the shard.
+    With a listening bus or burst records, each priced burst is reported
+    once (:func:`_report_burst`), stopped segments and all: the shard's open
+    burst keeps its start tick, primed flag, residents and admissions and
+    sums the iterations and energy of each segment consumed, and is reported
+    when something ends it — the retirement at its last iteration, ahead of
+    that retirement's lookups and events, or an admission that re-prices the
+    shard, before the admission is seated.  Only records read the residents
+    one by one: the rows each has left when the burst is priced.
     """
     batcher = state.batcher
     clocks = state.clocks
@@ -1153,8 +1144,10 @@ def _event_loop(state: _RunState) -> None:
     # Per shard: its last burst and the iterations consumed of it, or None
     # once a retirement ended it.
     pending: "list[tuple[StepBurst, int] | None]" = [None] * num_shards
-    # Per shard, while a bus listens: the burst priced but not yet emitted,
-    # as [start tick, iterations, energy ticks, primed, residents].
+    # Per shard, while a bus listens or the run records: the burst priced
+    # but not yet reported, as [start tick, iterations, energy ticks,
+    # primed, resident count, admitted indices, and when recording
+    # (index, rows left) per resident].
     open_bursts: "list[list | None]" = [None] * num_shards
     # Per shard: the residents as lockstep columns; the decode residents as
     # (token boundaries, block ticks, start row); the other shards.
@@ -1168,7 +1161,7 @@ def _event_loop(state: _RunState) -> None:
     program_of = state.program_of
     listening = state.bus.active
     record = state.record_iterations
-    records: "list[tuple]" = []
+    reporting = listening or record
     # A retirement needs _settle for functional outputs or retirement
     # events, and for decode stats while a decode is in flight.
     settles = shards[0].functional or listening
@@ -1176,7 +1169,6 @@ def _event_loop(state: _RunState) -> None:
     # Iterations by resident count: occupancy is count / max_batch_size.
     iterations_by_residents = [0] * (max_batch_size + 1)
     can_admit_mid_batch = batcher.admission == "continuous"
-    requests = batcher.requests
     device_ticks = batcher.device_ticks
     decodes = batcher.decodes
     seat = batcher.seat
@@ -1185,11 +1177,24 @@ def _event_loop(state: _RunState) -> None:
     heappush = heapq.heappush
     heappop = heapq.heappop
 
-    def emit_open_burst(shard: int) -> None:
-        start_tick, iterations, energy, was_primed, count = open_bursts[shard]
+    def report_open_burst(shard: int, retired=()) -> None:
+        start_tick, iterations, energy, was_primed, count, admitted, left = open_bursts[shard]
         open_bursts[shard] = None
-        ticks = clocks[shard].now - start_tick
-        _emit_burst(state, shard, start_tick, iterations, ticks, energy, was_primed, count)
+        # The lockstep counter moved iterations * quantum rows in the burst.
+        streamed = iterations * quantum
+        _report_burst(
+            state,
+            shard,
+            start_tick,
+            iterations,
+            clocks[shard].now - start_tick,
+            energy,
+            was_primed,
+            count,
+            [(index, min(rows, streamed)) for index, rows in left],
+            admitted,
+            retired,
+        )
 
     def push(shard: int) -> None:
         version[shard] += 1
@@ -1224,6 +1229,9 @@ def _event_loop(state: _RunState) -> None:
         admitted, programs = seat(shard, clock.now, program_of)
         head_now = next_arrival_tick()
         if admitted:
+            if reporting and open_bursts[shard] is not None:
+                # This admission ends the stopped burst: it is re-priced below.
+                report_open_burst(shard)
             busy = clock.busy_ticks
             for index, program in zip(admitted, programs):
                 device_ticks[index] = busy
@@ -1238,22 +1246,23 @@ def _event_loop(state: _RunState) -> None:
                     if not lanes[other].indices:
                         push(other)
             if listening:
-                if open_bursts[shard] is not None:
-                    # This admission ends the stopped burst: it is re-priced below.
-                    emit_open_burst(shard)
                 _emit_admitted(state, shard, admitted, batcher.waiting_count)
         elif not residents:  # pragma: no cover - defensive; seat() always lands one
             push(shard)
             continue
+        start = clock.now
         if admitted or pending[shard] is None:
             burst = shards[shard].step_burst(lane, primed[shard], quantum)
-            if listening:
-                open_bursts[shard] = [clock.now, 0, 0, primed[shard], len(residents)]
+            if reporting:
+                left = ()
+                if record:
+                    row = lane.row
+                    left = [(index, end - row) for index, end in zip(residents, lane.finishes)]
+                open_bursts[shard] = [start, 0, 0, primed[shard], len(residents), admitted, left]
         else:
             stopped, consumed = pending[shard]
             burst = stopped.tail(consumed)
         length = burst.iterations
-        start = clock.now
         if head_now is not None and can_admit_mid_batch and len(residents) < max_batch_size:
             # The iteration starting at or after the arrival's first tick
             # would admit it.
@@ -1274,11 +1283,6 @@ def _event_loop(state: _RunState) -> None:
         retiring = length == burst.iterations
         pending[shard] = None if retiring else (burst, length)
         row = lane.row
-        if record:
-            resident = [
-                (requests[index].request_id, finish - row)
-                for index, finish in zip(residents, lane.finishes)
-            ]
         ticks = burst.ticks_through(length)
         clock.now = start + ticks
         clock.busy_ticks += ticks
@@ -1291,19 +1295,19 @@ def _event_loop(state: _RunState) -> None:
             )
         iterations_by_residents[len(residents)] += length
         num_iterations += length
-        if listening:
+        if reporting:
             this_burst = open_bursts[shard]
             this_burst[1] += length
             this_burst[2] += energy
-            if retiring:
-                # Emitted ahead of the retirement's lookups and events.
-                emit_open_burst(shard)
         if retiring:
             retired = lane.retire()
             busy = clock.busy_ticks
             for index in retired:
                 device_ticks[index] = busy - device_ticks[index]
             release(shard, retired, clock.now)
+            if reporting:
+                # Reported ahead of the retirement's lookups and events.
+                report_open_burst(shard, retired)
             if decoding[shard]:
                 decoding[shard] = [
                     (boundaries, blocks, row_start)
@@ -1315,12 +1319,6 @@ def _event_loop(state: _RunState) -> None:
                 if listening:
                     for index, times in zip(retired, block_times):
                         _emit_retirement(state, index, times)
-        else:
-            retired = ()
-        if record:
-            _record_iterations(
-                records, state, shard, resident, burst, start, admitted, length, retired
-            )
         if residents:
             primed[shard] = True
             version[shard] += 1
@@ -1333,72 +1331,11 @@ def _event_loop(state: _RunState) -> None:
     for count, iterations in enumerate(iterations_by_residents):
         if iterations:
             state.occupancy_counts[count / max_batch_size] += iterations
-    # The reference loop's order: iterations by start tick, then shard.
-    records.sort(key=itemgetter(0, 1))
-    state.records.extend(
-        IterationRecord(index, shard, start_tick, *fields)
-        for index, (start_tick, shard, *fields) in enumerate(records)
-    )
     if not batcher.done:  # pragma: no cover - defensive
         raise RuntimeError("the event scheduler ran out of activations with requests unserved")
 
 
-def _record_iterations(
-    records: "list[tuple]",
-    state: _RunState,
-    shard: int,
-    resident,
-    burst,
-    start: int,
-    admitted,
-    length: int,
-    retired,
-) -> None:
-    """Expand the activation's ``length`` burst iterations into record fields.
-
-    The event scheduler's records path, entered only when the run keeps
-    per-iteration records.  Appends one tuple per iteration to ``records``:
-    ``(start_tick, shard)`` and then every later :class:`IterationRecord`
-    field, for the loop to sort and number.  ``resident`` holds
-    ``(request_id, rows_left)`` per resident as the activation found them;
-    ``admitted`` and ``retired`` are indices, ``retired`` empty unless the
-    activation's last iteration retires.
-    """
-    quantum = state.iteration_rows
-    requests = state.batcher.requests
-    occupancy = len(resident) / state.max_batch_size
-    full_resident = tuple((request_id, quantum) for request_id, _ in resident)
-    admitted_ids = tuple(requests[index].request_id for index in admitted)
-    retired_ids = tuple(requests[index].request_id for index in retired)
-    ticks = burst.ticks
-    energy_ticks = burst.energy_ticks
-    gate_rows = burst.gate_rows
-    for index in range(length):
-        final = index == length - 1
-        if final and retired:
-            resident_rows = tuple(
-                (request_id, min(quantum, rows_left - (length - 1) * quantum))
-                for request_id, rows_left in resident
-            )
-        else:
-            resident_rows = full_resident
-        records.append(
-            (
-                start + burst.ticks_through(index),
-                shard,
-                int(ticks[index]),
-                int(energy_ticks[index]),
-                int(gate_rows[index]),
-                state.primed[shard] if index == 0 else True,
-                resident_rows,
-                admitted_ids if index == 0 else (),
-                retired_ids if final else (),
-                occupancy,
-            )
-        )
-
-
-def _emit_burst(
+def _report_burst(
     state: _RunState,
     shard: int,
     start_tick: int,
@@ -1407,21 +1344,48 @@ def _emit_burst(
     energy_ticks: int,
     primed: bool,
     residents: int,
+    resident,
+    admitted,
+    retired,
 ) -> None:
-    """One priced burst of ``iterations`` over ``residents`` on ``shard``."""
-    state.bus.emit(
-        BurstAdvanced(
-            shard=shard,
-            start_tick=start_tick,
-            iterations=iterations,
-            ticks=ticks,
-            energy_ticks=energy_ticks,
-            primed=primed,
-            residents=residents,
-            occupancy=residents / state.max_batch_size,
-            run_id=state.run_id,
+    """Report one priced burst of ``iterations`` over ``residents`` on ``shard``.
+
+    A listening bus gets its :class:`~repro.telemetry.events.BurstAdvanced`
+    and a recording run its :class:`BurstRecord`.  ``resident`` (``(index,
+    rows streamed)`` per resident, in slot order), ``admitted`` and
+    ``retired`` (indices) are read only by the record.
+    """
+    occupancy = residents / state.max_batch_size
+    if state.bus.active:
+        state.bus.emit(
+            BurstAdvanced(
+                shard=shard,
+                start_tick=start_tick,
+                iterations=iterations,
+                ticks=ticks,
+                energy_ticks=energy_ticks,
+                primed=primed,
+                residents=residents,
+                occupancy=occupancy,
+                run_id=state.run_id,
+            )
         )
-    )
+    if state.record_iterations:
+        requests = state.batcher.requests
+        state.records.append(
+            BurstRecord(
+                shard,
+                start_tick,
+                iterations,
+                ticks,
+                energy_ticks,
+                primed,
+                occupancy,
+                tuple((requests[index].request_id, rows) for index, rows in resident),
+                tuple(requests[index].request_id for index in admitted),
+                tuple(requests[index].request_id for index in retired),
+            )
+        )
 
 
 def _emit_admitted(state: _RunState, shard: int, admitted, queue_depth: int) -> None:
@@ -1632,8 +1596,11 @@ def swat_request_rate(
     spread across the replicated pipelines exactly as a SWAT backend's row
     programs spread them) gives the saturation request rate — multiply by a load
     factor > 1 for an overloaded trace.  ``num_layers > 1`` sizes the rate
-    for whole-model forward traffic.
+    for whole-model forward traffic.  ``num_shards`` and ``max_batch_size``
+    must be positive ints, as for :func:`serve_continuous`.
     """
+    check_count("num_shards", num_shards)
+    check_count("max_batch_size", max_batch_size)
     if not seq_lens:
         raise ValueError("seq_lens must be non-empty")
     if num_heads <= 0:

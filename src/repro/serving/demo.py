@@ -319,8 +319,7 @@ def _speedup_lines(label: str, fast: ServingResult, slow: ServingResult) -> "lis
     slow_rows = slow.stats.head_rows_per_second
     if slow_rows > 0:
         lines.append(
-            f"head-rows/sec: {fast_rows:.3g} vs {slow_rows:.3g} "
-            f"({fast_rows / slow_rows:.2f}x)"
+            f"head-rows/sec: {fast_rows:.3g} vs {slow_rows:.3g} ({fast_rows / slow_rows:.2f}x)"
         )
     return lines
 
@@ -330,8 +329,10 @@ def _run_drain(args, config: SWATConfig, bus=None) -> int:
     requests = _build_requests(args, config, functional)
 
     kind = "whole-model forward" if args.model else "attention"
-    print(f"serving {len(requests)} {kind} requests on {args.shards} shard(s), "
-          f"batch size {args.batch_size}, backend {args.backend!r}\n")
+    print(
+        f"serving {len(requests)} {kind} requests on {args.shards} shard(s), "
+        f"batch size {args.batch_size}, backend {args.backend!r}\n"
+    )
     result = _serve(config, requests, args.backend, args.shards, args.batch_size, bus=bus)
     print(result.stats.render())
 
@@ -363,9 +364,11 @@ def _run_continuous(args, config: SWATConfig, bus=None) -> int:
     requests = _build_requests(args, config, functional, arrival_times=arrival_times)
 
     kind = "whole-model forward" if args.model else "attention"
-    print(f"serving {len(requests)} {kind} requests on {args.shards} shard(s), "
-          f"{args.batch_size} slots, backend {args.backend!r}, "
-          f"continuous admission ({args.policy}, {args.trace} load x{args.load:g})\n")
+    print(
+        f"serving {len(requests)} {kind} requests on {args.shards} shard(s), "
+        f"{args.batch_size} slots, backend {args.backend!r}, "
+        f"continuous admission ({args.policy}, {args.trace} load x{args.load:g})\n"
+    )
     if args.compare:
         comparison = compare_modes(
             requests,
@@ -396,8 +399,6 @@ def _run_continuous(args, config: SWATConfig, bus=None) -> int:
         policy=args.policy,
         plan_cache=PlanCache(bus=bus),
         bus=bus,
-        # Only the stats are printed: skip the per-iteration records.
-        record_iterations=False,
     )
     print(result.stats.to_table("Continuous admission").render())
     return 0
@@ -450,8 +451,10 @@ def main(argv: "list[str] | None" = None) -> int:
         if writer is not None:
             writer.close()
     if writer is not None:
-        print(f"\nwrote {writer.events_written} events to {args.events} "
-              f"(inspect with: repro-trace summarize {args.events})")
+        print(
+            f"\nwrote {writer.events_written} events to {args.events} "
+            f"(inspect with: repro-trace summarize {args.events})"
+        )
     return status
 
 

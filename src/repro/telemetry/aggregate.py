@@ -133,9 +133,7 @@ class MetricsAggregator:
             "run": f"{run.mode} ({run.backend})" if run else "?",
             "status": "finished" if self.finished else "running",
             "events": self.events_seen,
-            "arrived / admitted / retired": (
-                f"{self.arrived} / {self.admitted} / {self.retired}"
-            ),
+            "arrived / admitted / retired": f"{self.arrived} / {self.admitted} / {self.retired}",
             "in flight": self.in_flight,
             "queue depth": self.queue_depth,
             "rolling req/s": self.requests_per_second,

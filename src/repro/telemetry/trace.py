@@ -72,9 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     watcher.add_argument(
         "--plain", action="store_true", help="force the ANSI renderer (skip textual)"
     )
-    watcher.add_argument(
-        "--once", action="store_true", help="render the current log once and exit"
-    )
+    watcher.add_argument("--once", action="store_true", help="render the current log once and exit")
     return parser
 
 
@@ -86,9 +84,7 @@ def _cmd_summarize(args) -> int:
     aggregator = MetricsAggregator().feed_all(events)
     counts = aggregator.event_counts
     if args.json:
-        snapshot = {
-            key: value for key, value in aggregator.snapshot().items() if key != "status"
-        }
+        snapshot = {key: value for key, value in aggregator.snapshot().items() if key != "status"}
         snapshot["event counts"] = dict(sorted(counts.items()))
         print(json.dumps(snapshot, indent=2, default=str))
         return 0

@@ -398,7 +398,9 @@ class TestBatchedExecutor:
         plan = compile_plan(_config(), 16)
         q, k, v = attention_inputs(16, 16, seed=0)
         with pytest.raises(ValueError, match="2-D, 3-D or 4-D"):
-            execute_plan_attention(plan, q[None, None, None], k[None, None, None], v[None, None, None])
+            execute_plan_attention(
+                plan, q[None, None, None], k[None, None, None], v[None, None, None]
+            )
         with pytest.raises(ValueError, match="shapes must match"):
             execute_plan_attention(plan, q[None], k, v)
 
@@ -408,7 +410,9 @@ class TestPlanBatch:
         config = _config(window_tokens=8, num_global=2, num_random=2)
         plan = compile_plan(config, 40)
         single = attention_inputs(40, 16, seed=0)
-        stacked_item = tuple(np.stack([axis, axis * 0.5]) for axis in attention_inputs(40, 16, seed=1))
+        stacked_item = tuple(
+            np.stack([axis, axis * 0.5]) for axis in attention_inputs(40, 16, seed=1)
+        )
         batch = PlanBatch.from_items(plan, [single, stacked_item])
         assert batch.num_items == 2
         assert batch.num_heads == 3

@@ -1,7 +1,13 @@
-"""Scheduler-equivalence helpers: completions, and event streams in canonical form.
+"""Scheduler-equivalence helpers: completions, and bursts and event streams in canonical form.
 
 Two serves' completions are equivalent when they are equal field for field,
 in order, outputs compared by value (:func:`assert_same_completions`).
+
+The event scheduler keeps one :class:`~repro.serving.continuous.BurstRecord`
+per priced burst; the reference loop keeps one per iteration.  Two serves'
+records are equivalent when, per shard, they are equal field for field once
+each run of records that no admission or retirement interrupts is coalesced
+into one (:func:`assert_records_equivalent`).
 
 The event scheduler emits one ``burst_advanced`` per priced burst; the
 reference loop emits one per iteration.  Two streams are equivalent when
@@ -12,14 +18,15 @@ reference loop emits one per iteration.  Two streams are equivalent when
      bursts that no admission or retirement on that shard interrupts is
      coalesced into one.
 
-Coalescing the event scheduler's own stream is a no-op, which
-:func:`assert_streams_equivalent` checks too.
+Coalescing the event scheduler's own records or stream is a no-op, which
+both assertions check too.
 """
 
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 
+from repro.serving.continuous import BurstRecord
 from repro.serving.request import CompletedRequest
 from repro.telemetry.events import to_record
 
@@ -75,6 +82,54 @@ def coalesce_bursts(records) -> "dict[int, list[dict]]":
     return bursts
 
 
+def coalesce_records(bursts) -> "dict[int, list[BurstRecord]]":
+    """Per shard, a serve's burst records with each uninterrupted run merged.
+
+    A shard's run opens at a record with ``admitted`` ids, or at the record
+    after one with ``retired`` ids.  Within a run the ticks must be
+    contiguous and the residents the same requests in the same slots.  The
+    merged record sums iterations, ticks, energy ticks and each resident's
+    rows, keeps the first record's other fields and takes the last one's
+    ``retired`` ids.
+    """
+    runs: "dict[int, list[BurstRecord]]" = {}
+    for record in bursts:
+        shard_runs = runs.setdefault(record.shard, [])
+        if not shard_runs or record.admitted or shard_runs[-1].retired:
+            shard_runs.append(record)
+            continue
+        last = shard_runs[-1]
+        assert record.start_tick == last.start_tick + last.ticks, (
+            f"shard {record.shard}: burst at tick {record.start_tick} does not follow "
+            f"the run ending at tick {last.start_tick + last.ticks}"
+        )
+        ids = [request_id for request_id, _ in record.resident]
+        assert ids == [request_id for request_id, _ in last.resident], (
+            f"shard {record.shard}: residents changed without an admission or retirement"
+        )
+        shard_runs[-1] = replace(
+            last,
+            iterations=last.iterations + record.iterations,
+            ticks=last.ticks + record.ticks,
+            energy_ticks=last.energy_ticks + record.energy_ticks,
+            resident=tuple(
+                (request_id, rows + more)
+                for (request_id, rows), (_, more) in zip(last.resident, record.resident)
+            ),
+            retired=record.retired,
+        )
+    return runs
+
+
+def assert_records_equivalent(event_bursts, reference_bursts) -> None:
+    """The event scheduler's burst records are the reference's, coalesced."""
+    by_shard: "dict[int, list[BurstRecord]]" = {}
+    for record in event_bursts:
+        by_shard.setdefault(record.shard, []).append(record)
+    assert coalesce_records(event_bursts) == by_shard, "event scheduler records coalesce"
+    assert coalesce_records(reference_bursts) == by_shard
+
+
 def assert_streams_equivalent(event_events, reference_events) -> None:
     """The event scheduler's stream is the reference stream in canonical form."""
     event_log = [_comparable(event) for event in event_events]
@@ -82,9 +137,7 @@ def assert_streams_equivalent(event_events, reference_events) -> None:
     event_rest = [record for record in event_log if record["kind"] != BURST]
     reference_rest = [record for record in reference_log if record["kind"] != BURST]
     assert len(event_rest) == len(reference_rest)
-    for position, (event_record, reference_record) in enumerate(
-        zip(event_rest, reference_rest)
-    ):
+    for position, (event_record, reference_record) in enumerate(zip(event_rest, reference_rest)):
         assert event_record == reference_record, f"non-burst record {position}"
     event_bursts: "dict[int, list[dict]]" = {}
     for record in event_log:

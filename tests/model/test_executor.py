@@ -69,9 +69,7 @@ class TestForwardBitIdentity:
     def test_forward_batch_matches_solo_forwards(self, spec, data_seed, batch):
         """B stacked forwards are bit-identical to B solo forwards."""
         executor = ModelExecutor(spec, base_config=_config())
-        xs = np.stack(
-            [forward_inputs(spec, seed=data_seed + item) for item in range(batch)]
-        )
+        xs = np.stack([forward_inputs(spec, seed=data_seed + item) for item in range(batch)])
         stacked = executor.forward_batch(xs)
         for item in range(batch):
             assert np.array_equal(stacked[item], executor.forward(xs[item]))

@@ -108,9 +108,7 @@ class TestModelPlanCompilation:
     @given(spec=spec_strategy)
     def test_groups_partition_layers_and_conserve_totals(self, spec):
         plan = ModelPlanCompiler(base_config=_config()).compile(spec)
-        covered = sorted(
-            layer for group in plan.groups for layer in group.layer_indices
-        )
+        covered = sorted(layer for group in plan.groups for layer in group.layer_indices)
         assert covered == list(range(spec.num_layers))
         assert plan.num_shapes == len({g.fingerprint() for g in spec.layers})
         assert plan.total_cycles == sum(group.cycles for group in plan.groups)
@@ -185,10 +183,7 @@ class TestModelPlanCompilation:
             head_dim=HEAD_DIM,
         )
         compiler = ModelPlanCompiler(base_config=_config())
-        assert (
-            compiler.compile(alternating).total_cycles
-            > compiler.compile(grouped).total_cycles
-        )
+        assert compiler.compile(alternating).total_cycles > compiler.compile(grouped).total_cycles
         # Same shapes either way: identical traffic, identical group count.
         assert (
             compiler.compile(alternating).total_kv_bytes

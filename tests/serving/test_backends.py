@@ -12,7 +12,6 @@ from repro.serving.backends import (
     AttentionBackend,
     BackendRegistry,
     Residents,
-    StepBurst,
     available_backends,
     create_backend,
 )
@@ -110,6 +109,7 @@ class TestSimulatorBackend:
 def looped_step_burst(backend, residents, primed, iteration_rows):
     """The looped burst: one :meth:`~AttentionBackend.step` per iteration.
 
+    Returns the per-iteration ``(ticks, energy ticks)`` as int64 arrays.
     Bit-identical to the quantum-stepped reference scheduler by definition,
     and the oracle every backend's ``step_burst`` is tested against.
     """
@@ -117,7 +117,6 @@ def looped_step_burst(backend, residents, primed, iteration_rows):
     slices = residents.slices()
     ticks = np.empty(iterations, dtype=np.int64)
     energy = np.empty(iterations, dtype=np.int64)
-    gate_rows = np.empty(iterations, dtype=np.int64)
     for index in range(iterations):
         advanced = index * iteration_rows
         cost = backend.step(
@@ -129,8 +128,7 @@ def looped_step_burst(backend, residents, primed, iteration_rows):
         )
         ticks[index] = cost.ticks
         energy[index] = cost.energy_ticks
-        gate_rows[index] = cost.gate_rows
-    return StepBurst(ticks, gate_rows, energy)
+    return ticks, energy
 
 
 def _whole_slices(backend, requests, rows_done=None):
@@ -143,7 +141,7 @@ def _whole_slices(backend, requests, rows_done=None):
 
 
 def _both_bursts(backend, slices, primed, iteration_rows):
-    """The backend's burst and the looped oracle's, on the same columns."""
+    """The backend's burst and the looped oracle's arrays, on the same columns."""
     residents = Residents.from_slices(slices, backend.program)
     return (
         backend.step_burst(residents, primed, iteration_rows),
@@ -182,7 +180,6 @@ class TestIterationAmortisation:
             [(backend.program(short), 0, 32), (backend.program(multi_head), 0, gate)],
             primed=False,
         )
-        assert cost.gate_rows == gate
         assert cost.ticks == backend.simulator.pipeline.cycles_for_rows(gate)
         assert backend.time_base.tick_seconds == config.clock_period_s
 
@@ -208,8 +205,9 @@ class TestAnalyticalOnlyBackends:
         assert backend.compute_outputs(requests) == (None, None)
         slices = _whole_slices(backend, requests)
         burst = backend.step_burst(Residents.from_slices(slices, backend.program), False, 64)
-        assert np.all(burst.ticks > 0)
-        assert np.all(burst.energy_ticks > 0)
+        for count in range(burst.iterations):
+            assert burst.ticks_through(count + 1) > burst.ticks_through(count)
+            assert burst.energy_through(count + 1) > burst.energy_through(count)
         assert backend.time_base.power_w > 0
 
     def test_dense_fpga_prices_off_its_cycle_domain(self):
@@ -226,8 +224,10 @@ class TestStepBurst:
 
     :func:`looped_step_burst` loops ``step`` per iteration — the
     definitionally correct pricing.  Every backend's ``step_burst`` must
-    reproduce its arrays entry for entry, bit-exactly, or the event-driven
-    scheduler would drift from the quantum-stepped reference.
+    answer both scheduler questions off the oracle's arrays exactly — the
+    ticks and energy ticks through every iteration count, and the first
+    iteration starting at every offset — or the event-driven scheduler
+    would drift from the quantum-stepped reference.
     """
 
     CONTINUOUS_BACKENDS = [
@@ -239,20 +239,18 @@ class TestStepBurst:
     ]
 
     @staticmethod
-    def _assert_bursts_equal(vectorized, looped):
-        assert vectorized.iterations == looped.iterations
-        assert np.array_equal(vectorized.ticks, looped.ticks)
-        assert np.array_equal(vectorized.energy_ticks, looped.energy_ticks)
-        assert np.array_equal(vectorized.gate_rows, looped.gate_rows)
-        # Both scheduler questions agree with the looped arrays' prefix sums.
-        starts = np.concatenate([[0], np.cumsum(looped.ticks)])
-        energy = np.concatenate([[0], np.cumsum(looped.energy_ticks)])
-        for count in range(looped.iterations + 1):
+    def _assert_bursts_equal(vectorized, ticks, energy_ticks):
+        """``vectorized`` answers both questions off the looped arrays' prefix sums."""
+        iterations = len(ticks)
+        assert vectorized.iterations == iterations
+        starts = np.concatenate([[0], np.cumsum(ticks)])
+        energy = np.concatenate([[0], np.cumsum(energy_ticks)])
+        for count in range(iterations + 1):
             assert vectorized.ticks_through(count) == starts[count]
             assert vectorized.energy_through(count) == energy[count]
         offsets = {int(start) + delta for start in starts for delta in (-1, 0, 1)}
         for offset in sorted(offsets):
-            expected = min(int(np.searchsorted(starts, offset, side="left")), looped.iterations)
+            expected = min(int(np.searchsorted(starts, offset, side="left")), iterations)
             assert vectorized.first_start_at(offset) == expected
 
     @pytest.mark.parametrize("name", CONTINUOUS_BACKENDS)
@@ -266,7 +264,7 @@ class TestStepBurst:
         ]
         slices = _whole_slices(backend, requests, (0, 16, 5))
         vectorized, looped = _both_bursts(backend, slices, primed, iteration_rows)
-        self._assert_bursts_equal(vectorized, looped)
+        self._assert_bursts_equal(vectorized, *looped)
 
     @staticmethod
     def _mixed_slices(backend, config, rows_done=(0, 16, 5, 0)):
@@ -299,7 +297,7 @@ class TestStepBurst:
         for rows_done in ((0, 16, 5, 0), (3, 16, 5, 2)):
             slices = self._mixed_slices(backend, config, rows_done)
             vectorized, looped = _both_bursts(backend, slices, primed, iteration_rows)
-            self._assert_bursts_equal(vectorized, looped)
+            self._assert_bursts_equal(vectorized, *looped)
 
     @pytest.mark.parametrize("name", CONTINUOUS_BACKENDS)
     @pytest.mark.parametrize("primed", [False, True])
@@ -315,21 +313,21 @@ class TestStepBurst:
             for request, rows_done, rows_left in self._mixed_slices(backend, config, (3, 16, 5, 2))
         ]
         vectorized, looped = _both_bursts(backend, slices, primed, iteration_rows)
-        self._assert_bursts_equal(vectorized, looped)
+        self._assert_bursts_equal(vectorized, *looped)
 
     @pytest.mark.parametrize("name", CONTINUOUS_BACKENDS)
     def test_mixed_kind_burst_never_loops_step(self, name, monkeypatch):
         """No backend falls back to per-iteration ``step`` calls for any kind."""
         config = _config()
         backend = create_backend(name, config=config, plan_cache=PlanCache())
-        slices = self._mixed_slices(backend, config)
+        residents = Residents.from_slices(self._mixed_slices(backend, config), backend.program)
+        looped = looped_step_burst(backend, residents, False, 16)
 
         def _no_step(*args, **kwargs):  # pragma: no cover - the assertion
             raise AssertionError("step_burst fell back to a looped step()")
 
         monkeypatch.setattr(backend, "step", _no_step)
-        burst = backend.step_burst(Residents.from_slices(slices, backend.program), False, 16)
-        assert burst.iterations == len(burst.ticks)
+        self._assert_bursts_equal(backend.step_burst(residents, False, 16), *looped)
 
     @pytest.mark.parametrize("name", ["simulator", "analytical"])
     @pytest.mark.parametrize("primed", [False, True])
@@ -347,27 +345,22 @@ class TestStepBurst:
 
         monkeypatch.setattr(Residents, "slices", _per_resident)
         monkeypatch.setattr(backend, "program", _per_resident)
-        self._assert_bursts_equal(backend.step_burst(residents, primed, 16), looped)
+        self._assert_bursts_equal(backend.step_burst(residents, primed, 16), *looped)
 
     @pytest.mark.parametrize("name", CONTINUOUS_BACKENDS)
     @pytest.mark.parametrize("iteration_rows", [1, 7])
     def test_tail_of_tail_matches_looped_default(self, name, iteration_rows):
-        """A cut burst's tails read the oracle's arrays from their offset on."""
+        """A cut burst's tails answer off the oracle's arrays from their offset on."""
         config = _config()
         backend = create_backend(name, config=config, plan_cache=PlanCache())
         slices = self._mixed_slices(backend, config, (3, 16, 5, 2))
-        burst, looped = _both_bursts(backend, slices, False, iteration_rows)
+        burst, (ticks, energy) = _both_bursts(backend, slices, False, iteration_rows)
         assert burst.iterations >= 3
         for first in range(1, burst.iterations - 1):
             tail = burst.tail(first)
             for second in range(1, tail.iterations):
                 skipped = first + second
-                expected = StepBurst(
-                    looped.ticks[skipped:],
-                    looped.gate_rows[skipped:],
-                    looped.energy_ticks[skipped:],
-                )
-                self._assert_bursts_equal(tail.tail(second), expected)
+                self._assert_bursts_equal(tail.tail(second), ticks[skipped:], energy[skipped:])
         for offset in (0, burst.iterations, -1):
             with pytest.raises(ValueError, match="tail offset"):
                 burst.tail(offset)

@@ -164,7 +164,7 @@ class TestDeclaredHeads:
         assert result.completed[0].output.shape == (16, HEAD_DIM)
         assert result.stats.total_head_rows == 3 * 16
         pipeline = create_backend("analytical", config=config).simulator.pipeline
-        ticks = sum(record.ticks for record in result.iterations)
+        ticks = sum(record.ticks for record in result.bursts)
         assert ticks == pipeline.cycles_for_rows(3 * 16)
 
 

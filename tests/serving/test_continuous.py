@@ -8,12 +8,12 @@ The load-bearing contracts of iteration-level scheduling:
   and retirement).
 * **Conservation** — every admitted request retires exactly once, occupancy
   never exceeds ``max_batch_size``, rows advanced sum to each request's
-  total, per-iteration priced ticks sum to the batch total a drained
-  stream of the same gating rows would cost (no double-charged fill), and
-  every request's device ticks and every shard's busy ticks are exactly the
-  ticks of the iterations they cover.
-* **Determinism** — the same seeded trace replays the same iterations,
-  clocks and stats bit-for-bit; no scheduling decision reads the wall clock.
+  total, per-burst priced ticks sum to the batch total a drained stream of
+  the same gating rows would cost (no double-charged fill), and every
+  request's device ticks and every shard's busy ticks are exactly the ticks
+  of the bursts they cover.
+* **Determinism** — the same seeded trace replays the same bursts, clocks
+  and stats bit-for-bit; no scheduling decision reads the wall clock.
 """
 
 import numpy as np
@@ -42,7 +42,11 @@ from repro.serving.engine import ServingEngine
 from repro.serving.request import AttentionRequest, make_request, make_requests
 from repro.serving.stats import ServingStats, TimeBase, percentile
 from repro.telemetry import EventBus
-from tests.event_streams import assert_same_completions, assert_streams_equivalent
+from tests.event_streams import (
+    assert_records_equivalent,
+    assert_same_completions,
+    assert_streams_equivalent,
+)
 
 HEAD_DIM = 8
 
@@ -136,40 +140,43 @@ class TestConservation:
 
         # Every submitted request is admitted exactly once and retires
         # exactly once.
-        admitted = [rid for record in result.iterations for rid in record.admitted]
-        retired = [rid for record in result.iterations for rid in record.retired]
+        admitted = [rid for record in result.bursts for rid in record.admitted]
+        retired = [rid for record in result.bursts for rid in record.retired]
         expected_ids = sorted(request.request_id for request in requests)
         assert sorted(admitted) == expected_ids
         assert sorted(retired) == expected_ids
+        assert sum(record.iterations for record in result.bursts) == result.stats.num_iterations
 
         # Occupancy never exceeds the slot bound.
-        for record in result.iterations:
+        for record in result.bursts:
             assert 1 <= len(record.resident) <= max_batch_size
             assert record.occupancy == len(record.resident) / max_batch_size
 
         # Each request's slices sum to its total row work.
         rows_advanced: "dict[int, int]" = {}
-        for record in result.iterations:
+        for record in result.bursts:
             for request_id, rows in record.resident:
-                assert 0 < rows <= iteration_rows
+                assert 0 < rows <= record.iterations * iteration_rows
                 rows_advanced[request_id] = rows_advanced.get(request_id, 0) + rows
         for request in requests:
             assert rows_advanced[request.request_id] == backend.program(request).total_rows
 
-        # No double-charged fill: per busy period, the per-iteration ticks
-        # (SWAT cycles) sum exactly to what one drained stream of the same
-        # gating rows would cost (fill + (rows - 1) * II).
+        # No double-charged fill: per busy period, the per-burst ticks (SWAT
+        # cycles) sum exactly to what one drained stream of the same gating
+        # rows would cost (fill + (rows - 1) * II).  A burst's gating rows
+        # are its largest resident's: every iteration but the last streams
+        # the full quantum in every slot.
         for shard in range(num_shards):
             period_ticks = 0
             period_rows = 0
-            for record in result.iterations:
+            for record in result.bursts:
                 if record.shard != shard:
                     continue
                 if not record.primed and period_rows:
                     assert period_ticks == pipeline.cycles_for_rows(period_rows)
                     period_ticks = period_rows = 0
                 period_ticks += record.ticks
-                period_rows += record.gate_rows
+                period_rows += max(rows for _, rows in record.resident)
             if period_rows:
                 assert period_ticks == pipeline.cycles_for_rows(period_rows)
 
@@ -179,17 +186,15 @@ class TestConservation:
         for done in result.completed:
             resident_ticks = sum(
                 record.ticks
-                for record in result.iterations
+                for record in result.bursts
                 if done.request.request_id in dict(record.resident)
             )
             assert time_base.first_tick(done.device_seconds) == resident_ticks
             assert done.arrival_time <= done.admit_time
         for shard in range(num_shards):
-            shard_ticks = sum(
-                record.ticks for record in result.iterations if record.shard == shard
-            )
+            shard_ticks = sum(record.ticks for record in result.bursts if record.shard == shard)
             assert time_base.first_tick(result.stats.shard_busy_seconds[shard]) == shard_ticks
-        energy_ticks = sum(record.energy_ticks for record in result.iterations)
+        energy_ticks = sum(record.energy_ticks for record in result.bursts)
         assert result.stats.total_energy_joules == time_base.joules(energy_ticks)
 
     @settings(deadline=None, max_examples=25)
@@ -220,9 +225,7 @@ class TestConservation:
         for done in result.completed:
             # At or after the arrival, with no tick in between.
             assert done.arrival_time <= done.admit_time
-            assert time_base.first_tick(done.admit_time) == time_base.first_tick(
-                done.arrival_time
-            )
+            assert time_base.first_tick(done.admit_time) == time_base.first_tick(done.arrival_time)
 
     def test_solo_request_costs_exactly_one_dispatch(self):
         # Slicing a lone request across iterations must not change its
@@ -231,11 +234,9 @@ class TestConservation:
         # (``batch_attention_cycles``, heads streamed back to back).
         config = _config()
         request = AttentionRequest(seq_len=100, num_heads=3, arrival_time=0.0)
-        result = serve_continuous(
-            [request], config=config, backend="analytical", iteration_rows=17
-        )
+        result = serve_continuous([request], config=config, backend="analytical", iteration_rows=17)
         pipeline = SWATPipelineModel(config)
-        total_ticks = sum(record.ticks for record in result.iterations)
+        total_ticks = sum(record.ticks for record in result.bursts)
         assert total_ticks == pipeline.batch_attention_cycles(
             [(request.seq_len, request.num_heads)]
         )
@@ -254,7 +255,7 @@ class TestConservation:
         result = serve_continuous(
             [request], config=config, backend=backend, iteration_rows=iteration_rows
         )
-        assert sum(record.ticks for record in result.iterations) == one_shot
+        assert sum(record.ticks for record in result.bursts) == one_shot
         (done,) = result.completed
         assert result.time_base.first_tick(done.device_seconds) == one_shot
 
@@ -278,19 +279,17 @@ class TestDeterminism:
         first, second = results
         assert first.stats.device_makespan_seconds == second.stats.device_makespan_seconds
         assert first.stats.latency_p95_seconds == second.stats.latency_p95_seconds
-        assert len(first.iterations) == len(second.iterations)
-        for record_a, record_b in zip(first.iterations, second.iterations):
+        assert len(first.bursts) == len(second.bursts)
+        for record_a, record_b in zip(first.bursts, second.bursts):
             assert record_a.shard == record_b.shard
+            assert record_a.iterations == record_b.iterations
             assert record_a.ticks == record_b.ticks
-            assert record_a.gate_rows == record_b.gate_rows
             assert [rows for _, rows in record_a.resident] == [
                 rows for _, rows in record_b.resident
             ]
 
     def test_seeded_arrival_generators_replay(self):
-        assert poisson_arrivals(16, rate=100.0, seed=3) == poisson_arrivals(
-            16, rate=100.0, seed=3
-        )
+        assert poisson_arrivals(16, rate=100.0, seed=3) == poisson_arrivals(16, rate=100.0, seed=3)
         first = bursty_arrivals(16, burst_size=4, burst_gap=0.5, seed=3, jitter=0.01)
         second = bursty_arrivals(16, burst_size=4, burst_gap=0.5, seed=3, jitter=0.01)
         assert first == second
@@ -317,9 +316,7 @@ class TestDeterminism:
         # modulation, the rising half of each cycle must hold far more
         # arrivals than the overnight trough half.
         period = 2.0
-        arrivals = diurnal_arrivals(
-            512, mean_rate=256.0, period=period, amplitude=0.95, seed=1
-        )
+        arrivals = diurnal_arrivals(512, mean_rate=256.0, period=period, amplitude=0.95, seed=1)
         day = sum(1 for instant in arrivals if (instant % period) < period / 2)
         night = len(arrivals) - day
         assert day > 3 * night
@@ -372,9 +369,10 @@ class TestSchedulerEquivalence:
 
     This is the tentpole contract of the vectorized scheduler: for any seeded
     trace it must reproduce the quantum-stepped reference loop's every
-    accounting bit — the :class:`ServingStats` fields, the per-iteration
-    records, and the telemetry event stream in canonical form (its bursts
-    coalesced, ``wall_seconds`` excepted, since it reads the host clock).
+    accounting bit — the :class:`ServingStats` fields, the burst records and
+    the telemetry event stream, both in canonical form (the reference's
+    one-iteration bursts coalesced, ``wall_seconds`` excepted, since it
+    reads the host clock).
     """
 
     def _run_both(self, requests, **kwargs):
@@ -383,9 +381,7 @@ class TestSchedulerEquivalence:
             bus = EventBus()
             events = []
             bus.subscribe(events.append)
-            result = serve_continuous(
-                list(requests), scheduler=scheduler, bus=bus, **kwargs
-            )
+            result = serve_continuous(list(requests), scheduler=scheduler, bus=bus, **kwargs)
             runs[scheduler] = (result, events)
         return runs["event"], runs["reference"]
 
@@ -399,10 +395,9 @@ class TestSchedulerEquivalence:
             event_value = getattr(event_result.stats, spec.name)
             reference_value = getattr(reference_result.stats, spec.name)
             assert event_value == reference_value, (
-                f"stats.{spec.name}: event {event_value!r} != "
-                f"reference {reference_value!r}"
+                f"stats.{spec.name}: event {event_value!r} != reference {reference_value!r}"
             )
-        assert event_result.iterations == reference_result.iterations
+        assert_records_equivalent(event_result.bursts, reference_result.bursts)
         assert_same_completions(event_result.completed, reference_result.completed)
         assert_streams_equivalent(event_log, reference_log)
 
@@ -439,9 +434,7 @@ class TestSchedulerEquivalence:
         config = _config()
         seq_lens = [16, 24, 33, 8, 48, 16, 24, 33] * 3
         rate = 3.0 * swat_request_rate(config, seq_lens, max_batch_size=3)
-        arrivals = diurnal_arrivals(
-            len(seq_lens), rate, period=len(seq_lens) / rate / 3.0, seed=13
-        )
+        arrivals = diurnal_arrivals(len(seq_lens), rate, period=len(seq_lens) / rate / 3.0, seed=13)
         event_run, reference_run = self._run_both(
             make_requests(seq_lens, config.head_dim, seed=13, arrival_times=arrivals),
             config=config,
@@ -455,9 +448,7 @@ class TestSchedulerEquivalence:
 
     def test_unknown_scheduler_rejected(self):
         with pytest.raises(ValueError, match="scheduler"):
-            serve_continuous(
-                [], config=_config(), backend="analytical", scheduler="fifo"
-            )
+            serve_continuous([], config=_config(), backend="analytical", scheduler="fifo")
 
 
 class TestHeadOfLineBlocking:
@@ -506,7 +497,7 @@ class TestEngineMode:
         )
         result = engine.serve(requests)
         assert result.stats.mode == "continuous"
-        assert result.stats.num_iterations == len(result.iterations) > 0
+        assert result.stats.num_iterations == sum(record.iterations for record in result.bursts) > 0
         assert all(done.output is not None for done in result.completed)
 
     def test_drain_mode_is_default_on_the_simulated_clock(self):
@@ -515,7 +506,7 @@ class TestEngineMode:
         result = engine.serve(make_requests([16, 24], config.head_dim, functional=False))
         assert engine.mode == "drain"
         assert result.stats.mode == "drain"
-        assert result.stats.num_iterations == len(result.iterations) > 0
+        assert result.stats.num_iterations == sum(record.iterations for record in result.bursts) > 0
 
     @pytest.mark.parametrize("mode", ["drain", "continuous"])
     @pytest.mark.parametrize("backend", ["simulator", "analytical"])
@@ -641,9 +632,7 @@ class TestContinuousBatcher:
         with pytest.raises(ValueError, match="num_shards"):
             serve_continuous([], config=_config(), backend="analytical", num_shards=0)
 
-    @pytest.mark.parametrize(
-        "names", [("analytical", "gpu-dense"), ("gpu-dense", "analytical")]
-    )
+    @pytest.mark.parametrize("names", [("analytical", "gpu-dense"), ("gpu-dense", "analytical")])
     def test_mixed_backend_pool_rejected(self, names):
         # Shard 0's row model would price every shard (a GPU shard streaming
         # a quarter of its rows, or an analytical one four times too many),
@@ -690,9 +679,7 @@ class TestContinuousBatcher:
         with pytest.raises(TypeError, match=f"{knob} must be an int"):
             serve_continuous(requests, config=_config(), backend="analytical", **{knob: value})
         with pytest.raises(TypeError, match=f"{knob} must be an int"):
-            ServingEngine(config=_config(), backend="analytical", **{knob: value}).serve(
-                requests
-            )
+            ServingEngine(config=_config(), backend="analytical", **{knob: value}).serve(requests)
         if knob != "iteration_rows":
             with pytest.raises(TypeError, match=f"{knob} must be an int"):
                 ContinuousBatcher(**{"max_batch_size": 2, knob: value})
@@ -764,6 +751,15 @@ class TestContinuousBatcher:
             batcher.submit([late])
         assert batcher.waiting_count == 0 and batcher.requests == []
 
+    def test_second_submit_rejected(self):
+        # A batcher serves one trace: a second submit used to re-rank the
+        # waiting queue around the new requests.
+        batcher = ContinuousBatcher(max_batch_size=2)
+        batcher.submit([AttentionRequest(seq_len=8)])
+        with pytest.raises(ValueError, match="already holds a trace"):
+            batcher.submit([AttentionRequest(seq_len=16)])
+        assert len(batcher.requests) == batcher.waiting_count == 1
+
     def test_free_slots_tracks_admission_policy(self):
         continuous = ContinuousBatcher(max_batch_size=3)
         drain = ContinuousBatcher(max_batch_size=3, admission="drain")
@@ -785,7 +781,7 @@ class TestAccounting:
         for done in result.completed:
             resident_ticks = sum(
                 record.ticks
-                for record in result.iterations
+                for record in result.bursts
                 if done.request.request_id in dict(record.resident)
             )
             assert done.device_seconds == result.time_base.seconds(resident_ticks)
@@ -794,9 +790,7 @@ class TestAccounting:
 
     def test_engine_continuous_mode_reuses_its_shards(self):
         config = _config()
-        engine = ServingEngine(
-            config=config, backend="simulator", num_shards=2, mode="continuous"
-        )
+        engine = ServingEngine(config=config, backend="simulator", num_shards=2, mode="continuous")
         result = engine.serve(make_requests([32] * 6, config.head_dim, seed=0))
         # One compile for the shape; every further lookup (either shard's
         # retirement pass) hits the engine's pool-wide cache.
@@ -809,6 +803,21 @@ class TestAccounting:
         assert double == pytest.approx(single / 2)
         with pytest.raises(ValueError, match="num_heads"):
             swat_request_rate(config, [64], num_heads=0)
+
+    @pytest.mark.parametrize(
+        "knob, value, error",
+        [
+            ("num_shards", 0, ValueError),
+            ("max_batch_size", -2, ValueError),
+            ("num_shards", True, TypeError),
+            ("max_batch_size", 2.5, TypeError),
+        ],
+    )
+    def test_request_rate_rejects_bad_pool_sizes(self, knob, value, error):
+        # Used to return 0.0 req/s for no shards and a negative rate for a
+        # negative width, which poisson_arrivals then rejected as a rate.
+        with pytest.raises(error, match=knob):
+            swat_request_rate(_config(), [64], **{knob: value})
 
 
 class TestPercentile:
@@ -872,8 +881,8 @@ class TestAdmissionPolicy:
         first = self._policy_run(requests, "sjf")
         second = self._policy_run(requests, "sjf")
         assert first.stats.latency_p95_seconds == second.stats.latency_p95_seconds
-        assert [record.resident for record in first.iterations] == [
-            record.resident for record in second.iterations
+        assert [record.resident for record in first.bursts] == [
+            record.resident for record in second.bursts
         ]
 
     def test_sjf_degenerates_to_fcfs_on_uniform_lengths(self):
@@ -889,8 +898,8 @@ class TestAdmissionPolicy:
         )
         fcfs = self._policy_run(requests, "fcfs")
         sjf = self._policy_run(requests, "sjf")
-        assert [record.resident for record in fcfs.iterations] == [
-            record.resident for record in sjf.iterations
+        assert [record.resident for record in fcfs.bursts] == [
+            record.resident for record in sjf.bursts
         ]
 
     def test_invalid_policy_rejected(self):
@@ -904,9 +913,7 @@ class TestAdmissionPolicy:
         not_arrived = AttentionRequest(seq_len=2, arrival_time=9.0)
         batcher.submit([long_early, short_late, not_arrived])
         admitted = batcher.admit(0, now=2, program_of=_seq_len_program)
-        assert [inflight.request.request_id for inflight in admitted] == [
-            short_late.request_id
-        ]
+        assert [inflight.request.request_id for inflight in admitted] == [short_late.request_id]
         assert batcher.waiting_count == 2
         # The earliest waiting arrival is the passed-over long job, not the
         # heap's next pick or the queue's not-yet-arrived tail.

@@ -33,7 +33,12 @@ from repro.serving.request import (
 )
 from repro.serving.stats import ServingStats, decode_token_intervals
 from repro.telemetry.bus import EventBus
-from tests.event_streams import BURST, assert_same_completions, assert_streams_equivalent
+from tests.event_streams import (
+    BURST,
+    assert_records_equivalent,
+    assert_same_completions,
+    assert_streams_equivalent,
+)
 
 CONTINUOUS_BACKENDS = ["simulator", "analytical", "gpu-dense", "gpu-chunked", "dense-fpga"]
 
@@ -45,9 +50,7 @@ def _config(**overrides):
 
 
 def _spec(seq_len=24, num_layers=2, num_heads=2):
-    return ModelSpec.uniform(
-        num_layers, seq_len, window_tokens=8, num_heads=num_heads, head_dim=16
-    )
+    return ModelSpec.uniform(num_layers, seq_len, window_tokens=8, num_heads=num_heads, head_dim=16)
 
 
 class TestDecodeBlockSchedule:
@@ -194,9 +197,7 @@ def _mixed_trace(config, functional, count=12, seed=7):
             arrival_time=arrivals[index],
         )
     for index in range(1, count, 4):
-        requests[index] = make_forward_request(
-            spec, functional=False, arrival_time=arrivals[index]
-        )
+        requests[index] = make_forward_request(spec, functional=False, arrival_time=arrivals[index])
     return requests
 
 
@@ -344,20 +345,23 @@ def _serve_spied(requests, scheduler, num_shards, quantum):
 
 
 def _assert_schedulers_agree(requests, num_shards, quantum):
-    """Event and reference serves agree bit for bit, telemetry in canonical form.
+    """Event and reference serves agree bit for bit, records and telemetry in canonical form.
 
-    The event serve emits one ``burst_advanced`` per pricing call.  Returns
-    the event serve's result and its pricing calls.
+    The event serve keeps one burst record and emits one ``burst_advanced``
+    per pricing call.  Returns the event serve's result and its pricing
+    calls.
     """
     event, event_log, calls = _serve_spied(requests, "event", num_shards, quantum)
     reference, reference_log, _ = _serve_spied(requests, "reference", num_shards, quantum)
     assert sum(item.kind == BURST for item in event_log) == calls
+    assert len(event.bursts) == calls
+    assert sum(record.iterations for record in event.bursts) == event.stats.num_iterations
     for spec in fields(ServingStats):
         if spec.name == "wall_seconds":
             continue
         event_value = getattr(event.stats, spec.name)
         assert event_value == getattr(reference.stats, spec.name), spec.name
-    assert event.iterations == reference.iterations
+    assert_records_equivalent(event.bursts, reference.bursts)
     assert_streams_equivalent(event_log, reference_log)
     return event, calls
 
@@ -373,7 +377,7 @@ class TestBurstCarryOver:
         result, calls = _assert_schedulers_agree(requests, num_shards, quantum)
         # A resident set is priced only after it changed: each pricing call
         # follows an admission or a retirement on its shard.
-        changes = sum(len(record.admitted) + len(record.retired) for record in result.iterations)
+        changes = sum(len(record.admitted) + len(record.retired) for record in result.bursts)
         assert calls <= changes
 
     def test_two_shard_trace_prices_fewer_times_than_it_activates(self, monkeypatch):
@@ -418,12 +422,12 @@ class TestBurstCarryOver:
 
 
 class TestFastPath:
-    """The branch every large serve takes: no bus and no iteration records.
+    """The branch perfbench's quiet serves take: no bus and no burst records.
 
     Every other equivalence test serves with a bus or with records, which
-    sends the event scheduler down its per-iteration slow path; this one
-    pins the lockstep fast path against the reference loop on every stat
-    and every completion field, outputs included.
+    makes the event scheduler keep each shard's open burst and report it;
+    this one pins the loop that keeps none against the reference loop on
+    every stat and every completion field, outputs included.
     """
 
     @settings(deadline=None, max_examples=40)
@@ -453,7 +457,7 @@ class TestFastPath:
             for scheduler in ("event", "reference")
         }
         event, reference = results["event"], results["reference"]
-        assert event.iterations == ()
+        assert event.bursts == ()
         for spec in fields(ServingStats):
             if spec.name != "wall_seconds":
                 assert getattr(event.stats, spec.name) == getattr(
@@ -526,9 +530,7 @@ class TestAdmissionWorkRanking:
                 policy=policy,
                 scheduler="event",
             )
-            ranked = sorted(
-                result.completed, key=lambda completed: completed.finish_time
-            )
+            ranked = sorted(result.completed, key=lambda completed: completed.finish_time)
             return [completed.request.request_id for completed in ranked]
 
         fcfs = finish_order("fcfs")

@@ -100,9 +100,7 @@ class TestEventLogCli:
         assert "replay verified" in capsys.readouterr().out
 
     def test_continuous_compare_events_replay_strict(self, tmp_path, capsys):
-        path = self._serve_with_events(
-            tmp_path, extra=["--mode", "continuous", "--compare"]
-        )
+        path = self._serve_with_events(tmp_path, extra=["--mode", "continuous", "--compare"])
         capsys.readouterr()
         # --compare logs both runs into one file: continuous as run_id 0 and
         # drain as 1, each independently replayable bit-for-bit.

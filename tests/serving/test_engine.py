@@ -86,7 +86,7 @@ class TestAccounting:
         # Two equal batches on two shards: both busy, perfectly balanced.
         assert stats.shard_busy_seconds[0] == pytest.approx(stats.shard_busy_seconds[1])
         assert stats.device_makespan_seconds == pytest.approx(max(stats.shard_busy_seconds))
-        assert {record.shard for record in result.iterations} == {0, 1}
+        assert {record.shard for record in result.bursts} == {0, 1}
 
     def test_makespan_throughput_definition(self):
         engine = ServingEngine(config=_config(), backend="analytical", num_shards=2)

@@ -205,7 +205,7 @@ class TestContinuousServing:
                 max_batch_size=2,
                 iteration_rows=iteration_rows,
             )
-            assert sum(record.ticks for record in result.iterations) == plan.total_cycles
+            assert sum(record.ticks for record in result.bursts) == plan.total_cycles
 
     def test_forward_lifecycle_and_gpu_backends(self):
         config = _config()

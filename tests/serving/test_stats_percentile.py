@@ -15,9 +15,7 @@ from hypothesis import strategies as st
 
 from repro.serving.stats import TimeBase, percentile
 
-finite_floats = st.floats(
-    min_value=-1e9, max_value=1e9, allow_nan=False, allow_infinity=False
-)
+finite_floats = st.floats(min_value=-1e9, max_value=1e9, allow_nan=False, allow_infinity=False)
 
 
 @given(

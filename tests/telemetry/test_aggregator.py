@@ -120,9 +120,7 @@ class TestSnapshot:
         bus = EventBus()
         aggregator = MetricsAggregator()
         bus.subscribe(aggregator.feed)
-        serve_continuous(
-            requests, config=config, backend="analytical", num_shards=2, bus=bus
-        )
+        serve_continuous(requests, config=config, backend="analytical", num_shards=2, bus=bus)
         assert aggregator.finished
         assert aggregator.retired == len(seq_lens)
         snapshot = aggregator.snapshot()

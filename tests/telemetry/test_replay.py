@@ -107,9 +107,7 @@ class TestContinuousReplay:
         config = _config()
         seq_lens = [32, 32, 24, 32, 24, 24] * 2
         arrivals = poisson_arrivals(len(seq_lens), 5000.0, seed=5)
-        requests = make_requests(
-            seq_lens, config.head_dim, seed=2, arrival_times=arrivals
-        )
+        requests = make_requests(seq_lens, config.head_dim, seed=2, arrival_times=arrivals)
         path, bus, writer = _instrumented_log(tmp_path, "functional.jsonl")
         result = serve_continuous(
             requests,
@@ -160,12 +158,8 @@ class TestContinuousReplay:
         config = _config()
         requests = make_requests([24, 32], config.head_dim, functional=False)
         path, bus, writer = _instrumented_log(tmp_path, "tworuns.jsonl")
-        serve_continuous(
-            requests, config=config, backend="analytical", max_batch_size=2, bus=bus
-        )
-        serve_continuous(
-            requests, config=config, backend="analytical", max_batch_size=2, bus=bus
-        )
+        serve_continuous(requests, config=config, backend="analytical", max_batch_size=2, bus=bus)
+        serve_continuous(requests, config=config, backend="analytical", max_batch_size=2, bus=bus)
         writer.close()
         with pytest.raises(ValueError, match="more than one run_started"):
             replay_stats(path)
@@ -203,9 +197,12 @@ class TestBurstFolding:
         assert len({burst.occupancy for burst in bursts}) == 3
         replayed = TraceReplayer().feed_all(events).stats()
         assert replayed.mean_occupancy == result.stats.mean_occupancy
-        assert replayed.num_iterations == result.stats.num_iterations == len(result.iterations)
+        iterations = sum(record.iterations for record in result.bursts)
+        assert replayed.num_iterations == result.stats.num_iterations == iterations
         # Both equal statistics.mean over one occupancy per iteration.
-        assert result.stats.mean_occupancy == mean(record.occupancy for record in result.iterations)
+        assert result.stats.mean_occupancy == mean(
+            record.occupancy for record in result.bursts for _ in range(record.iterations)
+        )
         _assert_stats_identical(result.stats, replayed)
 
 
@@ -265,9 +262,7 @@ class TestReplayerEdges:
         config = _config()
         requests = make_requests([24, 32], config.head_dim, functional=False)
         path, bus, writer = _instrumented_log(tmp_path, "truncated.jsonl")
-        serve_continuous(
-            requests, config=config, backend="analytical", max_batch_size=2, bus=bus
-        )
+        serve_continuous(requests, config=config, backend="analytical", max_batch_size=2, bus=bus)
         writer.close()
         lines = path.read_text().splitlines()
         assert "run_finished" in lines[-1]
@@ -279,8 +274,6 @@ class TestReplayerEdges:
         config = _config()
         requests = make_requests([24], config.head_dim, functional=False)
         path, bus, writer = _instrumented_log(tmp_path, "wall.jsonl")
-        result = serve_continuous(
-            requests, config=config, backend="analytical", bus=bus
-        )
+        result = serve_continuous(requests, config=config, backend="analytical", bus=bus)
         writer.close()
         assert replay_stats(path).wall_seconds == result.stats.wall_seconds > 0
