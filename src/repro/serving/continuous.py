@@ -40,12 +40,12 @@ Two scheduler implementations produce bit-identical results
     Event-driven and columnar.  A request is an index into int64 columns
     from submission to completion (:class:`ContinuousBatcher`): admission
     writes its admit tick, shard, admission id and residency, retirement
-    its finish and device ticks, and the completions are built from the
-    columns in one pass at the end; only a decode keeps a record of its
-    own, for its block stamps.  A heap over per-shard activation ticks
-    replaces the linear scan, and between an admission and the next
-    retirement the resident set is fixed — the backend prices that whole
-    *burst* of iterations in one
+    its finish and device ticks, and the result keeps the columns, building
+    a completion only when one is read (:class:`Completions`); only a
+    decode keeps a record of its own, for its block stamps.  A heap over
+    per-shard activation ticks replaces the linear scan, and between an
+    admission and the next retirement the resident set is fixed — the
+    backend prices that whole *burst* of iterations in one
     :meth:`~repro.serving.backends.AttentionBackend.step_burst` call, and
     the loop folds it into the accounting with integer prefix sums (an
     attention-only SWAT burst answers them in closed form from two ints,
@@ -59,8 +59,9 @@ Two scheduler implementations produce bit-identical results
     activation admits.  Pricing cost scales with *resident-set changes*,
     not iterations or activations: a 100k-request diurnal trace replays in
     under a second.  So does reporting: each priced burst is one
-    :class:`BurstRecord` in :attr:`ServingResult.bursts` and, on a listening
-    bus, one ``burst_advanced`` event, however many iterations it runs.
+    ``burst_advanced`` event on a listening bus and, when the serve asks for
+    them, one :class:`BurstRecord` in :attr:`ServingResult.bursts`, however
+    many iterations it runs.
 
 ``"reference"``
     The retained quantum-stepped loop: one Python iteration per priced
@@ -97,10 +98,11 @@ import heapq
 import time
 from array import array
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import accumulate, repeat
+from itertools import accumulate
 from math import ceil
-from operator import attrgetter
+from operator import attrgetter, indexOf
 from statistics import mean
 
 import numpy as np
@@ -140,6 +142,7 @@ __all__ = [
     "ServingClock",
     "InFlightRequest",
     "BurstRecord",
+    "Completions",
     "ServingResult",
     "ContinuousBatcher",
     "QUEUE_POLICIES",
@@ -292,33 +295,78 @@ class BurstRecord:
     retired: "tuple[int, ...]"
 
 
-@dataclass(frozen=True)
+class Completions(Sequence):
+    """A serve's :class:`CompletedRequest`\\ s, in submission order, built on read.
+
+    A read-only sequence over the batcher's int64 columns and the outputs
+    column (``None`` on a pool that computes no outputs), so a finished
+    serve holds no object per request beyond the caller's requests.  An
+    index (negative too), a slice (a list) or an iteration builds each
+    record it reads afresh, equal in value, bits and type to an eager build:
+    ``arrival_time`` is the request's own, the other instants and
+    ``device_seconds`` the :class:`~repro.serving.stats.TimeBase` products
+    of their ticks.
+    """
+
+    __slots__ = ("requests", "outputs", "_ids", "_ticks", "_seconds")
+
+    def __init__(self, batcher: ContinuousBatcher, outputs: "list | None") -> None:
+        self.requests = batcher.requests
+        self.outputs = outputs
+        self._ids = (batcher.shard_of, batcher.batch_ids, batcher.batch_sizes)
+        self._ticks = (batcher.device_ticks, batcher.admit_ticks, batcher.finish_ticks)
+        self._seconds = batcher.time_base.seconds
+
+    def __len__(self) -> int:
+        return len(self.requests)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[position] for position in range(*index.indices(len(self)))]
+        request = self.requests[index]
+        shard, batch_id, batch_size = (column[index] for column in self._ids)
+        device, admit, finish = (self._seconds(column[index]) for column in self._ticks)
+        output = None if self.outputs is None else self.outputs[index]
+        arrival = request.arrival_time
+        return CompletedRequest(
+            request, output, shard, batch_id, batch_size, device, arrival, admit, finish
+        )
+
+
+@dataclass(frozen=True, eq=False)
 class ServingResult:
     """Everything one serving run produced.
 
-    ``bursts`` holds one :class:`BurstRecord` per priced burst, in
-    ``(start_tick, shard)`` order, or nothing when the run passed
-    ``record_iterations=False``.  ``time_base`` is the pool's tick and
-    energy-rule power: it converts the records' ticks to the seconds and
-    joules of ``stats``.
+    ``completed`` lists every request's completion in submission order,
+    built on read (:class:`Completions`), and ``queue_seconds`` and
+    ``latency_seconds`` are the queue-wait and latency samples as float64
+    arrays in the same order.  ``bursts`` holds one :class:`BurstRecord` per
+    priced burst, in ``(start_tick, shard)`` order, when the run passed
+    ``record_iterations=True``, else nothing.  ``time_base`` is the pool's
+    tick and energy-rule power: it converts the records' ticks to the
+    seconds and joules of ``stats``.
     """
 
-    completed: "list[CompletedRequest]"
+    completed: Completions
     stats: ServingStats
     time_base: TimeBase
+    queue_seconds: np.ndarray
+    latency_seconds: np.ndarray
     bursts: "tuple[BurstRecord, ...]" = ()
 
     def output_for(self, request: AttentionRequest):
-        """Return the output served for ``request``.
+        """Return the output served for ``request``, read off the outputs column.
 
         ``None`` when the request was served by a non-functional backend (or
         was analytical); raises :class:`KeyError` when ``request`` was not
         part of this run at all.
         """
-        for done in self.completed:
-            if done.request.request_id == request.request_id:
-                return done.output
-        raise KeyError(f"request {request.request_id} was not served in this run")
+        served = self.completed
+        try:
+            index = indexOf(map(attrgetter("request_id"), served.requests), request.request_id)
+        except ValueError:
+            raise KeyError(f"request {request.request_id} was not served in this run") from None
+        return None if served.outputs is None else served.outputs[index]
 
 
 class ContinuousBatcher:
@@ -782,7 +830,7 @@ def serve_continuous(
     backends: "list | None" = None,
     bus=None,
     scheduler: str = "event",
-    record_iterations: bool = True,
+    record_iterations: bool = False,
     run_id: int = 0,
 ) -> ServingResult:
     """Serve ``requests`` through the iteration-level scheduler.
@@ -831,11 +879,13 @@ def serve_continuous(
     burst (the reference scheduler's bursts are one iteration long), all
     stamped with ``run_id`` (multi-run logs replay one run at a time); with
     no bus (or no sinks) every emission collapses to one branch.
-    ``ServingResult.bursts`` holds one :class:`BurstRecord` per priced burst
-    (one per iteration under the reference scheduler);
-    ``record_iterations=False`` skips them, leaving the stats unchanged.
+    ``record_iterations=True`` also keeps one :class:`BurstRecord` per
+    priced burst (one per iteration under the reference scheduler) in
+    ``ServingResult.bursts``; by default the run builds none, and the stats
+    are the same either way.
 
-    The result lists every request's completion in submission order.
+    The result lists every request's completion in submission order, built
+    on read from the run's columns (:class:`Completions`).
     Every request of a serve needs its own ``request_id`` and an arrival
     whose first tick fits an int64, a functional pool's attentions must
     carry data of its config's ``head_dim``, and ``num_shards``,
@@ -925,13 +975,15 @@ def serve_continuous(
     else:
         _reference_loop(state)
 
-    completed, queue_waits, latencies = _completions(state)
+    # The samples of CompletedRequest.queue_seconds and latency_seconds, a
+    # column at a time by the same products and subtractions.
+    queue_seconds, latency_seconds = (
+        time_base.seconds(np.frombuffer(ticks, dtype=np.int64)) - batcher.arrivals
+        for ticks in (batcher.admit_ticks, batcher.finish_ticks)
+    )
     wall_seconds = time.perf_counter() - start_wall
     cache_after = plan_cache.counters()
     makespan = time_base.seconds(max(batcher.finish_ticks, default=0))
-    # Sorted once: each percentile's own sort is then a linear pass.
-    for samples in (state.ttfts, state.token_gaps):
-        samples.sort()
     stats = ServingStats(
         backend=backend,
         num_requests=len(requests),
@@ -948,10 +1000,10 @@ def serve_continuous(
         policy=policy,
         num_iterations=state.num_iterations,
         mean_occupancy=occupancy_mean(state.occupancy_counts),
-        queue_p50_seconds=percentile(queue_waits, 50.0),
-        queue_p95_seconds=percentile(queue_waits, 95.0),
-        latency_p50_seconds=percentile(latencies, 50.0),
-        latency_p95_seconds=percentile(latencies, 95.0),
+        queue_p50_seconds=percentile(queue_seconds, 50.0),
+        queue_p95_seconds=percentile(queue_seconds, 95.0),
+        latency_p50_seconds=percentile(latency_seconds, 50.0),
+        latency_p95_seconds=percentile(latency_seconds, 95.0),
         num_decode_requests=state.num_decode,
         decode_tokens=state.decode_tokens,
         kv_hits=kv_residency.hits,
@@ -964,49 +1016,13 @@ def serve_continuous(
     if bus.active:
         bus.emit(RunFinished(wall_seconds=wall_seconds, stats=stats.to_dict(), run_id=run_id))
     return ServingResult(
-        completed=completed,
+        completed=Completions(batcher, state.outputs),
         stats=stats,
         time_base=time_base,
+        queue_seconds=queue_seconds,
+        latency_seconds=latency_seconds,
         bursts=tuple(sorted(state.records, key=attrgetter("start_tick", "shard"))),
     )
-
-
-def _completions(state: _RunState) -> "tuple[list[CompletedRequest], list[float], list[float]]":
-    """Every request's :class:`CompletedRequest`, in submission order, and the
-    run's queue-wait and latency samples, sorted.
-
-    One pass over the columns.  Ticks become seconds a column at a time, by
-    the one :class:`~repro.serving.stats.TimeBase` product, so every float
-    equals the per-request conversion bit for bit.
-    """
-    batcher = state.batcher
-    requests = batcher.requests
-    seconds = state.time_base.seconds
-    admit_times = seconds(np.frombuffer(batcher.admit_ticks, dtype=np.int64))
-    finish_times = seconds(np.frombuffer(batcher.finish_ticks, dtype=np.int64))
-    completed = list(
-        map(
-            CompletedRequest,
-            requests,
-            state.outputs if state.outputs is not None else repeat(None),
-            batcher.shard_of,
-            batcher.batch_ids,
-            batcher.batch_sizes,
-            # Memoryviews hand map one Python float at a time.
-            memoryview(seconds(np.frombuffer(batcher.device_ticks, dtype=np.int64))),
-            map(attrgetter("arrival_time"), requests),
-            memoryview(admit_times),
-            memoryview(finish_times),
-        )
-    )
-    # The instants become the samples in place (the subtractions of
-    # CompletedRequest.queue_seconds and latency_seconds), sorted once: each
-    # percentile's own sort is then a linear pass.
-    admit_times -= batcher.arrivals
-    admit_times.sort()
-    finish_times -= batcher.arrivals
-    finish_times.sort()
-    return completed, admit_times.tolist(), finish_times.tolist()
 
 
 def _reference_loop(state: _RunState) -> None:

@@ -419,11 +419,13 @@ class DecodeRequest:
 class CompletedRequest:
     """A served request plus where and how it was executed.
 
-    The engine builds one per retirement, in one place, with positional
-    arguments in field order.  It is a plain slotted record, not a frozen
-    one: a frozen ``__init__`` sets every field through
+    A serve keeps none: its result builds one from the run's columns each
+    time one is read (:class:`~repro.serving.continuous.Completions`), with
+    positional arguments in field order.  It is a plain slotted record, not
+    a frozen one: a frozen ``__init__`` sets every field through
     ``object.__setattr__``, several times the cost of the slotted
-    assignments on a 100k-request serve.  Treat it as read-only.
+    assignments when a 100k-request result is iterated.  Treat it as
+    read-only.
 
     Attributes
     ----------

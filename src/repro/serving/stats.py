@@ -12,6 +12,7 @@ with the paper-table reports.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import ceil, isfinite
@@ -100,12 +101,14 @@ class TimeBase:
         return ticks.tolist()
 
 
-def percentile(values: "list[float]", q: float) -> float:
-    """Deterministic nearest-rank percentile (``q`` in [0, 100]).
+def percentile(values: "Sequence[float] | np.ndarray", q: float) -> float:
+    """Deterministic nearest-rank percentile (``q`` in [0, 100]) of a 1-D sample.
 
     The serving layer's latency reporting helper: no interpolation, so the
     returned value is always one actually observed — and the simulated-clock
-    tests can assert on it exactly.  Returns 0.0 for an empty sample.
+    tests can assert on it exactly.  ``values`` is any 1-D float sequence, a
+    float64 array included, in any order; the result is a Python ``float``.
+    Returns 0.0 for an empty sample.
 
     Matches ``numpy.percentile(values, q, method="inverted_cdf")`` for every
     non-empty sample (property-tested), including numpy's evaluation of the
@@ -115,12 +118,12 @@ def percentile(values: "list[float]", q: float) -> float:
     """
     if not 0.0 <= q <= 100.0:
         raise ValueError(f"q must be within [0, 100], got {q}")
-    if not values:
+    count = len(values)
+    if not count:
         return 0.0
-    ordered = sorted(values)
-    position = q / 100.0 * len(ordered) - 1.0  # float, exactly as numpy evaluates it
-    rank = min(len(ordered) - 1, max(0, ceil(position)))
-    return ordered[rank]
+    position = q / 100.0 * count - 1.0  # float, exactly as numpy evaluates it
+    rank = min(count - 1, max(0, ceil(position)))
+    return float(np.partition(np.asarray(values, dtype=np.float64), rank)[rank])
 
 
 def occupancy_mean(counts: "Counter[float]") -> float:

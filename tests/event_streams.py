@@ -1,7 +1,8 @@
 """Scheduler-equivalence helpers: completions, and bursts and event streams in canonical form.
 
 Two serves' completions are equivalent when they are equal field for field,
-in order, outputs compared by value (:func:`assert_same_completions`).
+in order: outputs by value, floats by bit pattern, every field by type too
+(:func:`assert_same_completions`).
 
 The event scheduler keeps one :class:`~repro.serving.continuous.BurstRecord`
 per priced burst; the reference loop keeps one per iteration.  Two serves'
@@ -22,6 +23,7 @@ Coalescing the event scheduler's own records or stream is a no-op, which
 both assertions check too.
 """
 
+import struct
 from dataclasses import fields, replace
 
 import numpy as np
@@ -148,7 +150,10 @@ def assert_streams_equivalent(event_events, reference_events) -> None:
 
 
 def assert_same_completions(event_completed, reference_completed) -> None:
-    """Every :class:`CompletedRequest` field agrees, in order; outputs by value."""
+    """Every :class:`CompletedRequest` field agrees, in order and by type.
+
+    Outputs compare by value, floats by bit pattern.
+    """
     assert len(event_completed) == len(reference_completed)
     for position, (event_done, reference_done) in enumerate(
         zip(event_completed, reference_completed)
@@ -156,9 +161,14 @@ def assert_same_completions(event_completed, reference_completed) -> None:
         for spec in fields(CompletedRequest):
             event_value = getattr(event_done, spec.name)
             reference_value = getattr(reference_done, spec.name)
-            if spec.name == "output" and event_value is not None:
-                assert np.array_equal(event_value, reference_value), f"completion {position}"
+            if type(event_value) is not type(reference_value):
+                same = False
+            elif spec.name == "output" and event_value is not None:
+                same = np.array_equal(event_value, reference_value)
+            elif isinstance(event_value, float):
+                same = struct.pack("<d", event_value) == struct.pack("<d", reference_value)
             else:
-                assert event_value is reference_value or event_value == reference_value, (
-                    f"completion {position}: {spec.name} {event_value!r} != {reference_value!r}"
-                )
+                same = event_value is reference_value or event_value == reference_value
+            assert same, (
+                f"completion {position}: {spec.name} {event_value!r} != {reference_value!r}"
+            )

@@ -159,7 +159,9 @@ class TestDeclaredHeads:
         monkeypatch.setattr(plan_module.PlanBatch, "execute", spy)
         q, k, v = attention_inputs(16, HEAD_DIM, seed=0)
         request = AttentionRequest(seq_len=16, q=q, k=k, v=v, num_heads=3)
-        result = serve_continuous([request], config=config, backend="simulator")
+        result = serve_continuous(
+            [request], config=config, backend="simulator", record_iterations=True
+        )
         assert executed_heads == [1]
         assert result.completed[0].output.shape == (16, HEAD_DIM)
         assert result.stats.total_head_rows == 3 * 16

@@ -21,12 +21,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from collections.abc import Sequence
 from dataclasses import fields
 from types import SimpleNamespace
 
 from repro.core.config import SWATConfig
 from repro.core.pipeline import SWATPipelineModel
 from repro.serving.backends import create_backend
+from repro.serving import continuous
 from repro.serving.continuous import (
     SCHEDULERS,
     ContinuousBatcher,
@@ -39,7 +41,7 @@ from repro.serving.continuous import (
     swat_request_rate,
 )
 from repro.serving.engine import ServingEngine
-from repro.serving.request import AttentionRequest, make_request, make_requests
+from repro.serving.request import AttentionRequest, CompletedRequest, make_request, make_requests
 from repro.serving.stats import ServingStats, TimeBase, percentile
 from repro.telemetry import EventBus
 from tests.event_streams import (
@@ -134,6 +136,7 @@ class TestConservation:
             num_shards=num_shards,
             max_batch_size=max_batch_size,
             iteration_rows=iteration_rows,
+            record_iterations=True,
         )
         pipeline = SWATPipelineModel(config)
         backend = create_backend("analytical", config=config)
@@ -234,7 +237,13 @@ class TestConservation:
         # (``batch_attention_cycles``, heads streamed back to back).
         config = _config()
         request = AttentionRequest(seq_len=100, num_heads=3, arrival_time=0.0)
-        result = serve_continuous([request], config=config, backend="analytical", iteration_rows=17)
+        result = serve_continuous(
+            [request],
+            config=config,
+            backend="analytical",
+            iteration_rows=17,
+            record_iterations=True,
+        )
         pipeline = SWATPipelineModel(config)
         total_ticks = sum(record.ticks for record in result.bursts)
         assert total_ticks == pipeline.batch_attention_cycles(
@@ -253,7 +262,11 @@ class TestConservation:
         one_shot = program.ticks
         assert program.rate_rows == program.total_rows
         result = serve_continuous(
-            [request], config=config, backend=backend, iteration_rows=iteration_rows
+            [request],
+            config=config,
+            backend=backend,
+            iteration_rows=iteration_rows,
+            record_iterations=True,
         )
         assert sum(record.ticks for record in result.bursts) == one_shot
         (done,) = result.completed
@@ -273,6 +286,7 @@ class TestDeterminism:
                 num_shards=2,
                 max_batch_size=2,
                 iteration_rows=16,
+                record_iterations=True,
             )
             for requests in (requests_a, requests_b)
         ]
@@ -381,7 +395,9 @@ class TestSchedulerEquivalence:
             bus = EventBus()
             events = []
             bus.subscribe(events.append)
-            result = serve_continuous(list(requests), scheduler=scheduler, bus=bus, **kwargs)
+            result = serve_continuous(
+                list(requests), scheduler=scheduler, bus=bus, record_iterations=True, **kwargs
+            )
             runs[scheduler] = (result, events)
         return runs["event"], runs["reference"]
 
@@ -483,10 +499,24 @@ class TestHeadOfLineBlocking:
         assert comparison.speedup == pytest.approx(1.0, rel=0.05)
 
 
+def _listening_bus():
+    """An :class:`EventBus` and the list its one sink appends every event to."""
+    bus = EventBus()
+    events = []
+    bus.subscribe(events.append)
+    return bus, events
+
+
+def _burst_iterations(events) -> int:
+    """Iterations the ``burst_advanced`` events of a serve's log cover."""
+    return sum(event.iterations for event in events if event.kind == "burst_advanced")
+
+
 class TestEngineMode:
     def test_engine_routes_continuous_mode(self):
         config = _config()
         requests = make_requests([16, 24, 16, 33], config.head_dim, seed=0)
+        bus, events = _listening_bus()
         engine = ServingEngine(
             config=config,
             backend="simulator",
@@ -494,19 +524,21 @@ class TestEngineMode:
             max_batch_size=2,
             mode="continuous",
             iteration_rows=16,
+            bus=bus,
         )
         result = engine.serve(requests)
         assert result.stats.mode == "continuous"
-        assert result.stats.num_iterations == sum(record.iterations for record in result.bursts) > 0
+        assert result.stats.num_iterations == _burst_iterations(events) > 0
         assert all(done.output is not None for done in result.completed)
 
     def test_drain_mode_is_default_on_the_simulated_clock(self):
         config = _config()
-        engine = ServingEngine(config=config, backend="analytical", num_shards=1)
+        bus, events = _listening_bus()
+        engine = ServingEngine(config=config, backend="analytical", num_shards=1, bus=bus)
         result = engine.serve(make_requests([16, 24], config.head_dim, functional=False))
         assert engine.mode == "drain"
         assert result.stats.mode == "drain"
-        assert result.stats.num_iterations == sum(record.iterations for record in result.bursts) > 0
+        assert result.stats.num_iterations == _burst_iterations(events) > 0
 
     @pytest.mark.parametrize("mode", ["drain", "continuous"])
     @pytest.mark.parametrize("backend", ["simulator", "analytical"])
@@ -776,7 +808,12 @@ class TestAccounting:
         config = _config()
         requests = _trace_requests([16, 48, 8, 33], arrival_seed=4, functional=False)
         result = serve_continuous(
-            requests, config=config, backend="analytical", max_batch_size=2, iteration_rows=8
+            requests,
+            config=config,
+            backend="analytical",
+            max_batch_size=2,
+            iteration_rows=8,
+            record_iterations=True,
         )
         for done in result.completed:
             resident_ticks = sum(
@@ -820,6 +857,61 @@ class TestAccounting:
             swat_request_rate(_config(), [64], **{knob: value})
 
 
+class TestCompletionsOnRead:
+    """``ServingResult.completed`` builds a record only when one is read."""
+
+    @staticmethod
+    def _serve():
+        requests = _trace_requests([16, 33, 8, 48, 24], arrival_seed=5)
+        result = serve_continuous(
+            requests,
+            config=_config(),
+            backend="simulator",
+            num_shards=2,
+            max_batch_size=2,
+            iteration_rows=8,
+        )
+        return requests, result
+
+    def test_a_serve_builds_no_record_until_one_is_read(self, monkeypatch):
+        built = []
+
+        def counted(*fields_in_order):
+            built.append(fields_in_order[0].request_id)
+            return CompletedRequest(*fields_in_order)
+
+        monkeypatch.setattr(continuous, "CompletedRequest", counted)
+        requests, result = self._serve()
+        assert built == []
+        assert len(result.completed) == len(requests)
+        assert result.stats.latency_p95_seconds > 0
+        output = result.output_for(requests[3])
+        assert built == []
+        assert np.array_equal(output, result.completed[3].output)
+        assert built == [requests[3].request_id]
+        assert [done.shard for done in result.completed] == [
+            done.shard for done in result.completed[:]
+        ]
+        assert len(built) == 1 + 2 * len(requests)
+
+    def test_sequence_protocol(self):
+        requests, result = self._serve()
+        completed = result.completed
+        ids = [request.request_id for request in requests]
+        assert isinstance(completed, Sequence)
+        assert [done.request.request_id for done in completed] == ids
+        assert [completed[index].request.request_id for index in range(-len(ids), 0)] == ids
+        assert [done.request.request_id for done in completed[1:4]] == ids[1:4]
+        assert [done.request.request_id for done in completed[::-2]] == ids[::-2]
+        assert [done.request.request_id for done in reversed(completed)] == ids[::-1]
+        assert completed[len(ids) :] == []
+        assert completed[-1].request is requests[-1]
+        for past_the_end in (len(ids), -len(ids) - 1):
+            with pytest.raises(IndexError):
+                completed[past_the_end]
+        assert_same_completions(completed[:], list(completed))
+
+
 class TestPercentile:
     def test_nearest_rank_semantics(self):
         values = [4.0, 1.0, 3.0, 2.0]
@@ -846,6 +938,7 @@ class TestAdmissionPolicy:
             iteration_rows=128,
             policy=policy,
             plan_cache=PlanCache(),
+            record_iterations=True,
         )
 
     def _straggler_trace(self, count=64, load=6.0, seed=0):

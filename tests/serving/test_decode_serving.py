@@ -12,6 +12,8 @@ again.
 """
 
 from dataclasses import fields
+from itertools import repeat
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from repro.serving.backends import create_backend
 from repro.serving.cache import KVResidency, PlanCache
 from repro.serving.continuous import ContinuousBatcher, poisson_arrivals, serve_continuous
 from repro.serving.request import (
+    CompletedRequest,
     DecodeRequest,
     decode_block_schedule,
     make_decode_request,
@@ -317,7 +320,7 @@ class _PricingSpy:
 
 
 def _serve_spied(requests, scheduler, num_shards, quantum):
-    """Serve on the bus with every ``step_burst`` call counted.
+    """Serve on the bus, keeping burst records, with every ``step_burst`` call counted.
 
     Returns ``(result, events, pricing calls)``.
     """
@@ -340,6 +343,7 @@ def _serve_spied(requests, scheduler, num_shards, quantum):
         scheduler=scheduler,
         backends=backends,
         bus=bus,
+        record_iterations=True,
     )
     return result, events, sum(backend.step_burst.calls for backend in backends)
 
@@ -422,7 +426,7 @@ class TestBurstCarryOver:
 
 
 class TestFastPath:
-    """The branch perfbench's quiet serves take: no bus and no burst records.
+    """The default branch, which perfbench's quiet serves take: no bus and no burst records.
 
     Every other equivalence test serves with a bus or with records, which
     makes the event scheduler keep each shard's open burst and report it;
@@ -539,3 +543,89 @@ class TestAdmissionWorkRanking:
         # the 4-layer forward that arrived just before it.
         assert fcfs == [requests[0].request_id, requests[1].request_id, requests[2].request_id]
         assert sjf == [requests[0].request_id, requests[2].request_id, requests[1].request_id]
+
+
+def _eager_completions(batcher, outputs):
+    """Every completion of a serve at once, built from its batcher's columns.
+
+    The reference eager build: one pass, ticks to seconds a column at a
+    time by the vectorized ``TimeBase`` product.
+    """
+    seconds = batcher.time_base.seconds
+
+    def instants(ticks):
+        return memoryview(seconds(np.frombuffer(ticks, dtype=np.int64)))
+
+    return list(
+        map(
+            CompletedRequest,
+            batcher.requests,
+            outputs if outputs is not None else repeat(None),
+            batcher.shard_of,
+            batcher.batch_ids,
+            batcher.batch_sizes,
+            instants(batcher.device_ticks),
+            map(attrgetter("arrival_time"), batcher.requests),
+            instants(batcher.admit_ticks),
+            instants(batcher.finish_ticks),
+        )
+    )
+
+
+class TestCompletionsOnRead:
+    """Every completion read through the result equals the eager build.
+
+    ``ServingResult.completed`` builds each record when it is read.  By
+    iteration, index, negative index or slice, every field must equal the
+    eager oracle's in value, bit pattern and type, on mixed traces under
+    either scheduler and every queue and admission policy.
+    """
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        trace=carry_over_strategy,
+        max_batch_size=st.integers(1, 4),
+        policy=st.sampled_from(["fcfs", "sjf"]),
+        admission=st.sampled_from(["continuous", "drain"]),
+        backend=st.sampled_from(["analytical", "simulator"]),
+        scheduler=st.sampled_from(["event", "reference"]),
+    )
+    def test_every_field_equals_an_eager_build(
+        self, trace, max_batch_size, policy, admission, backend, scheduler
+    ):
+        kinds, seed, rate, num_shards, quantum = trace
+        requests = _kind_trace(kinds, seed, rate, functional=backend == "simulator")
+        batchers = []
+        submit = ContinuousBatcher.submit
+
+        def captured(self, trace_requests):
+            batchers.append(self)
+            submit(self, trace_requests)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ContinuousBatcher, "submit", captured)
+            result = serve_continuous(
+                requests,
+                config=_config(),
+                backend=backend,
+                num_shards=num_shards,
+                max_batch_size=max_batch_size,
+                iteration_rows=quantum,
+                admission=admission,
+                policy=policy,
+                scheduler=scheduler,
+            )
+        (batcher,) = batchers
+        completed = result.completed
+        oracle = _eager_completions(batcher, completed.outputs)
+        count = len(oracle)
+        assert_same_completions(completed, oracle)
+        assert_same_completions([completed[index - count] for index in range(count)], oracle)
+        assert_same_completions(completed[1::2], oracle[1::2])
+        for done in completed:
+            assert done.arrival_time is done.request.arrival_time
+        for name in ("queue_seconds", "latency_seconds"):
+            samples = getattr(result, name)
+            expected = np.array([getattr(done, name) for done in oracle], dtype=np.float64)
+            assert samples.dtype == np.float64
+            assert samples.tobytes() == expected.tobytes()

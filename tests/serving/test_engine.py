@@ -51,6 +51,9 @@ class TestFunctionalServing:
         assert np.array_equal(result.output_for(requests[1]), result.completed[1].output)
         with pytest.raises(KeyError):
             result.output_for(AttentionRequest(seq_len=16))
+        pool = ServingEngine(config=config, backend="analytical", num_shards=1)
+        request = AttentionRequest(seq_len=16)
+        assert pool.serve([request]).output_for(request) is None
 
     def test_shared_plan_cache_across_shards(self):
         config = _config()
@@ -86,7 +89,7 @@ class TestAccounting:
         # Two equal batches on two shards: both busy, perfectly balanced.
         assert stats.shard_busy_seconds[0] == pytest.approx(stats.shard_busy_seconds[1])
         assert stats.device_makespan_seconds == pytest.approx(max(stats.shard_busy_seconds))
-        assert {record.shard for record in result.bursts} == {0, 1}
+        assert {done.shard for done in result.completed} == {0, 1}
 
     def test_makespan_throughput_definition(self):
         engine = ServingEngine(config=_config(), backend="analytical", num_shards=2)

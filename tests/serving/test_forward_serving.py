@@ -204,6 +204,7 @@ class TestContinuousServing:
                 backend="simulator",
                 max_batch_size=2,
                 iteration_rows=iteration_rows,
+                record_iterations=True,
             )
             assert sum(record.ticks for record in result.bursts) == plan.total_cycles
 

@@ -2,8 +2,9 @@
 
 The serving layer's nearest-rank percentile must agree with the reference
 implementation (``numpy.percentile(..., method="inverted_cdf")``) on every
-input — hypothesis drives arbitrary samples and q values, plus the classic
-edge cases (empty, single element, all-equal, q at the 0/100 boundaries).
+input, lists and float64 arrays alike — hypothesis drives arbitrary samples
+and q values, plus the classic edge cases (empty, single element, all-equal,
+q at the 0/100 boundaries).
 ``TimeBase.first_ticks``, the one-pass conversion of a trace's arrivals to
 first ticks, must equal the scalar ``first_tick`` entry for entry.
 """
@@ -23,8 +24,18 @@ finite_floats = st.floats(min_value=-1e9, max_value=1e9, allow_nan=False, allow_
     q=st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
 )
 def test_matches_numpy_inverted_cdf(values, q):
+    """Lists and float64 arrays alike, always returned as a Python float."""
     expected = float(np.percentile(np.array(values), q, method="inverted_cdf"))
-    assert percentile(values, q) == expected
+    for sample in (values, np.array(values, dtype=np.float64)):
+        value = percentile(sample, q)
+        assert type(value) is float
+        assert value == expected
+
+
+def test_arrays_are_samples_too():
+    assert percentile(np.array([3.0, 1.0, 2.0]), 50.0) == 2.0
+    assert type(percentile(np.array([3.25]), 50.0)) is float
+    assert percentile(np.array([], dtype=np.float64), 50.0) == 0.0
 
 
 @given(q=st.floats(min_value=0.0, max_value=100.0, allow_nan=False))

@@ -191,6 +191,7 @@ class TestBurstFolding:
             max_batch_size=3,
             iteration_rows=8,
             bus=bus,
+            record_iterations=True,
         )
         bursts = [event for event in events if event.kind == "burst_advanced"]
         assert len({burst.shard for burst in bursts if burst.iterations > 1}) >= 2
